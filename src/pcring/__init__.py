@@ -23,6 +23,7 @@ from .oracle import (
     RadicalBasis,
     StructureTable,
     build_table,
+    certify_radical,
     matches_pair_ring,
     radical_matches_spectral,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "StructureTable",
     "augmentation",
     "build_table",
+    "certify_radical",
     "character_value",
     "complexified_basis_audit",
     "custom",

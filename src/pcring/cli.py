@@ -157,10 +157,8 @@ def run(request: AnalysisRequest) -> tuple[dict, int]:
         associative = table.is_associative()
         matches = oracle.matches_pair_ring(table, ring)
         if associative:
-            radical = table.radical()
-            radical_dim = radical.dimension
-            spans_match = oracle.radical_matches_spectral(
-                radical, list(report_data.nilpotents)
+            radical_dim, spans_match = oracle.certify_radical(
+                table, list(report_data.nilpotents)
             )
         else:
             radical_dim = -1
@@ -341,9 +339,12 @@ def _run_batch(args: argparse.Namespace) -> int:
             request = replace(parse_input(path.read_text()), **{
                 **_flag_kwargs(args), "output": None,
             })
-            doc, code = run(request)
         except InputError as exc:
             doc, code = _error_document("validation", exc.message, exc.path), EXIT_VALIDATION
+        except (OSError, UnicodeDecodeError) as exc:
+            doc, code = _error_document("validation", str(exc)), EXIT_VALIDATION
+        else:
+            doc, code = run(request)
         entries.append({"file": path.name, "report": doc})
         codes.append(code)
     _emit({"batch": entries}, args.output)

@@ -197,6 +197,11 @@ class CycloNum:
         d = self._den
         return tuple(Fraction(n, d) for n in self._nums)
 
+    def integer_coeffs(self) -> tuple[tuple[int, ...], int]:
+        """Integer numerators and the positive common denominator of the
+        power-basis coordinates: value = sum_k nums[k] zeta^k / den."""
+        return self._nums, self._den
+
     def is_zero(self) -> bool:
         return not any(self._nums)
 

@@ -5,25 +5,38 @@ support +, -, *, / and truthiness testing (``Fraction`` and ``CycloNum``
 both qualify).  There is no pivots-by-magnitude heuristic and no tolerance:
 a pivot is any nonzero entry.
 
-``certify_full_row_rank`` proves that a cyclotomic matrix has full row rank
-by reducing it modulo a prime p == 1 (mod N), where zeta_N maps to an
-element of order N in GF(p)*.  Full rank of a homomorphic image certifies
-full rank exactly; if the certificate fails (which also happens for
-genuinely rank-deficient input) the claim is settled by exact elimination.
+The modular routines map a cyclotomic matrix to GF(p) for a prime
+p == 1 (mod N), where zeta_N goes to an element of order N in GF(p)*.  The
+image is taken from integer power-basis slices (``integer_slices``), never
+from fractions.  Rank can only drop under a homomorphism, so full rank of the
+image certifies full rank exactly, and ``rank_mod_p`` bounds the rational
+rank of an integer matrix from below.  ``certify_full_row_rank`` settles the
+claim by exact elimination when no prime certifies it (which also happens
+for genuinely rank-deficient input).  ``exact_matmul`` multiplies integer
+matrices in int64 under a proven overflow bound and in Python integers
+otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .cyclotomics import CycloNum, euler_phi
 
 __all__ = [
     "certify_full_row_rank",
+    "exact_matmul",
+    "image_mod_p",
     "in_row_span",
+    "integer_slices",
     "kernel_basis",
+    "modular_primes",
     "rank",
+    "rank_mod_p",
     "rref",
 ]
 
@@ -95,7 +108,7 @@ def kernel_basis(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
-# -- modular full-rank certificate ---------------------------------------------
+# -- modular rank certificates and exact integer products -----------------------
 
 
 def _is_prime(n: int) -> bool:
@@ -136,47 +149,110 @@ def _unity_root_mod(p: int, order: int) -> int | None:
     return None
 
 
-def _cyclo_row_mod(row: Sequence[object], order: int, p: int, powers: list[int]) -> list[int] | None:
-    out = []
-    for entry in row:
-        if isinstance(entry, CycloNum):
-            acc = 0
-            for k, f in enumerate(entry.coeffs):
-                if f:
-                    if f.denominator % p == 0:
-                        return None
-                    acc += f.numerator * pow(f.denominator, p - 2, p) % p * powers[k]
-            out.append(acc % p)
-        else:
-            f = Fraction(entry)
-            if f.denominator % p == 0:
-                return None
-            out.append(f.numerator * pow(f.denominator, p - 2, p) % p)
-    return out
+def modular_primes(order: int, attempts: int) -> Iterator[tuple[int, int]]:
+    """The first ``attempts`` primes p == 1 (mod order) above 10**6, each with
+    an element w of multiplicative order exactly ``order`` in GF(p).
+
+    zeta_order |-> w defines a ring homomorphism Z[zeta_order] -> GF(p).
+    For every order up to 256 (the largest conductor the CLI accepts) the
+    primes stay below 1.02 * 10**6, far inside the p < 2**31 that
+    ``image_mod_p`` and ``rank_mod_p`` require.
+    """
+    p = 1_000_003
+    p += (-(p - 1)) % order  # first candidate with p == 1 mod order
+    for _ in range(attempts):
+        while not _is_prime(p):
+            p += order
+        w = _unity_root_mod(p, order)
+        if w is not None:
+            yield p, w
+        p += order
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
+def _integer_coeffs(entry: object, order: int, phi: int) -> tuple[tuple[int, ...], int]:
+    if isinstance(entry, CycloNum):
+        if entry.order != order:
+            raise ValueError(f"cyclotomic order mismatch: {entry.order} vs {order}")
+        return entry.integer_coeffs()
+    f = Fraction(entry)
+    return (f.numerator,) + (0,) * (phi - 1), f.denominator
+
+
+def integer_slices(rows: Sequence[Sequence[object]], order: int) -> np.ndarray:
+    """Power-basis slices of rows over Q(zeta_order), cleared of denominators.
+
+    Returns an integer array S of shape (m, phi(order), n) such that D_i times
+    row i equals sum_k S[i, k] zeta^k, where D_i > 0 is the lcm of the
+    denominators in row i.  Scaling a row by D_i changes neither its rank
+    nor whether it lies in a kernel.  int64 when every entry fits, Python
+    integers otherwise.
+    """
+    phi = euler_phi(order)
+    scaled = []
+    for row in rows:
+        parts = [_integer_coeffs(entry, order, phi) for entry in row]
+        common = math.lcm(*(den for _, den in parts))
+        scaled.append([[n * (common // den) for n in nums] for nums, den in parts])
+    if not scaled:
+        return np.zeros((0, phi, 0), dtype=np.int64)
+    try:
+        exact = np.array(scaled, dtype=np.int64)
+    except OverflowError:
+        exact = np.array(scaled, dtype=object)
+    return exact.transpose(0, 2, 1)
+
+
+def image_mod_p(slices: np.ndarray, p: int, w: int) -> np.ndarray:
+    """Image mod p (a prime below 2**31) of the rows ``integer_slices``
+    describes, under zeta |-> w."""
+    residues = (slices % p).astype(np.int64)
+    image = np.zeros((slices.shape[0], slices.shape[2]), dtype=np.int64)
+    for k in range(slices.shape[1]):
+        image = (image + residues[:, k, :] * pow(w, k, p)) % p
+    return image
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact integer product a @ b.
+
+    int64 when the operands fit and inner * max|a| * max|b| < 2**63 proves
+    that no partial sum can overflow, Python integers (object dtype) otherwise.
+    """
+    a_max, b_max = _max_abs(a), _max_abs(b)
+    if max(a_max, b_max, a.shape[-1] * a_max * b_max) < 2**63:
+        return a.astype(np.int64) @ b.astype(np.int64)
+    return a.astype(object) @ b.astype(object)
+
+
+def rank_mod_p(matrix: np.ndarray, p: int) -> int:
+    """Rank over GF(p) of an integer matrix, for a prime p < 2**31.
+
+    Row reduction on int64 residues in [0, p): every product stays below
+    p**2 < 2**62.  Rank mod p never exceeds the rank over Q.
+    """
+    work = (matrix % p).astype(np.int64)
+    nrows, ncols = work.shape
     rk = 0
     for col in range(ncols):
-        pivot_row = None
-        for r in range(rk, len(work)):
-            if work[r][col] % p:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[rk], work[pivot_row] = work[pivot_row], work[rk]
-        inv = pow(work[rk][col], p - 2, p)
-        work[rk] = [v * inv % p for v in work[rk]]
-        for r in range(rk + 1, len(work)):
-            f = work[r][col] % p
-            if f:
-                work[r] = [(a - f * b) % p for a, b in zip(work[r], work[rk])]
-        rk += 1
-        if rk == len(work):
+        if rk == nrows:
             break
+        candidates = np.flatnonzero(work[rk:, col])
+        if not candidates.size:
+            continue
+        pivot = rk + int(candidates[0])
+        if pivot != rk:
+            work[[rk, pivot]] = work[[pivot, rk]]
+        inv = pow(int(work[rk, col]), -1, p)
+        work[rk, col:] = work[rk, col:] * inv % p
+        below = rk + 1 + np.flatnonzero(work[rk + 1:, col])
+        if below.size:
+            factors = work[below, col]
+            work[below, col:] = (work[below, col:] - np.outer(factors, work[rk, col:])) % p
+        rk += 1
     return rk
 
 
@@ -188,28 +264,10 @@ def certify_full_row_rank(rows: Sequence[Sequence[object]], order: int, attempts
         return True
     if m > len(rows[0]):
         return False
-    phi = euler_phi(order)
-    p = 1_000_003
-    p += (-(p - 1)) % order  # first candidate with p == 1 mod order
-    tried = 0
-    while tried < attempts:
-        while not _is_prime(p):
-            p += order
-        w = _unity_root_mod(p, order)
-        if w is not None:
-            powers = [pow(w, k, p) for k in range(phi)]
-            reduced_rows = []
-            ok = True
-            for row in rows:
-                rr = _cyclo_row_mod(row, order, p, powers)
-                if rr is None:
-                    ok = False
-                    break
-                reduced_rows.append(rr)
-            if ok and _rank_mod_p(reduced_rows, p) == m:
-                return True
-        tried += 1
-        p += order
+    slices = integer_slices(rows, order)
+    for p, w in modular_primes(order, attempts):
+        if rank_mod_p(image_mod_p(slices, p, w), p) == m:
+            return True
     embedded = [
         [e if isinstance(e, CycloNum) else CycloNum.rational(order, e) for e in row]
         for row in rows

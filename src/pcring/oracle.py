@@ -11,14 +11,26 @@ with c_u the composition multiplicities of the canonical element.  Nothing
 here touches the pair-ring multiplication or any cyclotomic arithmetic, so
 agreement between the two is a genuine cross-check: products are compared
 entry by entry, associativity is verified on all basis triples, and the
-radical is recovered independently through the characteristic-zero trace
-form criterion (the radical is the kernel of (x, y) |-> trace of left
-multiplication by x*y), over exact rationals.
+radical is pinned down through the characteristic-zero trace form
+criterion (the radical is the kernel of the exact integer Gram matrix
+T[i, j] = trace of left multiplication by e_i * e_j).
 
-The associativity scan runs on integer-valued float64 tensors; a bound
-check guarantees every intermediate stays below 2**53, where float64
-arithmetic on integers is exact, and falls back to arbitrary-precision
-loops otherwise.
+``certify_radical`` checks the closed-form nilpotents against that kernel
+with a sandwich certificate: exact integer products show T n = 0 for every
+power-basis slice of every nilpotent, their rank modulo a prime
+p == 1 (mod N) shows dim ker T >= m, and rank_p(T) <= rank_Q(T) shows
+dim ker T <= 2s - rank_p(T).  When the two bounds meet at m the nilpotents
+span the radical.  Otherwise the exact path decides: the rational kernel of
+T (``StructureTable.radical``) and mutual span membership
+(``radical_matches_spectral``), which also serve as the reference the tests
+compare the certificate against.
+
+Constants are int64 unless a multiplicity leaves int64, in which case they
+are Python integers.  The associativity scan runs on integer-valued float64
+tensors; a bound check guarantees every intermediate stays below 2**53,
+where float64 arithmetic on integers is exact, and falls back to
+arbitrary-precision loops otherwise.  The trace form uses the same kind of
+bound to choose between int64 and Python integers.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ __all__ = [
     "RadicalBasis",
     "StructureTable",
     "build_table",
+    "certify_radical",
     "matches_pair_ring",
     "radical_matches_spectral",
 ]
@@ -122,9 +135,12 @@ class StructureTable:
         return True
 
     def trace_form(self) -> np.ndarray:
-        """Gram matrix T[i,j] = trace of left multiplication by e_i * e_j."""
-        traces = np.einsum("kll->k", self.constants)
-        return np.tensordot(self.constants, traces, axes=([2], [0]))
+        """Gram matrix T[i,j] = trace of left multiplication by e_i * e_j,
+        computed exactly (int64 under a proven bound, Python ints otherwise)."""
+        d = self.dim
+        diagonals = self.constants.diagonal(axis1=1, axis2=2)
+        traces = linalg.exact_matmul(diagonals, np.ones(d, dtype=np.int64))
+        return linalg.exact_matmul(self.constants.reshape(d * d, d), traces).reshape(d, d)
 
     def radical(self) -> RadicalBasis:
         """Exact rational kernel of the trace form; in characteristic zero
@@ -146,8 +162,10 @@ def build_table(ring: ProjectiveClassRing) -> StructureTable:
     d = 2 * s
     elements = group.elements()
     idx = {a: i for i, a in enumerate(elements)}
-    constants = np.zeros((d, d, d), dtype=np.int64)
     canonical = list(ring.canonical.items())
+    # Each constant is 1 or a single multiplicity; keep them exact.
+    fits = all(cu < 2**63 for _, cu in canonical)
+    constants = np.zeros((d, d, d), dtype=np.int64 if fits else object)
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):
             k = idx[group.mul(a, b)]
@@ -226,3 +244,36 @@ def radical_matches_spectral(radical: RadicalBasis, nilpotents: list[PairElement
         if not linalg.in_row_span(reduced_n, pivots_n, embedded):
             return False
     return True
+
+
+def certify_radical(table: StructureTable, nilpotents: list[PairElement]) -> tuple[int, bool]:
+    """Radical dimension of an associative table and whether the nilpotents
+    span the radical: ``(radical().dimension, radical_matches_spectral(...))``.
+
+    Sandwich certificate on the exact trace form T, in four steps:
+
+    1. ``T n = 0`` for every integer power-basis slice of every nilpotent
+       n, so span(nilpotents) lies in ker T;
+    2. the nilpotents have rank m mod a prime p == 1 (mod N), so they are
+       independent and dim ker T >= m;
+    3. rank_p(T) <= rank_Q(T), so dim ker T <= 2s - rank_p(T);
+    4. if the bounds meet at m the spans are equal and the answer is
+       ``(m, True)``; if no prime makes them meet, or a nilpotent has a
+       simple component or leaves ker T, the exact path decides.
+    """
+    if not table.is_associative():
+        raise ValueError("table not associative")
+    gram = table.trace_form()
+    m = len(nilpotents)
+    if all(n.s_part.is_zero() for n in nilpotents):
+        order = table.group.conductor
+        slices = linalg.integer_slices([n.coefficient_vector() for n in nilpotents], order)
+        products = linalg.exact_matmul(gram, slices.reshape(-1, table.dim).T)
+        if not products.any():
+            for p, w in linalg.modular_primes(order, attempts=3):
+                lower = linalg.rank_mod_p(linalg.image_mod_p(slices, p, w), p)
+                upper = table.dim - linalg.rank_mod_p(gram, p)
+                if lower == m == upper:
+                    return m, True
+    radical = table.radical()
+    return radical.dimension, radical_matches_spectral(radical, nilpotents)

@@ -17,6 +17,7 @@ from pcring import (
     GroupRingElement,
     ProjectiveClassRing,
     build_table,
+    certify_radical,
     complexified_basis_audit,
     cyclotomic_polynomial,
     decomposition,
@@ -162,7 +163,8 @@ def test_criterion_5_radical_span_agreement(corpus):
     failures: list[str] = []
     for inst in corpus:
         ring = inst.ring
-        radical = build_table(ring).radical()
+        table = build_table(ring)
+        radical = table.radical()
         nils = nilradical_basis(ring)
         if radical.dimension != len(nils):
             failures.append(
@@ -171,6 +173,15 @@ def test_criterion_5_radical_span_agreement(corpus):
             continue
         if not radical_matches_spectral(radical, nils):
             failures.append(f"{inst.name}: spans differ")
+        # The certificate must agree with the exact path, also on variants
+        # that it cannot certify and hands to the exact fallback.
+        impostor = [ring.projective_class(ring.group.identity)] + nils[1:]
+        for label, variant in (("nilradical", nils), ("dropped last", nils[:-1]),
+                               ("impostor", impostor)):
+            expected = (radical.dimension, radical_matches_spectral(radical, variant))
+            got = certify_radical(table, variant)
+            if got != expected:
+                failures.append(f"{inst.name} ({label}): certificate {got}, exact {expected}")
     _finish(5, f"radical span agreement ({len(corpus)} instances)", failures)
 
 

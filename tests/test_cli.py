@@ -144,7 +144,7 @@ class TestRun:
         assert doc["decomposition"] == "C^4 x C[eps]^0"
 
     def test_verification_failure_exit_code(self, monkeypatch):
-        monkeypatch.setattr(cli.oracle, "radical_matches_spectral", lambda *a: False)
+        monkeypatch.setattr(cli.oracle, "certify_radical", lambda *a: (1, False))
         _, code = run(make_request(uq_sl2(2)))
         assert code == cli.EXIT_VERIFICATION
 
@@ -177,6 +177,20 @@ class TestMain:
         doc = json.loads(capsys.readouterr().out)
         assert code == 1
         assert doc["error"]["message"] == "semisimple input"
+
+    @pytest.mark.parametrize("coeff", [2**62, 2**63])
+    def test_analyze_huge_multiplicity(self, tmp_path, capsys, coeff):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"group": [4], "c": [{"exp": [0], "coeff": coeff}]}))
+        code = cli.main(["analyze", str(path)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["oracle"] == {
+            "associative": True,
+            "matches_pair_ring": True,
+            "radical_dim": 0,
+            "radical_matches_spectral": True,
+        }
 
     def test_analyze_missing_file(self, capsys):
         code = cli.main(["analyze", "/nonexistent/input.json"])
@@ -240,6 +254,25 @@ class TestMain:
         assert [entry["file"] for entry in doc["batch"]] == ["a_good.json", "b_bad.json"]
         assert doc["batch"][0]["report"]["r"] == 1
         assert doc["batch"][1]["report"]["error"]["message"] == "semisimple input"
+
+    @pytest.mark.parametrize("kind", ["not-utf8", "unreadable"])
+    def test_batch_isolates_unreadable_files(self, tmp_path, capsys, kind):
+        good = json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]})
+        (tmp_path / "a_good.json").write_text(good)
+        if kind == "not-utf8":
+            (tmp_path / "b_bad.json").write_bytes(b"\xff\xfe{\x00}\x00")
+        else:
+            (tmp_path / "b_bad.json").mkdir()
+        (tmp_path / "c_good.json").write_text(good)
+        code = cli.main(["batch", str(tmp_path)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [entry["file"] for entry in doc["batch"]] == [
+            "a_good.json", "b_bad.json", "c_good.json"
+        ]
+        assert doc["batch"][0]["report"]["r"] == 1
+        assert doc["batch"][1]["report"]["error"]["type"] == "validation"
+        assert doc["batch"][2]["report"]["r"] == 1
 
     def test_batch_all_good(self, tmp_path, capsys):
         path = tmp_path / "one.json"

@@ -1,13 +1,21 @@
 """Tests for the exact elimination helpers and the modular rank certificate."""
 
+import random
 from fractions import Fraction
+
+import numpy as np
 
 from pcring import CycloNum, root_of_unity
 from pcring.linalg import (
     certify_full_row_rank,
+    exact_matmul,
+    image_mod_p,
     in_row_span,
+    integer_slices,
     kernel_basis,
+    modular_primes,
     rank,
+    rank_mod_p,
     rref,
 )
 
@@ -92,3 +100,64 @@ class TestRankCertificate:
         rows = [[Fraction(1, 2), 0], [0, 3]]
         assert certify_full_row_rank(rows, 1)
         assert not certify_full_row_rank([[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]], 1)
+
+
+class TestModularRank:
+    def test_matches_rational_rank(self):
+        rng = random.Random(7)
+        (p, _), = modular_primes(1, 1)
+        for _ in range(30):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            base = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rng.randint(1, 4))]
+            matrix = [
+                [sum(rng.randint(-2, 2) * b[j] for b in base) for j in range(cols)]
+                for _ in range(rows)
+            ]
+            assert rank_mod_p(np.array(matrix), p) == rank(
+                [[Fraction(v) for v in row] for row in matrix]
+            )
+
+    def test_rank_drops_only_at_dividing_primes(self):
+        assert rank_mod_p(np.array([[1, 2], [3, 1]]), 5) == 1
+        assert rank_mod_p(np.array([[1, 2], [3, 1]]), 7) == 2
+
+    def test_primes_carry_roots_of_exact_order(self):
+        for p, w in modular_primes(12, 3):
+            assert (p - 1) % 12 == 0
+            assert pow(w, 12, p) == 1
+            assert all(pow(w, k, p) != 1 for k in range(1, 12))
+
+
+class TestIntegerSlices:
+    def test_slices_rebuild_the_scaled_rows(self):
+        z = root_of_unity(5, 1)
+        rows = [[z * Fraction(1, 3) + Fraction(1, 2), 2], [Fraction(-1, 4), z * z]]
+        slices = integer_slices(rows, 5)
+        assert slices.shape == (2, 4, 2)
+        for row, piece in zip(rows, slices):
+            rebuilt = [sum(int(piece[k][j]) * z**k for k in range(4)) for j in range(2)]
+            scale = rebuilt[0] / row[0]
+            assert scale.is_rational() and scale.as_fraction() > 0
+            assert rebuilt == [scale * v for v in row]
+
+    def test_image_is_a_homomorphic_image(self):
+        (p, w), = modular_primes(6, 1)
+        z = root_of_unity(6, 1)
+        image = image_mod_p(integer_slices([[z, z * z]], 6), p, w)
+        assert image.tolist() == [[w % p, w * w % p]]
+
+    def test_huge_numerators_stay_exact(self):
+        slices = integer_slices([[Fraction(2**70, 3), 1]], 1)
+        assert slices.dtype == object
+        assert slices[0, 0].tolist() == [2**70, 3]
+
+
+class TestExactMatmul:
+    def test_small_products_stay_int64(self):
+        out = exact_matmul(np.array([[1, 2]]), np.array([[3], [4]]))
+        assert out.dtype == np.int64 and out.tolist() == [[11]]
+
+    def test_overflowing_products_use_python_ints(self):
+        big = np.array([[2**40, 2**40]])
+        out = exact_matmul(big, big.T)
+        assert out.tolist() == [[2**81]]

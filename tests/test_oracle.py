@@ -9,6 +9,7 @@ from pcring import (
     ProjectiveClassRing,
     StructureTable,
     build_table,
+    certify_radical,
     matches_pair_ring,
     nilradical_basis,
     radical_matches_spectral,
@@ -145,6 +146,39 @@ class TestRadical:
         radical = build_table(ring).radical()
         impostor = [ring.projective_class((0,))]
         assert not radical_matches_spectral(radical, impostor)
+
+
+class TestRadicalCertificate:
+    @pytest.mark.parametrize("ring", RINGS, ids=IDS)
+    def test_certified_without_exact_path(self, ring, monkeypatch):
+        table = build_table(ring)
+        expected = table.radical().dimension
+        monkeypatch.setattr(StructureTable, "radical", lambda self: pytest.fail("exact path"))
+        assert certify_radical(table, nilradical_basis(ring)) == (expected, True)
+
+    def test_simple_component_falls_back(self):
+        ring = trace_ring(4)
+        nils = nilradical_basis(ring)
+        with_simple = [ring.simple_class((1,))] + nils[1:]
+        assert certify_radical(build_table(ring), with_simple) == (3, False)
+
+    def test_requires_associative_table(self):
+        ring = trace_ring(3)
+        broken = StructureTable(ring.group, build_table(ring).constants.copy())
+        broken.constants[4, 5, 0] += 1
+        with pytest.raises(ValueError, match="table not associative"):
+            certify_radical(broken, nilradical_basis(ring))
+
+    def test_trace_form_is_exact_for_huge_multiplicities(self):
+        for coeff in (2**62, 2**63):
+            table = build_table(make_ring((4,), {(0,): coeff}))
+            c = table.constants.tolist()
+            traces = [sum(c[k][l][l] for l in range(table.dim)) for k in range(table.dim)]
+            expected = [
+                [sum(c[i][j][k] * traces[k] for k in range(table.dim)) for j in range(table.dim)]
+                for i in range(table.dim)
+            ]
+            assert table.trace_form().tolist() == expected
 
 
 class TestTensorShapes:
