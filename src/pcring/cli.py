@@ -204,12 +204,19 @@ def _render(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _emit(doc: dict, output: str | None) -> None:
+def _emit(doc: dict, output: str | None, code: int) -> int:
+    """Write the document; returns ``code``, or the validation exit code with
+    an error document on stdout when the output file cannot be written."""
     text = _render(doc)
-    if output:
-        Path(output).write_text(text)
-    else:
+    if not output:
         sys.stdout.write(text)
+        return code
+    try:
+        Path(output).write_text(text)
+    except OSError as exc:
+        sys.stdout.write(_render(_error_document("validation", str(exc), "/output")))
+        return EXIT_VALIDATION
+    return code
 
 
 def _error_document(kind: str, message: str, path: str | None = None) -> dict:
@@ -269,8 +276,7 @@ def _request_from_args(descriptor: InstanceDescriptor, args: argparse.Namespace)
 
 def _run_and_emit(request: AnalysisRequest) -> int:
     doc, code = run(request)
-    _emit(doc, request.output)
-    return code
+    return _emit(doc, request.output, code)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -280,8 +286,8 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 text = Path(args.file).read_text()
             except OSError as exc:
-                _emit(_error_document("validation", str(exc)), args.output)
-                return EXIT_VALIDATION
+                return _emit(_error_document("validation", str(exc)), args.output,
+                             EXIT_VALIDATION)
             request = replace(parse_input(text), **_flag_kwargs(args))
             return _run_and_emit(request)
 
@@ -300,11 +306,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "batch":
             return _run_batch(args)
     except InputError as exc:
-        _emit(_error_document("validation", exc.message, exc.path), args.output)
-        return EXIT_VALIDATION
+        return _emit(_error_document("validation", exc.message, exc.path), args.output,
+                     EXIT_VALIDATION)
     except (CanonicalElementError, ValueError) as exc:
-        _emit(_error_document("validation", str(exc)), args.output)
-        return EXIT_VALIDATION
+        return _emit(_error_document("validation", str(exc)), args.output, EXIT_VALIDATION)
     raise AssertionError("unreachable command")
 
 
@@ -330,8 +335,8 @@ def _parse_orders(text: str) -> tuple[int, ...]:
 def _run_batch(args: argparse.Namespace) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
-        _emit(_error_document("validation", f"not a directory: {directory}"), args.output)
-        return EXIT_VALIDATION
+        return _emit(_error_document("validation", f"not a directory: {directory}"),
+                     args.output, EXIT_VALIDATION)
     entries = []
     codes = []
     for path in sorted(directory.glob("*.json")):
@@ -347,12 +352,13 @@ def _run_batch(args: argparse.Namespace) -> int:
             doc, code = run(request)
         entries.append({"file": path.name, "report": doc})
         codes.append(code)
-    _emit({"batch": entries}, args.output)
     if EXIT_VALIDATION in codes:
-        return EXIT_VALIDATION
-    if EXIT_VERIFICATION in codes:
-        return EXIT_VERIFICATION
-    return EXIT_OK
+        code = EXIT_VALIDATION
+    elif EXIT_VERIFICATION in codes:
+        code = EXIT_VERIFICATION
+    else:
+        code = EXIT_OK
+    return _emit({"batch": entries}, args.output, code)
 
 
 if __name__ == "__main__":

@@ -267,9 +267,9 @@ class CycloNum:
 
     def __mul__(self, other: object) -> "CycloNum":
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            nums = [n * f.numerator for n in self._nums]
-            return CycloNum._raw(self._order, nums, self._den * f.denominator)
+            num = other.numerator
+            nums = [n * num for n in self._nums]
+            return CycloNum._raw(self._order, nums, self._den * other.denominator)
         if not isinstance(other, CycloNum):
             return NotImplemented
         if other._order != self._order:
@@ -403,7 +403,7 @@ class CycloNum:
         rendering tagged display_only."""
         doc: dict = {
             "order": self._order,
-            "coeffs": [[f.numerator, f.denominator] for f in self.coeffs],
+            "coeffs": [_lowest_terms(n, self._den) for n in self._nums],
         }
         if approx:
             doc["display_only"] = _display_string(self.approx())
@@ -444,6 +444,12 @@ def _normalized(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
         nums = [n // g for n in nums]
         den //= g
     return tuple(nums), den
+
+
+def _lowest_terms(num: int, den: int) -> list[int]:
+    # [numerator, denominator] of num/den (den > 0), as Fraction reduces it.
+    g = math.gcd(num, den)
+    return [num // g, den // g]
 
 
 def _reduce_fraction_poly(coeffs: list[Fraction], order: int) -> list[Fraction]:

@@ -7,20 +7,36 @@ element a is zeta_N^(sum_i (N/n_i) * a_i * b_i), where N = lcm(n_i) is the
 conductor.  Evaluating every character at once is the Fourier transform
 CG -> C^G, a ring isomorphism carrying convolution to pointwise product.
 
+Both directions of the transform run through one exact kernel,
+``exponent_transform``.  All coefficients are written over one common
+denominator, as integer numerators n_j of the powers zeta^j.  The numerator
+n_j of the coefficient at a lands in the cell H[b, (+-E[a, b] + j) mod N] of
+an s x N integer histogram, where E[a, b] = <a, b> mod N is the
+pairing-exponent matrix cached on the group.  One exact integer product of H
+with the table of residues zeta^k mod Phi_N then gives every character value
+in the power basis.  Histogram and product are int64 under a proven
+overflow bound and Python integers otherwise, so vanishing stays an exact
+integer test.  ``character_value`` evaluates a single character directly.
+
 Group ring elements are sparse coefficient maps with no stored zeros, so
 structural equality coincides with mathematical equality.  The coefficient
 domain is whatever supports ring arithmetic; in practice ``int``,
-``Fraction`` or :class:`~pcring.cyclotomics.CycloNum`.
+``Fraction`` or :class:`~pcring.cyclotomics.CycloNum`, the three types the
+transform accepts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .cyclotomics import CycloNum, root_of_unity
+import numpy as np
+
+from . import linalg
+from .cyclotomics import CycloNum, _power_residues, root_of_unity
 
 __all__ = [
     "AbelianGroup",
@@ -28,6 +44,7 @@ __all__ = [
     "GroupRingElement",
     "augmentation",
     "character_value",
+    "exponent_transform",
     "fourier",
     "inverse_fourier",
     "pairing",
@@ -40,7 +57,7 @@ GroupElement = tuple[int, ...]
 class AbelianGroup:
     """A product of cyclic groups given by its tuple of factor orders."""
 
-    __slots__ = ("_orders", "_size", "_conductor", "_elements", "_index")
+    __slots__ = ("_orders", "_size", "_conductor", "_elements", "_index", "_exponents")
 
     def __init__(self, orders: Iterable[int]):
         orders = tuple(orders)
@@ -53,6 +70,7 @@ class AbelianGroup:
         self._conductor = math.lcm(*orders)
         self._elements: tuple[GroupElement, ...] | None = None
         self._index: dict[GroupElement, int] | None = None
+        self._exponents: np.ndarray | None = None
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -103,6 +121,17 @@ class AbelianGroup:
         """Exponent of zeta_N in the duality pairing of a with b."""
         n = self._conductor
         return sum((n // ni) * x * y for x, y, ni in zip(a, b, self._orders)) % n
+
+    def pairing_exponents(self) -> np.ndarray:
+        """The read-only s x s int64 matrix E[a, b] = pairing_exponent(a, b),
+        rows and columns in canonical element order; built once per group."""
+        if self._exponents is None:
+            elems = np.array(self.elements(), dtype=np.int64).reshape(self._size, -1)
+            weights = np.array([self._conductor // ni for ni in self._orders], dtype=np.int64)
+            exps = (elems * weights) @ elems.T % self._conductor
+            exps.flags.writeable = False
+            self._exponents = exps
+        return self._exponents
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AbelianGroup) and self._orders == other._orders
@@ -291,28 +320,63 @@ def character_value(group: AbelianGroup, label: GroupElement, x: GroupRingElemen
     return acc
 
 
+def exponent_transform(exponents: np.ndarray, coeffs: Sequence[object], order: int,
+                       scale: int = 1) -> list[CycloNum]:
+    """Column sums of coefficient times root of unity, exactly.
+
+    Returns, for every column t of the m x T integer matrix ``exponents``
+    (entries taken mod ``order``), the value
+    sum_i coeffs[i] * zeta_order^exponents[i, t] / scale.  The coefficients
+    are ``int``, ``Fraction`` or ``CycloNum`` of this order.
+    """
+    scaled, common = linalg.common_numerators(coeffs, order)
+    # Per row of ``exponents`` each histogram cell gets at most one numerator:
+    # the columns are distinct rows of H and j < phi <= order are distinct
+    # residues.  So the row maxima bound every cell.
+    bound = sum(max(map(abs, nums)) for nums in scaled)
+    dtype = np.int64 if bound < 2**63 else object
+    width = exponents.shape[1]
+    hist = np.zeros((width, order), dtype=dtype)
+    rows = np.arange(width)[:, None]
+    for exps, nums in zip(exponents, scaled):
+        js = [j for j, v in enumerate(nums) if v]
+        if js:
+            cells = (exps[:, None] + js) % order
+            hist[rows, cells] += np.array([nums[j] for j in js], dtype=dtype)
+    values = linalg.exact_matmul(hist, _residue_matrix(order)).tolist()
+    den = common * scale
+    return [CycloNum._raw(order, nums, den) for nums in values]
+
+
+@functools.lru_cache(maxsize=None)
+def _residue_matrix(order: int) -> np.ndarray:
+    # Row k: power-basis coordinates of zeta_order^k, k = 0 .. order-1.
+    try:
+        return np.array(_power_residues(order), dtype=np.int64)
+    except OverflowError:
+        return np.array(_power_residues(order), dtype=object)
+
+
 def fourier(group: AbelianGroup, x: GroupRingElement) -> list[CycloNum]:
     """All character values of ``x`` in canonical label order.
 
     This is the ring isomorphism onto functions: convolution goes to
     pointwise product, the Dirac mass at the identity to the all-ones vector.
     """
-    return [character_value(group, b, x) for b in group.elements()]
+    if x.group != group:
+        raise ValueError("mixed-group operands")
+    terms = list(x.items())
+    rows = [group.index(a) for a, _ in terms]
+    return exponent_transform(group.pairing_exponents()[rows], [c for _, c in terms],
+                              group.conductor)
 
 
-def inverse_fourier(group: AbelianGroup, values: list[CycloNum]) -> GroupRingElement:
+def inverse_fourier(group: AbelianGroup, values: Sequence[object]) -> GroupRingElement:
     """Recover the group ring element with the given character values."""
     s = group.size
     if len(values) != s:
         raise ValueError(f"expected {s} character values, got {len(values)}")
-    n = group.conductor
-    inv_s = Fraction(1, s)
-    coeffs: dict[GroupElement, CycloNum] = {}
-    elements = group.elements()
-    for a in elements:
-        acc = CycloNum.zero(n)
-        for b, v in zip(elements, values):
-            if v:
-                acc = acc + root_of_unity(n, -group.pairing_exponent(a, b)) * v
-        coeffs[a] = acc * inv_s
-    return GroupRingElement(group, coeffs, _trusted=True)
+    rows = [i for i, v in enumerate(values) if v]
+    coeffs = exponent_transform(-group.pairing_exponents()[rows], [values[i] for i in rows],
+                                group.conductor, s)
+    return GroupRingElement(group, dict(zip(group.elements(), coeffs)), _trusted=True)

@@ -29,6 +29,7 @@ from .cyclotomics import CycloNum, euler_phi
 
 __all__ = [
     "certify_full_row_rank",
+    "common_numerators",
     "exact_matmul",
     "image_mod_p",
     "in_row_span",
@@ -174,8 +175,19 @@ def _integer_coeffs(entry: object, order: int, phi: int) -> tuple[tuple[int, ...
         if entry.order != order:
             raise ValueError(f"cyclotomic order mismatch: {entry.order} vs {order}")
         return entry.integer_coeffs()
-    f = Fraction(entry)
-    return (f.numerator,) + (0,) * (phi - 1), f.denominator
+    if isinstance(entry, (int, Fraction)):
+        return (entry.numerator,) + (0,) * (phi - 1), entry.denominator
+    raise TypeError(f"unsupported entry type {type(entry).__name__}")
+
+
+def common_numerators(entries: Sequence[object], order: int) -> tuple[list[list[int]], int]:
+    """Power-basis numerators of ``int``, ``Fraction`` or ``CycloNum``
+    entries over their least common denominator D > 0: entry i equals
+    sum_k nums[i][k] zeta_order^k / D, with phi(order) numerators each."""
+    phi = euler_phi(order)
+    parts = [_integer_coeffs(entry, order, phi) for entry in entries]
+    common = math.lcm(*(den for _, den in parts))
+    return [[n * (common // den) for n in nums] for nums, den in parts], common
 
 
 def integer_slices(rows: Sequence[Sequence[object]], order: int) -> np.ndarray:
@@ -188,11 +200,7 @@ def integer_slices(rows: Sequence[Sequence[object]], order: int) -> np.ndarray:
     integers otherwise.
     """
     phi = euler_phi(order)
-    scaled = []
-    for row in rows:
-        parts = [_integer_coeffs(entry, order, phi) for entry in row]
-        common = math.lcm(*(den for _, den in parts))
-        scaled.append([[n * (common // den) for n in nums] for nums, den in parts])
+    scaled = [common_numerators(row, order)[0] for row in rows]
     if not scaled:
         return np.zeros((0, phi, 0), dtype=np.int64)
     try:

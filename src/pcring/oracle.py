@@ -184,15 +184,14 @@ def matches_pair_ring(table: StructureTable, ring: ProjectiveClassRing) -> bool:
     group = ring.group
     if table.group != group:
         return False
-    s = group.size
     elements = group.elements()
     basis = [ring.simple_class(a) for a in elements] + [
         ring.projective_class(a) for a in elements
     ]
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            expected = ring.mul(x, y).coefficient_vector()
-            if [int(v) for v in table.constants[i, j]] != expected:
+    for x, products in zip(basis, table.constants):
+        # tolist() gives Python ints for int64 and object constants alike.
+        for y, constants in zip(basis, products.tolist()):
+            if ring.mul(x, y).coefficient_vector() != constants:
                 return False
     return True
 

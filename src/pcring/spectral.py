@@ -14,16 +14,34 @@ inverse transform.  The returned idempotents carry explicit 1/lambda
 factors, so they are valid in the caller's original coordinates without any
 silent rescaling of the canonical element; ``normalize_structure`` exhibits
 the rescaling separately as a central unit certificate.
+
+Both transforms go through the exact histogram kernel of ``groups``: the
+spectrum is one ``fourier`` call and the normalized structure two
+``inverse_fourier`` calls.  The pullback of the Dirac mass at character b
+has coefficient zeta^(-<a,b>)/s at a, so its s^2 coefficients share the N
+values zeta^k/s; the rows are built at most once per report.  A
+``SpectralReport`` builds its idempotents and nilpotents on first access,
+so the cyclotomic inversions and the row build run only when a caller reads
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from . import linalg
-from .cyclotomics import CycloNum, root_of_unity
-from .groups import AbelianGroup, GroupElement, GroupRingElement, fourier
+from .cyclotomics import CycloNum
+from .groups import (
+    AbelianGroup,
+    GroupElement,
+    GroupRingElement,
+    exponent_transform,
+    fourier,
+    inverse_fourier,
+)
 from .pair_ring import PairElement, ProjectiveClassRing
 
 __all__ = [
@@ -96,13 +114,28 @@ class NormalizedStructure:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Everything the complexified analysis produces for one ring."""
+    """Everything the complexified analysis produces for one ring.
 
+    ``idempotents`` and ``nilpotents`` are computed on first access and then
+    kept; both share one build of the pullback rows.
+    """
+
+    group: AbelianGroup
     spectrum: Spectrum
     decomposition: Decomposition
-    idempotents: tuple[PairElement, ...]
-    nilpotents: tuple[PairElement, ...]
     normalized: NormalizedStructure
+
+    @cached_property
+    def _pullbacks(self) -> list[GroupRingElement]:
+        return _dirac_pullbacks(self.group)
+
+    @cached_property
+    def idempotents(self) -> tuple[PairElement, ...]:
+        return tuple(_idempotents_from(self.group, self.spectrum, self._pullbacks))
+
+    @cached_property
+    def nilpotents(self) -> tuple[PairElement, ...]:
+        return tuple(_nilpotents_from(self.group, self.spectrum, self._pullbacks))
 
     def to_json(self, include_idempotents: bool = True, include_nilradical: bool = True,
                 approx: bool = False) -> dict:
@@ -143,21 +176,24 @@ def decomposition(ring: ProjectiveClassRing) -> Decomposition:
     return Decomposition.from_spectrum(spectrum(ring))
 
 
-def _dirac_pullbacks(group: AbelianGroup) -> dict[GroupElement, GroupRingElement]:
-    # Inverse transform of every Dirac mass: row b has coefficient
-    # zeta^(-<a,b>)/s at a.  Built in one sweep instead of s separate
-    # inverse transforms.
+def _dirac_pullbacks(group: AbelianGroup) -> list[GroupRingElement]:
+    # Inverse transform of every Dirac mass, in character order.
+    multiples = _root_multiples(group, 1)
+    return [_pullback_row(group, b, multiples) for b in range(group.size)]
+
+
+def _root_multiples(group: AbelianGroup, value: object) -> list[CycloNum]:
+    # value * zeta^k / s for k = 0 .. N-1.
     n = group.conductor
-    s = group.size
-    inv_s = Fraction(1, s)
-    elements = group.elements()
-    rows: dict[GroupElement, GroupRingElement] = {}
-    for b in elements:
-        coeffs = {
-            a: root_of_unity(n, -group.pairing_exponent(a, b)) * inv_s for a in elements
-        }
-        rows[b] = GroupRingElement(group, coeffs, _trusted=True)
-    return rows
+    return exponent_transform(np.arange(n)[None, :], [value], n, group.size)
+
+
+def _pullback_row(group: AbelianGroup, b: int, multiples: list[CycloNum]) -> GroupRingElement:
+    # Inverse transform of value * delta_b, given the multiples of value:
+    # coefficient multiples[-<a,b> mod N] at a.
+    exps = (-group.pairing_exponents()[b] % group.conductor).tolist()
+    coeffs = dict(zip(group.elements(), [multiples[k] for k in exps]))
+    return GroupRingElement(group, coeffs, _trusted=True)
 
 
 def idempotent_system(ring: ProjectiveClassRing) -> list[PairElement]:
@@ -169,20 +205,17 @@ def idempotent_system(ring: ProjectiveClassRing) -> list[PairElement]:
     group ring coordinates componentwise.  The list has s + r entries,
     ordered by character; it sums to the ring unit.
     """
-    spec = spectrum(ring)
-    return _idempotents_from(ring, spec)
-
-
-def _idempotents_from(ring: ProjectiveClassRing, spec: Spectrum) -> list[PairElement]:
     group = ring.group
-    rows = _dirac_pullbacks(group)
+    return _idempotents_from(group, spectrum(ring), _dirac_pullbacks(group))
+
+
+def _idempotents_from(group: AbelianGroup, spec: Spectrum,
+                      rows: list[GroupRingElement]) -> list[PairElement]:
     zero = GroupRingElement.zero(group)
     out: list[PairElement] = []
-    for b, lam in zip(group.elements(), spec.values):
-        row = rows[b]
+    for b, (row, lam) in enumerate(zip(rows, spec.values)):
         if lam:
-            inv = lam.inverse()
-            scaled = row.scale(inv)
+            scaled = _pullback_row(group, b, _root_multiples(group, lam.inverse()))
             out.append(PairElement(row, -scaled))
             out.append(PairElement(zero, scaled))
         else:
@@ -197,55 +230,44 @@ def nilradical_basis(ring: ProjectiveClassRing) -> list[PairElement]:
     span the orthogonal complement of the support inside the projective
     ideal, each squares to zero, and mutual products vanish.
     """
-    spec = spectrum(ring)
-    return _nilpotents_from(ring, spec)
-
-
-def _nilpotents_from(ring: ProjectiveClassRing, spec: Spectrum) -> list[PairElement]:
     group = ring.group
-    rows = _dirac_pullbacks(group)
+    return _nilpotents_from(group, spectrum(ring), _dirac_pullbacks(group))
+
+
+def _nilpotents_from(group: AbelianGroup, spec: Spectrum,
+                     rows: list[GroupRingElement]) -> list[PairElement]:
     zero = GroupRingElement.zero(group)
-    return [
-        PairElement(zero, rows[b])
-        for b, lam in zip(group.elements(), spec.values)
-        if not lam
-    ]
+    return [PairElement(zero, row) for row, lam in zip(rows, spec.values) if not lam]
 
 
 def normalize_structure(ring: ProjectiveClassRing) -> NormalizedStructure:
     """Canonical representative of the multiplicative structure plus the
     central unit carrying the original transform values on the support."""
-    spec = spectrum(ring)
-    return _normalized_from(ring, spec)
+    return _normalized_from(ring.group, spectrum(ring))
 
 
-def _normalized_from(ring: ProjectiveClassRing, spec: Spectrum) -> NormalizedStructure:
-    group = ring.group
-    one = CycloNum.one(group.conductor)
-    rows = _dirac_pullbacks(group)
-    element = GroupRingElement.zero(group)
-    unit = GroupRingElement.zero(group)
-    unit_values: list[CycloNum] = []
-    for b, lam in zip(group.elements(), spec.values):
-        if lam:
-            element = element + rows[b]
-            unit = unit + rows[b].scale(lam)
-            unit_values.append(lam)
-        else:
-            unit = unit + rows[b]
-            unit_values.append(one)
-    return NormalizedStructure(element=element, unit=unit, unit_values=tuple(unit_values))
+def _normalized_from(group: AbelianGroup, spec: Spectrum) -> NormalizedStructure:
+    n = group.conductor
+    one, zero = CycloNum.one(n), CycloNum.zero(n)
+    unit_values = tuple(lam if lam else one for lam in spec.values)
+    return NormalizedStructure(
+        element=inverse_fourier(group, [one if lam else zero for lam in spec.values]),
+        unit=inverse_fourier(group, unit_values),
+        unit_values=unit_values,
+    )
 
 
 def spectral_report(ring: ProjectiveClassRing) -> SpectralReport:
-    """Run the whole complexified analysis once, sharing the spectrum."""
+    """Run the whole complexified analysis once, sharing the spectrum.
+
+    Idempotents and nilpotents are left to first access.
+    """
     spec = spectrum(ring)
     return SpectralReport(
+        group=ring.group,
         spectrum=spec,
         decomposition=Decomposition.from_spectrum(spec),
-        idempotents=tuple(_idempotents_from(ring, spec)),
-        nilpotents=tuple(_nilpotents_from(ring, spec)),
-        normalized=_normalized_from(ring, spec),
+        normalized=_normalized_from(ring.group, spec),
     )
 
 

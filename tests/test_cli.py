@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pcring import cli, trace_element
+from pcring import CycloNum, cli, trace_element
 from pcring.cli import AnalysisRequest, InputError, parse_input, run
 from pcring.instances import dual_group_algebra, uq_sl2
 
@@ -234,6 +234,15 @@ class TestMain:
         doc = json.loads(out.read_text())
         assert doc["r"] == 1
 
+    def test_unwritable_output_is_a_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.json"
+        code = cli.main(["example", "uq-sl2", "--n", "4", "-o", str(out)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_VALIDATION
+        assert doc["error"]["type"] == "validation"
+        assert doc["error"]["path"] == "/output"
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -287,6 +296,35 @@ class TestMain:
     def test_batch_missing_directory(self, capsys):
         code = cli.main(["batch", "/nonexistent/dir"])
         assert code == 1
+
+    def test_size_bound_without_verification(self, capsys):
+        code = cli.main(["example", "uq-sl2", "--n", "256", "--no-verify"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["s"] == 256 and doc["r"] == 1
+        assert len(doc["fourier_c"]) == 256
+        assert doc["decomposition"] == "C^2 x C[eps]^255"
+
+    @pytest.mark.parametrize("argv", [
+        ["example", "uq-sl2", "--n", "12", "--no-verify"],
+        ["analyze", "{split}", "--no-verify"],
+    ], ids=["uq-sl2", "split"])
+    def test_unrequested_idempotents_are_never_built(self, tmp_path, capsys, monkeypatch, argv):
+        # r = s for the split document: every character would need an inverse.
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(
+            {"group": [2, 3], "c": [{"exp": [0, 0], "coeff": 2}, {"exp": [1, 1], "coeff": 1}]}
+        ))
+        argv = [arg.format(split=split) for arg in argv]
+
+        def refuse(value):
+            raise AssertionError("CycloNum.inverse called")
+
+        monkeypatch.setattr(CycloNum, "inverse", refuse)
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["r"] >= 1
+        with pytest.raises(AssertionError, match="inverse called"):
+            cli.main(argv + ["--idempotents"])
 
     def test_display_values_are_tagged(self, capsys):
         cli.main(["example", "uq-sl2", "--n", "2", "--idempotents"])

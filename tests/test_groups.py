@@ -314,6 +314,78 @@ class TestFourier:
                 assert abs(val.approx() - naive) < 1e-9
 
 
+def _random_coefficient(rng: random.Random, kind: str, order: int):
+    big = rng.choice((2**63, -(2**63), 2**200, rng.randint(-5, 5) or 1))
+    if kind == "int":
+        return big
+    if kind == "fraction":
+        return Fraction(big, rng.randint(1, 7))
+    value = CycloNum(order, [Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                             for _ in range(order)])
+    return value * big if value else CycloNum.rational(order, big)
+
+
+class TestTransformKernel:
+    """``fourier`` and ``inverse_fourier`` run on the exponent-histogram
+    kernel; ``character_value`` is the direct per-character reference."""
+
+    GROUPS = ((2,), (1,), (4,), (12,), (2, 6), (3, 5, 7), (2, 2, 2))
+
+    @pytest.mark.parametrize("orders", GROUPS, ids=str)
+    @pytest.mark.parametrize("kind", ["int", "fraction", "cyclo", "mixed"])
+    def test_fourier_matches_character_values(self, orders, kind):
+        rng = random.Random(f"{orders}:{kind}")
+        g = AbelianGroup(orders)
+        n = g.conductor
+        elems = g.elements()
+        for _ in range(3):
+            coeffs = {}
+            for a in rng.sample(elems, min(len(elems), rng.randint(1, 5))):
+                k = rng.choice(("int", "fraction", "cyclo")) if kind == "mixed" else kind
+                coeffs[a] = _random_coefficient(rng, k, n)
+            x = GroupRingElement(g, coeffs)
+            values = fourier(g, x)
+            assert values == [character_value(g, b, x) for b in elems]
+            assert inverse_fourier(g, values) == embed_element(x)
+
+    def test_sums_past_int64_stay_exact(self):
+        # Each coefficient fits in int64, their sum at the trivial character
+        # does not.
+        g = AbelianGroup((12,))
+        x = GroupRingElement(g, {(0,): 2**62, (6,): 2**62, (3,): 2**63 - 1})
+        values = fourier(g, x)
+        assert values[0] == 2**64 - 1
+        assert values == [character_value(g, b, x) for b in g.elements()]
+
+    def test_zero_element(self):
+        g = AbelianGroup((2, 6))
+        values = fourier(g, GroupRingElement.zero(g))
+        assert values == [CycloNum.zero(6)] * g.size
+        assert inverse_fourier(g, values).is_zero()
+
+    def test_pairing_exponents_match_pairing(self):
+        g = AbelianGroup((2, 6))
+        exps = g.pairing_exponents()
+        elems = g.elements()
+        assert exps.shape == (g.size, g.size)
+        assert not exps.flags.writeable
+        for i, a in enumerate(elems):
+            for j, b in enumerate(elems):
+                assert exps[i, j] == g.pairing_exponent(a, b)
+
+    def test_mixed_group_operands_rejected(self):
+        g, h = AbelianGroup((2, 3)), AbelianGroup((6,))
+        with pytest.raises(ValueError, match="mixed-group"):
+            fourier(g, trace_element(h))
+
+    def test_foreign_cyclotomic_order_rejected(self):
+        g = AbelianGroup((4,))
+        with pytest.raises(ValueError, match="order mismatch"):
+            fourier(g, GroupRingElement.delta(g, (1,), root_of_unity(3, 1)))
+        with pytest.raises(ValueError, match="order mismatch"):
+            inverse_fourier(g, [root_of_unity(3, 1)] * 4)
+
+
 class TestSerialization:
     def test_terms_sorted_canonically(self):
         g = AbelianGroup((2, 2))

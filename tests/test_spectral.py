@@ -310,6 +310,28 @@ class TestBasisAudit:
             ring, list(report.idempotents), list(report.nilpotents)
         )
 
+    def test_idempotents_and_nilpotents_are_built_on_first_access(self, monkeypatch):
+        calls = []
+        original = CycloNum.inverse
+
+        def counted(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(CycloNum, "inverse", counted)
+        ring = make_ring((2, 3), {(0, 0): 2, (1, 1): 3, (0, 2): 1})
+        report = spectral_report(ring)
+        report.to_json(include_idempotents=False, include_nilradical=False)
+        assert calls == []
+        assert "_pullbacks" not in vars(report)
+        assert report.nilpotents == tuple(nilradical_basis(ring))
+        rows = vars(report)["_pullbacks"]
+        assert calls == []
+        assert report.idempotents == tuple(idempotent_system(ring))
+        assert vars(report)["_pullbacks"] is rows
+        assert len(calls) == 2 * report.spectrum.support_size
+        assert report.idempotents is report.idempotents
+
     def test_report_json_shape(self):
         ring = trace_ring((2,))
         doc = spectral_report(ring).to_json()
