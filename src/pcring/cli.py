@@ -35,8 +35,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 
-# The oracle keeps a dense (2s)^3 integer tensor and scans all basis triples,
-# so analysis is meant for desk-scale groups; refuse anything larger up front.
+# The oracle keeps a dense (2s)^3 integer tensor and multiplies (2s) x (2s)^2
+# slices of it, so analysis is meant for desk-scale groups; refuse anything
+# larger up front.
 MAX_GROUP_SIZE = 256
 
 
@@ -264,16 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _request_from_args(descriptor: InstanceDescriptor, args: argparse.Namespace) -> AnalysisRequest:
-    return AnalysisRequest(
-        instance=descriptor,
-        verify=not args.no_verify,
-        emit_idempotents=args.idempotents,
-        emit_nilradical=args.nilradical,
-        output=args.output,
-    )
-
-
 def _run_and_emit(request: AnalysisRequest) -> int:
     doc, code = run(request)
     return _emit(doc, request.output, code)
@@ -301,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 orders = _parse_orders(args.orders)
                 descriptor = instances.dual_group_algebra(orders)
-            return _run_and_emit(_request_from_args(descriptor, args))
+            return _run_and_emit(AnalysisRequest(instance=descriptor, **_flag_kwargs(args)))
 
         if args.command == "batch":
             return _run_batch(args)

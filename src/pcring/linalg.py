@@ -13,8 +13,8 @@ image certifies full rank exactly, and ``rank_mod_p`` bounds the rational
 rank of an integer matrix from below.  ``certify_full_row_rank`` settles the
 claim by exact elimination when no prime certifies it (which also happens
 for genuinely rank-deficient input).  ``exact_matmul`` multiplies integer
-matrices in int64 under a proven overflow bound and in Python integers
-otherwise.
+matrices exactly: in float64 BLAS when a bound proves every partial sum is an
+integer below 2**53, in Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -227,12 +227,14 @@ def _max_abs(a: np.ndarray) -> int:
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer product a @ b.
 
-    int64 when the operands fit and inner * max|a| * max|b| < 2**63 proves
-    that no partial sum can overflow, Python integers (object dtype) otherwise.
+    float64 BLAS, cast back to int64, when max(max|a|, max|b|,
+    inner * max|a| * max|b|) < 2**53 proves that every partial sum is an
+    integer float64 represents exactly; Python integers (object dtype)
+    otherwise.  (numpy's int64 matmul does not use BLAS.)
     """
     a_max, b_max = _max_abs(a), _max_abs(b)
-    if max(a_max, b_max, a.shape[-1] * a_max * b_max) < 2**63:
-        return a.astype(np.int64) @ b.astype(np.int64)
+    if max(a_max, b_max, a.shape[-1] * a_max * b_max) < 2**53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     return a.astype(object) @ b.astype(object)
 
 

@@ -10,8 +10,8 @@ the 2s basis classes (s simples followed by s projective covers):
 with c_u the composition multiplicities of the canonical element.  Nothing
 here touches the pair-ring multiplication or any cyclotomic arithmetic, so
 agreement between the two is a genuine cross-check: products are compared
-entry by entry, associativity is verified on all basis triples, and the
-radical is pinned down through the characteristic-zero trace form
+entry by entry, associativity is verified by Light's test on a generating
+set, and the radical is pinned down through the characteristic-zero trace form
 criterion (the radical is the kernel of the exact integer Gram matrix
 T[i, j] = trace of left multiplication by e_i * e_j).
 
@@ -25,12 +25,11 @@ T (``StructureTable.radical``) and mutual span membership
 (``radical_matches_spectral``), which also serve as the reference the tests
 compare the certificate against.
 
-Constants are int64 unless a multiplicity leaves int64, in which case they
-are Python integers.  The associativity scan runs on integer-valued float64
-tensors; a bound check guarantees every intermediate stays below 2**53,
-where float64 arithmetic on integers is exact, and falls back to
-arbitrary-precision loops otherwise.  The trace form uses the same kind of
-bound to choose between int64 and Python integers.
+Light's test runs on the generators S_(e_i) and P_0 (S_a is a word in the
+S_(e_i), and P_a = S_a P_0) once the table itself shows that they generate,
+and on the whole basis otherwise.  Constants are int64 unless a multiplicity
+leaves int64, in which case they are Python integers; every integer product
+goes through ``linalg.exact_matmul``.
 """
 
 from __future__ import annotations
@@ -83,56 +82,58 @@ class StructureTable:
     def is_commutative(self) -> bool:
         return bool(np.array_equal(self.constants, self.constants.transpose(1, 0, 2)))
 
-    def is_associative(self) -> bool:
-        """Check (e_i e_j) e_k == e_i (e_j e_k) for all 8 s^3 basis triples.
+    def generators(self) -> list[int]:
+        """Basis indices of a set G that generates the algebra.
 
+        G is {S_(e_i)} together with P_0, e_i the unit of cyclic factor i (the
+        identity for an order-1 factor), when the table itself shows that
+        words in G reach every basis element: starting from G, index k is
+        reached once x g or g x is a nonzero multiple of e_k for a reached x
+        and some g in G.  Otherwise G is the whole basis.
+        """
+        group = self.group
+        units = (tuple(int(i == j) % n for j, n in enumerate(group.orders))
+                 for i in range(len(group.orders)))
+        gens = sorted({group.index(e) for e in units} | {group.size})
+        steps = []
+        for g in gens:
+            for products in (self.constants[:, g, :], self.constants[g]):
+                nonzero = products != 0
+                steps.append(np.where(nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1), -1))
+        reached = set(gens)
+        frontier = list(gens)
+        while frontier:
+            x = frontier.pop()
+            for step in steps:
+                k = int(step[x])
+                if k >= 0 and k not in reached:
+                    reached.add(k)
+                    frontier.append(k)
+        return gens if len(reached) == self.dim else list(range(self.dim))
+
+    def is_associative(self) -> bool:
+        """Light's associativity test: (x a) y == x (a y) for all basis x, y
+        and every a in ``generators()``.
+
+        The elements a satisfying this identity form a subalgebra, so a
+        generating set suffices; with the whole basis as G it is the check
+        over all 8 s^3 basis triples.  Each a costs two exact products.
         The result is cached; constants are treated as frozen once any
         check has run.
         """
         if self._associative is None:
-            self._associative = self._scan_associativity()
+            c = self.constants
+            d = self.dim
+            by_left = c.reshape(d, d * d)                      # m -> (y, l)
+            by_right = c.transpose(1, 0, 2).reshape(d, d * d)  # m -> (x, l)
+            self._associative = all(
+                np.array_equal(
+                    linalg.exact_matmul(c[:, a, :], by_left).reshape(d, d, d),
+                    linalg.exact_matmul(c[a], by_right).reshape(d, d, d).transpose(1, 0, 2),
+                )
+                for a in self.generators()
+            )
         return self._associative
-
-    def _scan_associativity(self) -> bool:
-        c = self.constants
-        d = self.dim
-        bound = d * int(c.max()) ** 2
-        if bound >= 2**53:
-            return self._is_associative_exact()
-        cf = c.astype(np.float64)
-        flat_right = cf.reshape(d, d * d)    # m -> (k, l)
-        flat_left = cf.reshape(d * d, d)     # (j, k) -> m
-        for i in range(d):
-            left = (cf[i] @ flat_right).reshape(d, d, d)       # sum_m c[i,j,m] c[m,k,l]
-            right = (flat_left @ cf[i]).reshape(d, d, d)       # sum_m c[j,k,m] c[i,m,l]
-            if not np.array_equal(left, right):
-                return False
-        return True
-
-    def _is_associative_exact(self) -> bool:
-        c = self.constants.tolist()
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                row_ij = c[i][j]
-                for k in range(d):
-                    left = [0] * d
-                    for m in range(d):
-                        cm = row_ij[m]
-                        if cm:
-                            rm = c[m][k]
-                            for l in range(d):
-                                left[l] += cm * rm[l]
-                    right = [0] * d
-                    for m in range(d):
-                        cm = c[j][k][m]
-                        if cm:
-                            rm = c[i][m]
-                            for l in range(d):
-                                right[l] += cm * rm[l]
-                    if left != right:
-                        return False
-        return True
 
     def trace_form(self) -> np.ndarray:
         """Gram matrix T[i,j] = trace of left multiplication by e_i * e_j,

@@ -148,6 +148,8 @@ def test_criterion_4_oracle_equivalence(corpus):
         if not matches_pair_ring(table, ring):
             failures.append(f"{inst.name}: table does not match the pair ring")
             continue
+        if len(table.generators()) > len(inst.group.orders) + 1:
+            failures.append(f"{inst.name}: generation by S_(e_i) and P_0 not shown")
         if not table.is_associative():
             failures.append(f"{inst.name}: table not associative")
             continue

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from pcring import CycloNum, root_of_unity
 from pcring.linalg import (
@@ -161,3 +162,17 @@ class TestExactMatmul:
         big = np.array([[2**40, 2**40]])
         out = exact_matmul(big, big.T)
         assert out.tolist() == [[2**81]]
+
+    def test_bound_just_below_two_to_the_53_stays_int64(self):
+        out = exact_matmul(np.array([[2**53 - 1]]), np.array([[1]]))
+        assert out.dtype == np.int64 and out.tolist() == [[2**53 - 1]]
+        # inner * max|a| * max|b| = 2**53 - 2; the odd sum 2**53 - 3 is exact.
+        out = exact_matmul(np.array([[1, 1]]), np.array([[2**52 - 1], [2**52 - 2]]))
+        assert out.dtype == np.int64 and out.tolist() == [[2**53 - 3]]
+
+    @pytest.mark.parametrize("entry", [2**53, 2**53 + 1])
+    def test_entries_from_two_to_the_53_use_python_ints(self, entry):
+        out = exact_matmul(np.array([[entry, 1]]), np.array([[1], [1]]))
+        assert out.dtype == object and out.tolist() == [[entry + 1]]
+        out = exact_matmul(np.array([[1]]), np.array([[entry]], dtype=object))
+        assert out.dtype == object and out.tolist() == [[entry]]

@@ -1,5 +1,7 @@
 """Tests for the structure-constants oracle and its cross-checks."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -97,10 +99,71 @@ class TestAgreementWithPairRing:
         with pytest.raises(ValueError, match="table not associative"):
             broken.radical()
 
-    def test_exact_fallback_agrees_with_fast_path(self):
-        for ring in RINGS[:3]:
-            table = build_table(ring)
-            assert table._is_associative_exact() == table.is_associative()
+
+def brute_force_associative(constants: np.ndarray) -> bool:
+    """(e_i e_j) e_k == e_i (e_j e_k) on all 8 s^3 basis triples."""
+    left = np.einsum("ijm,mkl->ijkl", constants, constants)
+    right = np.einsum("jkm,iml->ijkl", constants, constants)
+    return bool(np.array_equal(left, right))
+
+
+def unit_generators(group: AbelianGroup) -> list[int]:
+    units = [tuple(int(i == j) for j in range(len(group.orders)))
+             for i in range(len(group.orders))]
+    return sorted(group.index(e) for e in units) + [group.size]
+
+
+def perturbed_tables():
+    """Seeded +-1/+2 changes to one or two constants of each RINGS table; half
+    of them hit a product with a generator, which can break generation."""
+    rng = random.Random(0xA55)
+    for ring in RINGS:
+        base = build_table(ring).constants
+        gens = unit_generators(ring.group)
+        for trial in range(16):
+            constants = base.copy()
+            for _ in range(rng.randint(1, 2)):
+                i, j, k = (rng.randrange(len(base)) for _ in range(3))
+                if trial % 2:
+                    i, j = rng.sample([rng.choice(gens), i], 2)
+                constants[i, j, k] += rng.choice((-1, 1, 2))
+            yield StructureTable(ring.group, constants)
+
+
+class TestLightAssociativity:
+    @pytest.mark.parametrize("ring", RINGS, ids=IDS)
+    def test_valid_tables_use_the_unit_generators(self, ring):
+        table = build_table(ring)
+        assert table.generators() == unit_generators(ring.group)
+        assert len(table.generators()) == len(ring.group.orders) + 1
+        assert table.is_associative() and brute_force_associative(table.constants)
+
+    def test_agrees_with_brute_force_on_perturbed_tables(self):
+        verdicts = []
+        for table in perturbed_tables():
+            expected = brute_force_associative(table.constants)
+            assert table.is_associative() == expected
+            verdicts.append(expected)
+        assert not all(verdicts)
+
+    def test_broken_generation_checks_the_whole_basis(self):
+        ring = RINGS[3]  # Z4: S_1 * S_1 = S_2, the only way to reach S_2
+        constants = build_table(ring).constants.copy()
+        constants[1, 1, 0] += 1
+        table = StructureTable(ring.group, constants)
+        assert table.generators() == list(range(table.dim))
+        assert table.is_associative() == brute_force_associative(constants) is False
+
+    def test_object_constants_with_huge_multiplicity(self):
+        ring = make_ring((4,), {(0,): 2**63, (2,): 1})
+        table = build_table(ring)
+        assert table.constants.dtype == object
+        assert table.generators() == unit_generators(ring.group)
+        assert table.is_associative() and brute_force_associative(table.constants)
+        constants = table.constants.copy()
+        constants[5, 6, 4] += 1
+        broken = StructureTable(ring.group, constants)
+        assert broken.is_associative() == brute_force_associative(constants) is False
 
 
 class TestRadical:
