@@ -65,6 +65,8 @@ def parse_input(document: str) -> AnalysisRequest:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise InputError("/", f"invalid JSON: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # nesting or integer-digit limits
+        raise InputError("/", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("/", "expected a JSON object")
     for key in doc:

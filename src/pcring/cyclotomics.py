@@ -9,10 +9,12 @@ on deciding whether character sums vanish; floating point would misclassify
 them.
 
 Internally a value keeps an integer numerator vector and a single positive
-denominator with gcd(den, *nums) == 1, so the hot path (multiply, then fold
-the high powers back with an integer reduction table) stays in plain integer
-arithmetic.  ``fractions.Fraction`` objects are materialised only at the API
-boundary.
+denominator with gcd(den, *nums) == 1, and all arithmetic stays on those
+integers: a product folds its high powers back with an integer reduction
+table, input of any degree is folded through the table of zeta^k for
+k < N, and the inverse is the product of the Galois conjugates over the
+norm.  ``fractions.Fraction`` objects appear only at the API boundary:
+constructor input, ``coeffs``, ``as_fraction`` and rational operands.
 
 One conductor is fixed per analysis session: arithmetic between values of
 different orders is rejected rather than coerced.  Plain ``int`` and
@@ -150,14 +152,10 @@ class CycloNum:
     def __init__(self, order: int, coeffs: Iterable[Rational] = ()):
         if order < 1:
             raise ValueError("order must be a positive integer")
-        phi = euler_phi(order)
         fracs = [Fraction(c) for c in coeffs]
-        if len(fracs) > phi:
-            # Reduce arbitrary-degree input modulo Phi_N.
-            fracs = _reduce_fraction_poly(fracs, order)
-        fracs += [Fraction(0)] * (phi - len(fracs))
         den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        nums = [int(f * den) for f in fracs]
+        nums = _fold(order, ((k, f.numerator * (den // f.denominator))
+                             for k, f in enumerate(fracs)))
         self._order = order
         self._nums, self._den = _normalized(nums, den)
 
@@ -216,14 +214,28 @@ class CycloNum:
     def approx(self) -> complex:
         """Floating-point image under zeta |-> exp(2*pi*i/order).
 
-        Display convenience only; never used to decide anything.
+        Display convenience only; never used to decide anything.  A part
+        whose magnitude is beyond the float range comes back as +-inf.
         """
+        # The numerators are scaled by 2^-e and den by 2^-f to stay below
+        # 2^960, so a sum of phi terms is finite, and 2^(e-f) is put back
+        # part by part.  Power-of-two scaling is exact: a value whose plain
+        # float sum does not overflow renders the same either way.
         z = cmath.exp(2j * cmath.pi / self._order)
+        e = max(0, max(abs(n).bit_length() for n in self._nums) - 960)
+        f = max(0, self._den.bit_length() - 960)
         acc = 0j
         for k, n in enumerate(self._nums):
             if n:
-                acc += n * z**k
-        return acc / self._den
+                acc += n / (1 << e) * z**k
+        acc /= self._den / (1 << f)
+        parts = []
+        for x in (acc.real, acc.imag):
+            try:
+                parts.append(math.ldexp(x, e - f))
+            except OverflowError:
+                parts.append(math.copysign(math.inf, x))
+        return complex(*parts)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -301,26 +313,32 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse, via the extended Euclidean algorithm
-        against Phi_N over Q."""
+        """Multiplicative inverse through the field norm.
+
+        The conjugates sigma_k (zeta |-> zeta^k, k a unit mod N) fix exactly
+        Q, so for P = prod_{k != 1} sigma_k(self) the product self * P is the
+        norm, a nonzero rational, and self^-1 = P / norm.  P is built on the
+        integer numerators: sigma_k sends zeta^j to row j*k mod N of the
+        power-residue table, and the conjugates are multiplied with
+        ``__mul__``.  That is phi(N) - 1 products of length-phi vectors, so an
+        inverse costs O(phi^3) integer operations.
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
         if self.is_rational():
             return CycloNum.rational(self._order, 1 / self.as_fraction())
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self._order)]
-        a = list(self.coeffs)
-        old_r, r = a, phi_poly
-        old_s, s = [Fraction(1)], [Fraction(0)]
-        while any(r):
-            q = _fraction_poly_div(old_r, r)
-            old_r, r = r, _fraction_poly_sub(old_r, _fraction_poly_mul(q, r))
-            old_s, s = s, _fraction_poly_sub(old_s, _fraction_poly_mul(q, s))
-        # Phi_N is irreducible and self is a nonzero residue, so the gcd is a
-        # nonzero constant.
-        if len(_trim_fraction_poly(old_r)) != 1:
-            raise AssertionError("gcd with the cyclotomic polynomial is not constant")
-        unit = old_r[0]
-        return CycloNum(self._order, [c / unit for c in old_s])
+        order = self._order
+        conjugates = CycloNum.one(order)
+        for k in range(2, order):
+            if math.gcd(k, order) == 1:
+                nums = _fold(order, ((j * k, n) for j, n in enumerate(self._nums)))
+                conjugates = conjugates * CycloNum._raw(order, nums, 1)
+        norm = self * conjugates
+        # Phi_N is irreducible and self is a nonzero residue, so its norm is a
+        # nonzero rational.
+        if not norm.is_rational():
+            raise AssertionError("the norm of a cyclotomic number is not rational")
+        return conjugates * (1 / norm.as_fraction())
 
     def __truediv__(self, other: object) -> "CycloNum":
         if isinstance(other, (int, Fraction)):
@@ -426,6 +444,19 @@ def _cached_root(order: int, k: int) -> CycloNum:
     return CycloNum._raw(order, list(_power_residues(order)[k]), 1)
 
 
+def _fold(order: int, terms: Iterable[tuple[int, int]]) -> list[int]:
+    # Power-basis numerators of sum n * zeta^k over the (k, n) in terms:
+    # x^k = zeta^(k mod N), read from the power-residue table.
+    residues = _power_residues(order)
+    nums = [0] * len(residues[0])
+    for k, n in terms:
+        if n:
+            for i, r in enumerate(residues[k % order]):
+                if r:
+                    nums[i] += n * r
+    return nums
+
+
 def _normalized(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
     if den == 0:
         raise ZeroDivisionError("division by zero in cyclotomic field")
@@ -450,62 +481,6 @@ def _lowest_terms(num: int, den: int) -> list[int]:
     # [numerator, denominator] of num/den (den > 0), as Fraction reduces it.
     g = math.gcd(num, den)
     return [num // g, den // g]
-
-
-def _reduce_fraction_poly(coeffs: list[Fraction], order: int) -> list[Fraction]:
-    cyc = [Fraction(c) for c in cyclotomic_polynomial(order)]
-    rem = list(coeffs)
-    dd = len(cyc) - 1
-    for k in range(len(rem) - 1, dd - 1, -1):
-        c = rem[k]
-        if c:
-            for j in range(dd + 1):
-                rem[k - dd + j] -= c * cyc[j]
-    return rem[:dd]
-
-
-def _trim_fraction_poly(p: list[Fraction]) -> list[Fraction]:
-    end = len(p)
-    while end and p[end - 1] == 0:
-        end -= 1
-    return p[:end]
-
-
-def _fraction_poly_div(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    num = _trim_fraction_poly(list(num))
-    den = _trim_fraction_poly(list(den))
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
-    lead = den[-1]
-    while len(num) >= len(den):
-        c = num[-1] / lead
-        d = len(num) - len(den)
-        q[d] = c
-        for j, dj in enumerate(den):
-            num[d + j] -= c * dj
-        num = _trim_fraction_poly(num)
-        if not num:
-            break
-    return q
-
-
-def _fraction_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _fraction_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return out
 
 
 def _display_string(z: complex) -> str:

@@ -76,6 +76,16 @@ class TestParseInput:
             parse_input("{not json")
         assert info.value.path == "/"
 
+    @pytest.mark.parametrize("document", [
+        "[" * 200000 + "]" * 200000,
+        '{"group":[4],"c":[{"exp":[0],"coeff":1' + "0" * 5000 + "}]}",
+    ], ids=["deep-nesting", "long-integer"])
+    def test_json_beyond_decoder_limits(self, document):
+        with pytest.raises(InputError) as info:
+            parse_input(document)
+        assert info.value.path == "/"
+        assert info.value.message.startswith("invalid JSON: ")
+
     def test_oversized_group_rejected(self):
         doc = json.dumps({"group": [1000000], "c": [{"exp": [0], "coeff": 2}]})
         with pytest.raises(InputError) as info:
@@ -178,7 +188,7 @@ class TestMain:
         assert code == 1
         assert doc["error"]["message"] == "semisimple input"
 
-    @pytest.mark.parametrize("coeff", [2**62, 2**63])
+    @pytest.mark.parametrize("coeff", [2**62, 2**63, 2**1100])
     def test_analyze_huge_multiplicity(self, tmp_path, capsys, coeff):
         path = tmp_path / "instance.json"
         path.write_text(json.dumps({"group": [4], "c": [{"exp": [0], "coeff": coeff}]}))
@@ -264,14 +274,20 @@ class TestMain:
         assert doc["batch"][0]["report"]["r"] == 1
         assert doc["batch"][1]["report"]["error"]["message"] == "semisimple input"
 
-    @pytest.mark.parametrize("kind", ["not-utf8", "unreadable"])
+    @pytest.mark.parametrize("kind", ["not-utf8", "unreadable", "deep-nesting", "long-integer"])
     def test_batch_isolates_unreadable_files(self, tmp_path, capsys, kind):
         good = json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]})
         (tmp_path / "a_good.json").write_text(good)
         if kind == "not-utf8":
             (tmp_path / "b_bad.json").write_bytes(b"\xff\xfe{\x00}\x00")
-        else:
+        elif kind == "unreadable":
             (tmp_path / "b_bad.json").mkdir()
+        elif kind == "deep-nesting":
+            (tmp_path / "b_bad.json").write_text("[" * 200000 + "]" * 200000)
+        else:
+            (tmp_path / "b_bad.json").write_text(
+                '{"group":[4],"c":[{"exp":[0],"coeff":1' + "0" * 5000 + "}]}"
+            )
         (tmp_path / "c_good.json").write_text(good)
         code = cli.main(["batch", str(tmp_path)])
         doc = json.loads(capsys.readouterr().out)

@@ -109,6 +109,26 @@ class TestFieldOperations:
     def test_high_degree_input_is_reduced(self):
         # 1 + x + x^2 is zero modulo the third cyclotomic polynomial
         assert CycloNum(3, [1, 1, 1]).is_zero()
+        for order in (1, 2, 12, 30):
+            coeffs = [Fraction((-1) ** k * (k + 1), k % 4 + 1) for k in range(2 * order + 3)]
+            expected = CycloNum.zero(order)
+            for k, c in enumerate(coeffs):
+                expected = expected + root_of_unity(order, k) * c
+            assert CycloNum(order, coeffs) == expected
+
+    @pytest.mark.parametrize("order", [105, 128])
+    def test_inverse_at_large_degree(self, order):
+        # Z/105 has a non-cyclic unit group; phi(128) = 64.
+        a = (root_of_unity(order, 1) * 3 - root_of_unity(order, 7) * Fraction(2, 5)
+             + root_of_unity(order, order - 2) + 4)
+        assert a * a.inverse() == 1
+        for k in (1, 2, 35, order - 1):
+            assert root_of_unity(order, k).inverse() == root_of_unity(order, -k)
+
+    def test_inverse_at_phi_250(self):
+        a = root_of_unity(251, 1) * 2 - root_of_unity(251, 100) + Fraction(1, 3)
+        assert a * a.inverse() == 1
+        assert root_of_unity(251, 3).inverse() == root_of_unity(251, -3)
 
 
 class TestZeroTest:
@@ -142,7 +162,7 @@ def cyclo_values(draw, order: int):
 
 @st.composite
 def cyclo_triples(draw):
-    order = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12]))
+    order = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 24, 30]))
     return (
         draw(cyclo_values(order)),
         draw(cyclo_values(order)),
@@ -219,6 +239,15 @@ class TestSerialization:
         assert doc["display_only"] == "2.0"
         doc = root_of_unity(4, 1).to_json(approx=True)
         assert doc["display_only"] == "0.0+1.0i"
+
+    def test_display_beyond_float_range(self):
+        # Parts past the float range render as inf; the exact coeffs stay.
+        a = CycloNum(4, [2**1100, 3])
+        doc = a.to_json(approx=True)
+        assert doc["display_only"] == "inf+3.0i"
+        assert doc["coeffs"] == [[2**1100, 1], [3, 1]]
+        assert (-a).to_json(approx=True)["display_only"] == "-inf-3.0i"
+        assert CycloNum(4, [Fraction(2**1100, 2**1099 + 1)]).approx() == 2.0
 
     def test_approx_matches_unit_circle(self):
         z = root_of_unity(5, 1).approx()
