@@ -204,7 +204,18 @@ def _semisimple_report(inst: InstanceDescriptor) -> dict:
 
 
 def _render(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    # A validated input can yield report integers beyond Python's limit on
+    # int-to-decimal conversion (4300 digits by default): lift the limit
+    # while encoding only, so input parsing keeps it.  Python 3.10.0-3.10.6
+    # has no limit and no setter.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return json.dumps(doc, indent=2) + "\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(doc, indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _emit(doc: dict, output: str | None, code: int) -> int:

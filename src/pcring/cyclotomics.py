@@ -421,7 +421,7 @@ class CycloNum:
         rendering tagged display_only."""
         doc: dict = {
             "order": self._order,
-            "coeffs": [_lowest_terms(n, self._den) for n in self._nums],
+            "coeffs": [_lowest_terms(n, self._den) if n else [0, 1] for n in self._nums],
         }
         if approx:
             doc["display_only"] = _display_string(self.approx())

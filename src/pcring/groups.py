@@ -19,10 +19,16 @@ overflow bound and Python integers otherwise, so vanishing stays an exact
 integer test.  ``character_value`` evaluates a single character directly.
 
 Group ring elements are sparse coefficient maps with no stored zeros, so
-structural equality coincides with mathematical equality.  The coefficient
-domain is whatever supports ring arithmetic; in practice ``int``,
-``Fraction`` or :class:`~pcring.cyclotomics.CycloNum`, the three types the
-transform accepts.
+structural equality coincides with mathematical equality.  Inside, a map is
+keyed by element index (the position in ``AbelianGroup.elements()``), and
+convolution reads the index of a + b from an s x s table cached on the group,
+so multiplication adds integers rather than exponent tuples.  Exponent tuples
+are the keys at the API boundary: validated constructor input,
+``coefficient``, ``items``, ``sorted_terms``, ``support`` and ``to_json``.
+Index order is lexicographic order, so every listing comes out sorted by
+exponent tuple.  The coefficient domain is whatever supports ring
+arithmetic; in practice ``int``, ``Fraction`` or
+:class:`~pcring.cyclotomics.CycloNum`, the three types the transform accepts.
 """
 
 from __future__ import annotations
@@ -57,7 +63,8 @@ GroupElement = tuple[int, ...]
 class AbelianGroup:
     """A product of cyclic groups given by its tuple of factor orders."""
 
-    __slots__ = ("_orders", "_size", "_conductor", "_elements", "_index", "_exponents")
+    __slots__ = ("_orders", "_size", "_conductor", "_elements", "_index", "_exponents",
+                 "_sums")
 
     def __init__(self, orders: Iterable[int]):
         orders = tuple(orders)
@@ -71,6 +78,7 @@ class AbelianGroup:
         self._elements: tuple[GroupElement, ...] | None = None
         self._index: dict[GroupElement, int] | None = None
         self._exponents: np.ndarray | None = None
+        self._sums: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -95,9 +103,25 @@ class AbelianGroup:
         return self._elements
 
     def index(self, a: GroupElement) -> int:
+        return self._indices()[a]
+
+    def _indices(self) -> dict[GroupElement, int]:
         if self._index is None:
             self._index = {e: i for i, e in enumerate(self.elements())}
-        return self._index[a]
+        return self._index
+
+    def sum_table(self) -> tuple[tuple[int, ...], ...]:
+        """The s x s table whose entry [i][j] is the index of
+        elements()[i] + elements()[j]; built once per group."""
+        if self._sums is None:
+            elems = np.array(self.elements(), dtype=np.int64).reshape(self._size, -1)
+            orders = np.array(self._orders, dtype=np.int64)
+            # Mixed radix: the last factor varies fastest in elements().
+            radix = np.array([math.prod(self._orders[i + 1:]) for i in range(len(self._orders))],
+                             dtype=np.int64)
+            sums = (elems[:, None, :] + elems[None, :, :]) % orders @ radix
+            self._sums = tuple(map(tuple, sums.tolist()))
+        return self._sums
 
     def element(self, exponents: Iterable[int]) -> GroupElement:
         """Validate an exponent tuple; out-of-range entries are rejected."""
@@ -147,7 +171,9 @@ class GroupRingElement:
     """Finitely supported coefficient map on a fixed abelian group.
 
     Multiplication is convolution; addition and scalar multiple are
-    coefficientwise.  Zero coefficients are never stored.
+    coefficientwise.  Zero coefficients are never stored.  ``coeffs`` is
+    keyed by exponent tuple, each one validated; with ``_trusted`` it is
+    keyed by element index instead and taken as it is.
     """
 
     __slots__ = ("_group", "_coeffs")
@@ -156,12 +182,13 @@ class GroupRingElement:
                  *, _trusted: bool = False):
         self._group = group
         if coeffs is None:
-            self._coeffs = {}
+            self._coeffs: dict[int, object] = {}
         elif _trusted:
             self._coeffs = {k: v for k, v in coeffs.items() if v}
         else:
+            index = group._indices()
             self._coeffs = {
-                group.element(k): v for k, v in coeffs.items() if v
+                index[group.element(k)]: v for k, v in coeffs.items() if v
             }
 
     # -- constructors ----------------------------------------------------------
@@ -182,16 +209,25 @@ class GroupRingElement:
         return self._group
 
     def coefficient(self, a: GroupElement):
-        return self._coeffs.get(a, 0)
+        i = self._group._indices().get(a)
+        return 0 if i is None else self._coeffs.get(i, 0)
 
     def support(self) -> tuple[GroupElement, ...]:
-        return tuple(sorted(self._coeffs))
+        elements = self._group.elements()
+        return tuple(elements[i] for i in sorted(self._coeffs))
 
     def sorted_terms(self) -> list[tuple[GroupElement, object]]:
-        return sorted(self._coeffs.items())
+        elements = self._group.elements()
+        coeffs = self._coeffs
+        return [(elements[i], coeffs[i]) for i in sorted(coeffs)]
 
     def items(self) -> Iterator[tuple[GroupElement, object]]:
-        return iter(self._coeffs.items())
+        """Nonzero terms by exponent tuple, in lexicographic order."""
+        return iter(self.sorted_terms())
+
+    def index_items(self) -> Iterable[tuple[int, object]]:
+        """Nonzero terms keyed by element index, in no particular order."""
+        return self._coeffs.items()
 
     def __len__(self) -> int:
         return len(self._coeffs)
@@ -209,6 +245,8 @@ class GroupRingElement:
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._check_same_group(other)
+        if not self._coeffs:
+            return other
         out = dict(self._coeffs)
         for k, v in other._coeffs.items():
             cur = out.get(k)
@@ -228,12 +266,25 @@ class GroupRingElement:
     def __mul__(self, other: object) -> "GroupRingElement":
         if isinstance(other, GroupRingElement):
             self._check_same_group(other)
-            orders = self._group._orders
-            out: dict[GroupElement, object] = {}
+            sums = self._group.sum_table()
+            out: dict[int, object] = {}
+            # A factor with zero or one term translates the other one: no
+            # two keys collide.
+            if len(self._coeffs) <= 1:
+                for a, ca in self._coeffs.items():
+                    row = sums[a]
+                    out = {row[b]: ca * cb for b, cb in other._coeffs.items()}
+                return GroupRingElement(self._group, out, _trusted=True)
+            if len(other._coeffs) <= 1:
+                for b, cb in other._coeffs.items():
+                    row = sums[b]
+                    out = {row[a]: ca * cb for a, ca in self._coeffs.items()}
+                return GroupRingElement(self._group, out, _trusted=True)
             get = out.get
             for a, ca in self._coeffs.items():
+                row = sums[a]
                 for b, cb in other._coeffs.items():
-                    key = tuple((x + y) % n for x, y, n in zip(a, b, orders))
+                    key = row[b]
                     v = ca * cb
                     cur = get(key)
                     out[key] = v if cur is None else cur + v
@@ -295,7 +346,7 @@ class GroupRingElement:
 
 def trace_element(group: AbelianGroup) -> GroupRingElement:
     """The sum of all group elements, with integer coefficient 1 each."""
-    return GroupRingElement(group, {a: 1 for a in group.elements()}, _trusted=True)
+    return GroupRingElement(group, dict.fromkeys(range(group.size), 1), _trusted=True)
 
 
 def augmentation(x: GroupRingElement):
@@ -365,9 +416,8 @@ def fourier(group: AbelianGroup, x: GroupRingElement) -> list[CycloNum]:
     """
     if x.group != group:
         raise ValueError("mixed-group operands")
-    terms = list(x.items())
-    rows = [group.index(a) for a, _ in terms]
-    return exponent_transform(group.pairing_exponents()[rows], [c for _, c in terms],
+    rows = list(x._coeffs)
+    return exponent_transform(group.pairing_exponents()[rows], list(x._coeffs.values()),
                               group.conductor)
 
 
@@ -379,4 +429,4 @@ def inverse_fourier(group: AbelianGroup, values: Sequence[object]) -> GroupRingE
     rows = [i for i, v in enumerate(values) if v]
     coeffs = exponent_transform(-group.pairing_exponents()[rows], [values[i] for i in rows],
                                 group.conductor, s)
-    return GroupRingElement(group, dict(zip(group.elements(), coeffs)), _trusted=True)
+    return GroupRingElement(group, dict(enumerate(coeffs)), _trusted=True)

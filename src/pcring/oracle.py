@@ -7,13 +7,18 @@ the 2s basis classes (s simples followed by s projective covers):
     [S_a] * [P_b]   = [P_(a+b)]       (and symmetrically on the right)
     [P_a] * [P_b]   = sum_u c_u [P_(a+u+b)]
 
-with c_u the composition multiplicities of the canonical element.  Nothing
-here touches the pair-ring multiplication or any cyclotomic arithmetic, so
-agreement between the two is a genuine cross-check: products are compared
-entry by entry, associativity is verified by Light's test on a generating
-set, and the radical is pinned down through the characteristic-zero trace form
-criterion (the radical is the kernel of the exact integer Gram matrix
-T[i, j] = trace of left multiplication by e_i * e_j).
+with c_u the composition multiplicities of the canonical element.  The table
+is built by index arithmetic: element indices are mixed-radix numbers of the
+exponent tuples, computed here from ``elements()`` and ``orders`` and never
+read from the group ring's cached sum table, so a fault there cannot hide.
+Nothing here touches the pair-ring multiplication or any cyclotomic
+arithmetic, so agreement between the two is a genuine cross-check: each of
+the 4 s^2 basis products ``ring.mul(x, y)`` is compared, by its nonzero
+coordinates, with the nonzero entries of table row (x, y), associativity is
+verified by Light's test on a generating set, and the radical is pinned down
+through the characteristic-zero trace form criterion (the radical is the
+kernel of the exact integer Gram matrix T[i, j] = trace of left
+multiplication by e_i * e_j).
 
 ``certify_radical`` checks the closed-form nilpotents against that kernel
 with a sandwich certificate: exact integer products show T n = 0 for every
@@ -34,6 +39,7 @@ goes through ``linalg.exact_matmul``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -157,31 +163,41 @@ class StructureTable:
 
 
 def build_table(ring: ProjectiveClassRing) -> StructureTable:
-    """Assemble the structure constants from the module product rules."""
+    """Assemble the structure constants from the module product rules, one
+    vectorised assignment per rule and per canonical term u.  For fixed a
+    and b distinct u reach distinct a + b + u, so no target is written twice.
+    """
     group = ring.group
-    s = group.size
+    elements = np.array(group.elements(), dtype=np.int64)
+    s = len(elements)
     d = 2 * s
-    elements = group.elements()
-    idx = {a: i for i, a in enumerate(elements)}
+    orders = np.array(group.orders, dtype=np.int64)
+    radix = np.array([math.prod(group.orders[i + 1:]) for i in range(len(orders))],
+                     dtype=np.int64)
+    # Index of a + b; the last factor varies fastest in elements().
+    plus = (elements[:, None, :] + elements[None, :, :]) % orders @ radix
     canonical = list(ring.canonical.items())
     # Each constant is 1 or a single multiplicity; keep them exact.
     fits = all(cu < 2**63 for _, cu in canonical)
     constants = np.zeros((d, d, d), dtype=np.int64 if fits else object)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            k = idx[group.mul(a, b)]
-            constants[i, j, k] = 1                # simple * simple
-            constants[i, s + j, s + k] = 1        # simple * projective
-            constants[s + i, j, s + k] = 1        # projective * simple
-            ab = group.mul(a, b)
-            for u, cu in canonical:
-                constants[s + i, s + j, s + idx[group.mul(ab, u)]] += cu
+    rows = np.arange(s)[:, None]
+    cols = np.arange(s)[None, :]
+    constants[rows, cols, plus] = 1                # simple * simple
+    constants[rows, s + cols, s + plus] = 1        # simple * projective
+    constants[s + rows, cols, s + plus] = 1        # projective * simple
+    for u, cu in canonical:
+        constants[s + rows, s + cols, s + plus[plus, int(np.dot(u, radix))]] = cu
     return StructureTable(group, constants)
 
 
 def matches_pair_ring(table: StructureTable, ring: ProjectiveClassRing) -> bool:
     """Compare every basis product of the table with the pair-ring product
-    of the corresponding classes (4 s^2 comparisons)."""
+    of the corresponding classes (4 s^2 comparisons).
+
+    Each comparison is sparse: the nonzero coordinates of ``ring.mul(x, y)``
+    against the nonzero entries of table row (x, y), which are read once per
+    x with ``np.nonzero``.
+    """
     group = ring.group
     if table.group != group:
         return False
@@ -190,9 +206,13 @@ def matches_pair_ring(table: StructureTable, ring: ProjectiveClassRing) -> bool:
         ring.projective_class(a) for a in elements
     ]
     for x, products in zip(basis, table.constants):
+        ys, ks = np.nonzero(products)
         # tolist() gives Python ints for int64 and object constants alike.
-        for y, constants in zip(basis, products.tolist()):
-            if ring.mul(x, y).coefficient_vector() != constants:
+        values = products[ys, ks].tolist()
+        ks = ks.tolist()
+        bounds = np.searchsorted(ys, np.arange(len(basis) + 1)).tolist()
+        for y, lo, hi in zip(basis, bounds, bounds[1:]):
+            if ring.mul(x, y).coordinates() != dict(zip(ks[lo:hi], values[lo:hi])):
                 return False
     return True
 

@@ -90,10 +90,18 @@ class PairElement:
     def coefficient_vector(self) -> list:
         """Coordinates in the basis (simple classes, then projective classes),
         both blocks in canonical element order; length 2 * group size."""
-        elements = self.group.elements()
-        return [self.s_part.coefficient(a) for a in elements] + [
-            self.t_part.coefficient(a) for a in elements
-        ]
+        vec = [0] * (2 * self.group.size)
+        for k, v in self.coordinates().items():
+            vec[k] = v
+        return vec
+
+    def coordinates(self) -> dict[int, object]:
+        """The nonzero entries of ``coefficient_vector``, keyed by position."""
+        offset = self.group.size
+        coords = dict(self.s_part.index_items())
+        for i, v in self.t_part.index_items():
+            coords[offset + i] = v
+        return coords
 
     def to_json(self, approx: bool = False) -> dict:
         return {"s": self.s_part.to_json(approx=approx), "t": self.t_part.to_json(approx=approx)}

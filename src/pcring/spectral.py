@@ -192,8 +192,7 @@ def _pullback_row(group: AbelianGroup, b: int, multiples: list[CycloNum]) -> Gro
     # Inverse transform of value * delta_b, given the multiples of value:
     # coefficient multiples[-<a,b> mod N] at a.
     exps = (-group.pairing_exponents()[b] % group.conductor).tolist()
-    coeffs = dict(zip(group.elements(), [multiples[k] for k in exps]))
-    return GroupRingElement(group, coeffs, _trusted=True)
+    return GroupRingElement(group, dict(enumerate([multiples[k] for k in exps])), _trusted=True)
 
 
 def idempotent_system(ring: ProjectiveClassRing) -> list[PairElement]:

@@ -1,6 +1,8 @@
 """Tests for the command-line front end and its JSON contract."""
 
 import json
+import re
+import sys
 
 import pytest
 
@@ -11,6 +13,23 @@ from pcring.instances import dual_group_algebra, uq_sl2
 
 def make_request(descriptor, **kwargs) -> AnalysisRequest:
     return AnalysisRequest(instance=descriptor, **kwargs)
+
+
+# The multiplicity 10**4000 (4001 digits) parses under Python's default
+# 4300-digit limit; the 1/lambda terms of the idempotents do not render under it.
+PAST_DIGIT_LIMIT = ('{"group":[3],"c":[{"exp":[0],"coeff":1' + "0" * 4000
+                    + '},{"exp":[1],"coeff":1}]}')
+
+
+def load_without_digit_limit(text: str):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return json.loads(text)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.loads(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestParseInput:
@@ -202,6 +221,21 @@ class TestMain:
             "radical_matches_spectral": True,
         }
 
+    def test_report_integers_past_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(PAST_DIGIT_LIMIT)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code = cli.main(["analyze", str(path), "--idempotents", "--no-verify"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert max(map(len, re.findall(r"\d+", out))) > 4300
+        doc = load_without_digit_limit(out)
+        assert doc["instance"]["c"] == [{"exp": [0], "coeff": 10**4000},
+                                        {"exp": [1], "coeff": 1}]
+        assert doc["r"] == 3 and len(doc["idempotents"]) == 6
+        # The limit is lifted for rendering only.
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
     def test_analyze_missing_file(self, capsys):
         code = cli.main(["analyze", "/nonexistent/input.json"])
         doc = json.loads(capsys.readouterr().out)
@@ -298,6 +332,20 @@ class TestMain:
         assert doc["batch"][0]["report"]["r"] == 1
         assert doc["batch"][1]["report"]["error"]["type"] == "validation"
         assert doc["batch"][2]["report"]["r"] == 1
+
+    def test_batch_keeps_reports_past_the_digit_limit(self, tmp_path, capsys):
+        good = json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]})
+        (tmp_path / "a_good.json").write_text(good)
+        (tmp_path / "b_huge.json").write_text(PAST_DIGIT_LIMIT)
+        (tmp_path / "c_good.json").write_text(good)
+        code = cli.main(["batch", str(tmp_path), "--idempotents", "--no-verify"])
+        doc = load_without_digit_limit(capsys.readouterr().out)
+        assert code == 0
+        assert [entry["file"] for entry in doc["batch"]] == [
+            "a_good.json", "b_huge.json", "c_good.json"
+        ]
+        assert [entry["report"]["r"] for entry in doc["batch"]] == [1, 3, 1]
+        assert len(doc["batch"][1]["report"]["idempotents"]) == 6
 
     def test_batch_all_good(self, tmp_path, capsys):
         path = tmp_path / "one.json"

@@ -230,6 +230,21 @@ class TestSerialization:
         doc = a.to_json()
         assert doc == {"order": 4, "coeffs": [[1, 1], [1, 2]]}
 
+    def test_coeffs_in_lowest_terms(self):
+        # Zero coordinates take a shortcut; all must read as Fraction(n, den).
+        values = [
+            CycloNum(12, [0, Fraction(3, 4), 0, Fraction(-6, 8)]),
+            CycloNum(7, [Fraction(5, 6), 0, 0, Fraction(1, 3), 0, -2]),
+            root_of_unity(30, 7) * Fraction(-5, 6) + Fraction(2, 3),
+            CycloNum.zero(9),
+            CycloNum.rational(5, Fraction(-4, 10)),
+        ]
+        for a in values:
+            nums, den = a.integer_coeffs()
+            expected = [[f.numerator, f.denominator] for f in (Fraction(n, den) for n in nums)]
+            assert a.to_json()["coeffs"] == expected
+            assert any(n == 0 for n in nums)
+
     def test_round_trip(self):
         a = root_of_unity(12, 7) * Fraction(-5, 6) + Fraction(2, 3)
         assert CycloNum.from_json(a.to_json()) == a

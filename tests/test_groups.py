@@ -386,6 +386,60 @@ class TestTransformKernel:
             inverse_fourier(g, [root_of_unity(3, 1)] * 4)
 
 
+
+class TestIndexKeys:
+    """Elements are keyed by element index inside; tuples at the boundary."""
+
+    @pytest.mark.parametrize("orders", [(1,), (1, 6), (2, 2, 2), (4, 15), (3, 5, 7), (256,)],
+                             ids=str)
+    def test_sum_table_matches_group_law(self, orders):
+        g = AbelianGroup(orders)
+        elems = g.elements()
+        table = g.sum_table()
+        assert len(table) == g.size
+        for a, row in zip(elems, table):
+            assert len(row) == g.size
+            assert [elems[k] for k in row] == [g.mul(a, b) for b in elems]
+
+    def test_listings_use_tuples_in_lexicographic_order(self):
+        g = AbelianGroup((3, 4))
+        rng = random.Random(11)
+        elems = list(g.elements())
+        rng.shuffle(elems)
+        coeffs = {a: rng.randint(1, 9) for a in elems[:7]}
+        x = GroupRingElement(g, coeffs)
+        y = x * GroupRingElement(g, {(2, 3): 1, (1, 1): -2})
+        for z in (x, y, trace_element(g)):
+            keys = sorted(z.support())
+            assert list(z.support()) == keys
+            assert [a for a, _ in z.sorted_terms()] == keys
+            assert [a for a, _ in z.items()] == keys
+            assert all(isinstance(a, tuple) and len(a) == 2 for a in keys)
+            assert dict(z.items()) == {a: z.coefficient(a) for a in keys}
+        assert dict(x.items()) == coeffs
+
+    def test_out_of_range_tuple_keys_rejected(self):
+        g = AbelianGroup((2, 3))
+        for bad in ((2, 0), (0, 3), (0, -1), (0,), (0, 0, 0)):
+            with pytest.raises(ValueError):
+                GroupRingElement(g, {bad: 1})
+            with pytest.raises(ValueError):
+                GroupRingElement.delta(g, bad)
+
+    def test_tuple_built_equals_product(self):
+        g = AbelianGroup((2, 3))
+        rng = random.Random(5)
+        for _ in range(20):
+            x, y = random_element(rng, g), random_element(rng, g)
+            expected: dict = {}
+            for a, ca in x.items():
+                for b, cb in y.items():
+                    key = g.mul(a, b)
+                    expected[key] = expected.get(key, 0) + ca * cb
+            assert x * y == GroupRingElement(g, expected)
+            assert GroupRingElement(g, expected) == x * y
+
+
 class TestSerialization:
     def test_terms_sorted_canonically(self):
         g = AbelianGroup((2, 2))

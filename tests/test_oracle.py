@@ -40,6 +40,34 @@ RINGS = [
 
 IDS = [str(r.group.orders) + "/" + str(sorted(r.canonical.items())) for r in RINGS]
 
+# Multiplicities past int64: the tables hold Python integers (object dtype).
+HUGE_RINGS = [
+    make_ring((4,), {(0,): 2**63, (2,): 1}),
+    make_ring((2, 3), {(0, 0): 1, (1, 2): 2**63 + 5, (0, 1): 3}),
+]
+
+
+def reference_table(ring: ProjectiveClassRing) -> np.ndarray:
+    """The structure constants by a loop over basis pairs with ``group.mul``."""
+    group = ring.group
+    s = group.size
+    d = 2 * s
+    elements = group.elements()
+    idx = {a: i for i, a in enumerate(elements)}
+    canonical = list(ring.canonical.items())
+    fits = all(cu < 2**63 for _, cu in canonical)
+    constants = np.zeros((d, d, d), dtype=np.int64 if fits else object)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            ab = group.mul(a, b)
+            k = idx[ab]
+            constants[i, j, k] = 1
+            constants[i, s + j, s + k] = 1
+            constants[s + i, j, s + k] = 1
+            for u, cu in canonical:
+                constants[s + i, s + j, s + idx[group.mul(ab, u)]] += cu
+    return constants
+
 
 class TestBuildTable:
     def test_projective_square_order_two(self):
@@ -62,6 +90,14 @@ class TestBuildTable:
         # [P_K] * [P_K^2]: indices 3 + 1 and 3 + 2
         assert list(table.product(4, 5)) == [0, 0, 0, 1, 1, 1]
 
+    @pytest.mark.parametrize("ring", RINGS + HUGE_RINGS,
+                             ids=IDS + ["huge-Z4", "huge-Z2xZ3"])
+    def test_matches_reference_loop(self, ring):
+        constants = build_table(ring).constants
+        expected = reference_table(ring)
+        assert constants.dtype == expected.dtype
+        assert np.array_equal(constants, expected)
+
     def test_labels(self):
         table = build_table(make_ring((2,), {(0,): 1, (1,): 1}))
         assert table.labels() == [
@@ -83,6 +119,31 @@ class TestAgreementWithPairRing:
         broken = StructureTable(ring.group, table.constants.copy())
         broken.constants[1, 2, 0] += 1
         assert not matches_pair_ring(broken, ring)
+
+    @pytest.mark.parametrize("ring", [RINGS[3], RINGS[4]] + HUGE_RINGS,
+                             ids=["Z4", "Z2xZ3", "huge-Z4", "huge-Z2xZ3"])
+    @pytest.mark.parametrize("block", ["SS", "SP", "PS", "PP"])
+    @pytest.mark.parametrize("kind", ["missing", "extra", "changed"])
+    def test_every_perturbation_detected(self, ring, block, kind):
+        table = build_table(ring)
+        assert matches_pair_ring(table, ring)
+        s = ring.group.size
+        i = 1 + (s if block[0] == "P" else 0)
+        j = s - 1 + (s if block[1] == "P" else 0)
+        constants = table.constants.copy()
+        row = constants[i, j]
+        if kind == "extra":
+            row[np.flatnonzero(row == 0)[0]] = 1
+        else:
+            k = np.flatnonzero(row)[-1]
+            row[k] = 0 if kind == "missing" else row[k] + 1
+        assert not matches_pair_ring(StructureTable(ring.group, constants), ring)
+
+    def test_table_of_another_group_rejected(self):
+        ring = make_ring((6,), {(0,): 2, (3,): 1})
+        other = make_ring((2, 3), {(0, 0): 2, (1, 0): 1})
+        assert matches_pair_ring(build_table(ring), ring)
+        assert not matches_pair_ring(build_table(other), ring)
 
     @pytest.mark.parametrize("ring", RINGS, ids=IDS)
     def test_commutative_and_associative(self, ring):
