@@ -20,7 +20,6 @@ from .groups import (
 )
 from .instances import InstanceDescriptor, custom, dual_group_algebra, uq_sl2
 from .oracle import (
-    RadicalBasis,
     StructureTable,
     build_table,
     certify_radical,
@@ -38,11 +37,6 @@ from .spectral import (
     NormalizedStructure,
     SpectralReport,
     Spectrum,
-    complexified_basis_audit,
-    decomposition,
-    idempotent_system,
-    nilradical_basis,
-    normalize_structure,
     spectral_report,
     spectrum,
 )
@@ -59,7 +53,6 @@ __all__ = [
     "NormalizedStructure",
     "PairElement",
     "ProjectiveClassRing",
-    "RadicalBasis",
     "SpectralReport",
     "Spectrum",
     "StructureTable",
@@ -67,18 +60,13 @@ __all__ = [
     "build_table",
     "certify_radical",
     "character_value",
-    "complexified_basis_audit",
     "custom",
     "cyclotomic_polynomial",
-    "decomposition",
     "dual_group_algebra",
     "euler_phi",
     "fourier",
-    "idempotent_system",
     "inverse_fourier",
     "matches_pair_ring",
-    "nilradical_basis",
-    "normalize_structure",
     "pairing",
     "radical_matches_spectral",
     "root_of_unity",

@@ -59,6 +59,11 @@ class AnalysisRequest:
     output: str | None = None
 
 
+def _check_group_size(size: int, path: str) -> None:
+    if size > MAX_GROUP_SIZE:
+        raise InputError(path, f"group size {size} exceeds the supported {MAX_GROUP_SIZE}")
+
+
 def parse_input(document: str) -> AnalysisRequest:
     """Parse and validate one instance document into a request."""
     try:
@@ -81,10 +86,7 @@ def parse_input(document: str) -> AnalysisRequest:
     for i, n in enumerate(orders):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InputError(f"/group/{i}", "expected a positive integer")
-    if math.prod(orders) > MAX_GROUP_SIZE:
-        raise InputError(
-            "/group", f"group size {math.prod(orders)} exceeds the supported {MAX_GROUP_SIZE}"
-        )
+    _check_group_size(math.prod(orders), "/group")
 
     if "c" not in doc:
         raise InputError("/c", "missing required field")
@@ -137,7 +139,6 @@ def run(request: AnalysisRequest) -> tuple[dict, int]:
         report_data.to_json(
             include_idempotents=request.emit_idempotents,
             include_nilradical=request.emit_nilradical,
-            approx=True,
         )
     )
 
@@ -156,24 +157,8 @@ def run(request: AnalysisRequest) -> tuple[dict, int]:
             failures.append("golden mismatch")
 
     if request.verify:
-        table = oracle.build_table(ring)
-        associative = table.is_associative()
-        matches = oracle.matches_pair_ring(table, ring)
-        if associative:
-            radical_dim, spans_match = oracle.certify_radical(
-                table, list(report_data.nilpotents)
-            )
-        else:
-            radical_dim = -1
-            spans_match = False
-        expected_dim = report_data.spectrum.group_order - report_data.spectrum.support_size
-        doc["oracle"] = {
-            "associative": associative,
-            "matches_pair_ring": matches,
-            "radical_dim": radical_dim,
-            "radical_matches_spectral": spans_match,
-        }
-        if not (associative and matches and spans_match and radical_dim == expected_dim):
+        doc["oracle"], ok = oracle.verify(ring, report_data)
+        if not ok:
             failures.append("oracle verification failed")
 
     return doc, (EXIT_VERIFICATION if failures else EXIT_OK)
@@ -297,10 +282,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "example":
             if args.name == "uq-sl2":
-                if args.n > MAX_GROUP_SIZE:
-                    raise InputError(
-                        "/n", f"group size {args.n} exceeds the supported {MAX_GROUP_SIZE}"
-                    )
+                _check_group_size(args.n, "/n")
                 descriptor = instances.uq_sl2(args.n)
             else:
                 orders = _parse_orders(args.orders)

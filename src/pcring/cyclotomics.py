@@ -98,45 +98,30 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
-    # Row k-phi holds x^k mod Phi_order for k in phi .. 2*phi-2, the degrees a
-    # product of two reduced residues can reach.
-    phi = euler_phi(order)
-    cyc = cyclotomic_polynomial(order)
-    rows: list[tuple[int, ...]] = []
-    cur = [-c for c in cyc[:phi]]  # x^phi = -(lower part of Phi)
-    for _ in range(phi, 2 * phi - 1):
-        rows.append(tuple(cur))
-        top = cur[-1]
-        nxt = [0] + cur[:-1]
-        if top:
-            base = rows[0]
-            for i in range(phi):
-                nxt[i] += top * base[i]
-        cur = nxt
-    return tuple(rows)
-
-
-@functools.lru_cache(maxsize=None)
 def _power_residues(order: int) -> tuple[tuple[int, ...], ...]:
-    # x^k mod Phi_order for every k in 0 .. order-1.
+    # x^k mod Phi_order for every k in 0 .. order-1: shift by x and fold the
+    # top coefficient back with x^phi = -(lower part of Phi_order).
     phi = euler_phi(order)
+    fold = [-c for c in cyclotomic_polynomial(order)[:phi]]
     rows: list[tuple[int, ...]] = []
     cur = [1] + [0] * (phi - 1)
     for _ in range(order):
         rows.append(tuple(cur))
         top = cur[-1]
-        nxt = [0] + cur[:-1]
+        cur = [0] + cur[:-1]
         if top:
-            fold = _reduction_rows(order)
-            if fold:
-                base = fold[0]
-                for i in range(phi):
-                    nxt[i] += top * base[i]
-            else:  # phi == 1: x == Phi + root, fold by the single residue
-                nxt[0] += top * (-cyclotomic_polynomial(order)[0])
-        cur = nxt
+            for i in range(phi):
+                cur[i] += top * fold[i]
     return tuple(rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
+    # Row k-phi holds x^k mod Phi_order for k in phi .. 2*phi-2, the degrees a
+    # product of two reduced residues can reach; x^k = x^(k mod order) there.
+    phi = euler_phi(order)
+    residues = _power_residues(order)
+    return tuple(residues[k % order] for k in range(phi, 2 * phi - 1))
 
 
 class CycloNum:
@@ -416,16 +401,14 @@ class CycloNum:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_json(self, approx: bool = False) -> dict:
-        """Power-basis serialization; set ``approx`` to append a decimal
-        rendering tagged display_only."""
-        doc: dict = {
+    def to_json(self) -> dict:
+        """Power-basis serialization with a decimal rendering tagged
+        display_only, which nothing reads back."""
+        return {
             "order": self._order,
             "coeffs": [_lowest_terms(n, self._den) if n else [0, 1] for n in self._nums],
+            "display_only": _display_string(self.approx()),
         }
-        if approx:
-            doc["display_only"] = _display_string(self.approx())
-        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "CycloNum":

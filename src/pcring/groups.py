@@ -331,11 +331,11 @@ class GroupRingElement:
 
     # -- serialization -----------------------------------------------------------
 
-    def to_json(self, approx: bool = False) -> dict:
+    def to_json(self) -> dict:
         terms = []
         for exp, coeff in self.sorted_terms():
             if isinstance(coeff, CycloNum):
-                val: object = coeff.to_json(approx=approx)
+                val: object = coeff.to_json()
             elif isinstance(coeff, Fraction):
                 val = [coeff.numerator, coeff.denominator]
             else:

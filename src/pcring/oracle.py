@@ -30,6 +30,10 @@ T (``StructureTable.radical``) and mutual span membership
 (``radical_matches_spectral``), which also serve as the reference the tests
 compare the certificate against.
 
+``verify`` runs the whole oracle step for one ``SpectralReport``: it
+returns the report's ``oracle`` block and whether that block confirms the
+report (every check passes and the radical has dimension s - r).
+
 Light's test runs on the generators S_(e_i) and P_0 (S_a is a word in the
 S_(e_i), and P_a = S_a P_0) once the table itself shows that they generate,
 and on the whole basis otherwise.  Constants are int64 unless a multiplicity
@@ -57,6 +61,7 @@ __all__ = [
     "certify_radical",
     "matches_pair_ring",
     "radical_matches_spectral",
+    "verify",
 ]
 
 
@@ -297,3 +302,26 @@ def certify_radical(table: StructureTable, nilpotents: list[PairElement]) -> tup
                     return m, True
     radical = table.radical()
     return radical.dimension, radical_matches_spectral(radical, nilpotents)
+
+
+def verify(ring: ProjectiveClassRing, report) -> tuple[dict, bool]:
+    """The ``oracle`` block for a ``SpectralReport`` of ``ring`` and whether
+    it confirms the report: every check passes and the radical dimension is
+    s - r.  A non-associative table gets radical dimension -1."""
+    table = build_table(ring)
+    associative = table.is_associative()
+    matches = matches_pair_ring(table, ring)
+    if associative:
+        radical_dim, spans_match = certify_radical(table, list(report.nilpotents))
+    else:
+        radical_dim, spans_match = -1, False
+    spec = report.spectrum
+    block = {
+        "associative": associative,
+        "matches_pair_ring": matches,
+        "radical_dim": radical_dim,
+        "radical_matches_spectral": spans_match,
+    }
+    ok = (associative and matches and spans_match
+          and radical_dim == spec.group_order - spec.support_size)
+    return block, ok

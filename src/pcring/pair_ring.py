@@ -103,8 +103,8 @@ class PairElement:
             coords[offset + i] = v
         return coords
 
-    def to_json(self, approx: bool = False) -> dict:
-        return {"s": self.s_part.to_json(approx=approx), "t": self.t_part.to_json(approx=approx)}
+    def to_json(self) -> dict:
+        return {"s": self.s_part.to_json(), "t": self.t_part.to_json()}
 
 
 class ProjectiveClassRing:
@@ -150,7 +150,7 @@ class ProjectiveClassRing:
         if x.group != self._group or y.group != self._group:
             raise ValueError("mixed-group operands")
         s = x.s_part * y.s_part
-        t = x.s_part * y.t_part + x.t_part * y.s_part + x.t_part * self._canonical * y.t_part
+        t = x.s_part * y.t_part + x.t_part * y.s_part + x.t_part * y.t_part * self._canonical
         return PairElement(s, t)
 
     def dimension_vector(self, x: PairElement) -> GroupRingElement:

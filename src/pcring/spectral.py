@@ -12,17 +12,18 @@ Everything here is computed in transform coordinates, where the block
 formulas are literal, and pulled back to group ring coordinates through the
 inverse transform.  The returned idempotents carry explicit 1/lambda
 factors, so they are valid in the caller's original coordinates without any
-silent rescaling of the canonical element; ``normalize_structure`` exhibits
-the rescaling separately as a central unit certificate.
+silent rescaling of the canonical element; the report's ``normalized``
+field exhibits the rescaling separately as a central unit certificate.
 
-Both transforms go through the exact histogram kernel of ``groups``: the
-spectrum is one ``fourier`` call and the normalized structure two
-``inverse_fourier`` calls.  The pullback of the Dirac mass at character b
-has coefficient zeta^(-<a,b>)/s at a, so its s^2 coefficients share the N
-values zeta^k/s; the rows are built at most once per report.  A
-``SpectralReport`` builds its idempotents and nilpotents on first access,
-so the cyclotomic inversions and the row build run only when a caller reads
-them.
+``spectral_report`` is the one entry point: every quantity above is a field
+or property of the ``SpectralReport`` it returns.  Both transforms go
+through the exact histogram kernel of ``groups``: the spectrum is one
+``fourier`` call and the normalized structure two ``inverse_fourier``
+calls.  The pullback of the Dirac mass at character b has coefficient
+zeta^(-<a,b>)/s at a, so its s^2 coefficients share the N values zeta^k/s;
+the rows are built at most once per report.  A ``SpectralReport`` builds
+its idempotents and nilpotents on first access, so the cyclotomic
+inversions and the row build run only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
 from .cyclotomics import CycloNum
 from .groups import (
     AbelianGroup,
@@ -49,11 +49,6 @@ __all__ = [
     "NormalizedStructure",
     "Spectrum",
     "SpectralReport",
-    "complexified_basis_audit",
-    "decomposition",
-    "idempotent_system",
-    "nilradical_basis",
-    "normalize_structure",
     "spectral_report",
     "spectrum",
 ]
@@ -127,33 +122,61 @@ class SpectralReport:
 
     @cached_property
     def _pullbacks(self) -> list[GroupRingElement]:
-        return _dirac_pullbacks(self.group)
+        # Inverse transform of every Dirac mass, in character order.
+        multiples = _root_multiples(self.group, 1)
+        return [_pullback_row(self.group, b, multiples) for b in range(self.group.size)]
 
     @cached_property
     def idempotents(self) -> tuple[PairElement, ...]:
-        return tuple(_idempotents_from(self.group, self.spectrum, self._pullbacks))
+        """A complete system of primitive orthogonal idempotents.
+
+        In transform coordinates: one idempotent (delta_b, 0) per vanishing
+        character b, and the pair (delta_b, -delta_b/lambda), (0, delta_b/lambda)
+        per nonvanishing character with value lambda.  Each is pulled back to
+        group ring coordinates componentwise.  There are s + r entries,
+        ordered by character; they sum to the ring unit.
+        """
+        group = self.group
+        zero = GroupRingElement.zero(group)
+        out: list[PairElement] = []
+        for b, (row, lam) in enumerate(zip(self._pullbacks, self.spectrum.values)):
+            if lam:
+                scaled = _pullback_row(group, b, _root_multiples(group, lam.inverse()))
+                out.append(PairElement(row, -scaled))
+                out.append(PairElement(zero, scaled))
+            else:
+                out.append(PairElement(row, zero))
+        return tuple(out)
 
     @cached_property
     def nilpotents(self) -> tuple[PairElement, ...]:
-        return tuple(_nilpotents_from(self.group, self.spectrum, self._pullbacks))
+        """A basis of the nilradical of the complexified ring.
 
-    def to_json(self, include_idempotents: bool = True, include_nilradical: bool = True,
-                approx: bool = False) -> dict:
+        One element (0, pullback of delta_b) per vanishing character b: these
+        span the orthogonal complement of the support inside the projective
+        ideal, each squares to zero, and mutual products vanish.
+        """
+        zero = GroupRingElement.zero(self.group)
+        return tuple(PairElement(zero, row)
+                     for row, lam in zip(self._pullbacks, self.spectrum.values) if not lam)
+
+    def to_json(self, include_idempotents: bool = True,
+                include_nilradical: bool = True) -> dict:
         doc: dict = {
             "s": self.spectrum.group_order,
             "r": self.spectrum.support_size,
             "decomposition": self.decomposition.render(),
             "support_F": [list(label) for label in self.spectrum.support],
-            "fourier_c": [v.to_json(approx=approx) for v in self.spectrum.values],
+            "fourier_c": [v.to_json() for v in self.spectrum.values],
         }
         if include_idempotents:
-            doc["idempotents"] = [e.to_json(approx=approx) for e in self.idempotents]
+            doc["idempotents"] = [e.to_json() for e in self.idempotents]
         if include_nilradical:
-            doc["nilradical"] = [n.to_json(approx=approx) for n in self.nilpotents]
+            doc["nilradical"] = [n.to_json() for n in self.nilpotents]
         doc["normalized_c"] = {
-            "element": self.normalized.element.to_json(approx=approx),
-            "unit": self.normalized.unit.to_json(approx=approx),
-            "unit_fourier": [v.to_json(approx=approx) for v in self.normalized.unit_values],
+            "element": self.normalized.element.to_json(),
+            "unit": self.normalized.unit.to_json(),
+            "unit_fourier": [v.to_json() for v in self.normalized.unit_values],
         }
         return doc
 
@@ -172,16 +195,6 @@ def spectrum(ring: ProjectiveClassRing) -> Spectrum:
     return Spectrum(values=tuple(values), support=support, group_order=group.size)
 
 
-def decomposition(ring: ProjectiveClassRing) -> Decomposition:
-    return Decomposition.from_spectrum(spectrum(ring))
-
-
-def _dirac_pullbacks(group: AbelianGroup) -> list[GroupRingElement]:
-    # Inverse transform of every Dirac mass, in character order.
-    multiples = _root_multiples(group, 1)
-    return [_pullback_row(group, b, multiples) for b in range(group.size)]
-
-
 def _root_multiples(group: AbelianGroup, value: object) -> list[CycloNum]:
     # value * zeta^k / s for k = 0 .. N-1.
     n = group.conductor
@@ -195,89 +208,23 @@ def _pullback_row(group: AbelianGroup, b: int, multiples: list[CycloNum]) -> Gro
     return GroupRingElement(group, dict(enumerate([multiples[k] for k in exps])), _trusted=True)
 
 
-def idempotent_system(ring: ProjectiveClassRing) -> list[PairElement]:
-    """A complete system of primitive orthogonal idempotents.
-
-    In transform coordinates: one idempotent (delta_b, 0) per vanishing
-    character b, and the pair (delta_b, -delta_b/lambda), (0, delta_b/lambda)
-    per nonvanishing character with value lambda.  Each is pulled back to
-    group ring coordinates componentwise.  The list has s + r entries,
-    ordered by character; it sums to the ring unit.
-    """
-    group = ring.group
-    return _idempotents_from(group, spectrum(ring), _dirac_pullbacks(group))
-
-
-def _idempotents_from(group: AbelianGroup, spec: Spectrum,
-                      rows: list[GroupRingElement]) -> list[PairElement]:
-    zero = GroupRingElement.zero(group)
-    out: list[PairElement] = []
-    for b, (row, lam) in enumerate(zip(rows, spec.values)):
-        if lam:
-            scaled = _pullback_row(group, b, _root_multiples(group, lam.inverse()))
-            out.append(PairElement(row, -scaled))
-            out.append(PairElement(zero, scaled))
-        else:
-            out.append(PairElement(row, zero))
-    return out
-
-
-def nilradical_basis(ring: ProjectiveClassRing) -> list[PairElement]:
-    """A basis of the nilradical of the complexified ring.
-
-    One element (0, pullback of delta_b) per vanishing character b: these
-    span the orthogonal complement of the support inside the projective
-    ideal, each squares to zero, and mutual products vanish.
-    """
-    group = ring.group
-    return _nilpotents_from(group, spectrum(ring), _dirac_pullbacks(group))
-
-
-def _nilpotents_from(group: AbelianGroup, spec: Spectrum,
-                     rows: list[GroupRingElement]) -> list[PairElement]:
-    zero = GroupRingElement.zero(group)
-    return [PairElement(zero, row) for row, lam in zip(rows, spec.values) if not lam]
-
-
-def normalize_structure(ring: ProjectiveClassRing) -> NormalizedStructure:
-    """Canonical representative of the multiplicative structure plus the
-    central unit carrying the original transform values on the support."""
-    return _normalized_from(ring.group, spectrum(ring))
-
-
-def _normalized_from(group: AbelianGroup, spec: Spectrum) -> NormalizedStructure:
-    n = group.conductor
-    one, zero = CycloNum.one(n), CycloNum.zero(n)
-    unit_values = tuple(lam if lam else one for lam in spec.values)
-    return NormalizedStructure(
-        element=inverse_fourier(group, [one if lam else zero for lam in spec.values]),
-        unit=inverse_fourier(group, unit_values),
-        unit_values=unit_values,
-    )
-
-
 def spectral_report(ring: ProjectiveClassRing) -> SpectralReport:
     """Run the whole complexified analysis once, sharing the spectrum.
 
     Idempotents and nilpotents are left to first access.
     """
+    group = ring.group
     spec = spectrum(ring)
+    n = group.conductor
+    one, zero = CycloNum.one(n), CycloNum.zero(n)
+    unit_values = tuple(lam if lam else one for lam in spec.values)
     return SpectralReport(
-        group=ring.group,
+        group=group,
         spectrum=spec,
         decomposition=Decomposition.from_spectrum(spec),
-        normalized=_normalized_from(ring.group, spec),
+        normalized=NormalizedStructure(
+            element=inverse_fourier(group, [one if lam else zero for lam in spec.values]),
+            unit=inverse_fourier(group, unit_values),
+            unit_values=unit_values,
+        ),
     )
-
-
-def complexified_basis_audit(ring: ProjectiveClassRing,
-                             idempotents: list[PairElement],
-                             nilpotents: list[PairElement]) -> bool:
-    """True iff idempotents and nilpotents together form a basis of the
-    complexified ring, i.e. the 2s coefficient vectors have full rank."""
-    group = ring.group
-    if len(idempotents) + len(nilpotents) != 2 * group.size:
-        return False
-    rows = [e.coefficient_vector() for e in idempotents]
-    rows += [nil.coefficient_vector() for nil in nilpotents]
-    return linalg.certify_full_row_rank(rows, group.conductor)

@@ -18,17 +18,14 @@ from pcring import (
     ProjectiveClassRing,
     build_table,
     certify_radical,
-    complexified_basis_audit,
     cyclotomic_polynomial,
-    decomposition,
     euler_phi,
     fourier,
-    idempotent_system,
     inverse_fourier,
     matches_pair_ring,
-    nilradical_basis,
     radical_matches_spectral,
     root_of_unity,
+    spectral_report,
     spectrum,
     uq_sl2,
 )
@@ -56,7 +53,7 @@ def test_criterion_1_half_quantum_golden_suite():
     for n in range(2, 13):
         ring = _uq_ring(n)
         spec = spectrum(ring)
-        rendered = decomposition(ring).render()
+        rendered = spectral_report(ring).decomposition.render()
         if spec.support_size != 1:
             failures.append(f"n={n}: support size {spec.support_size} != 1")
         if rendered != f"C^2 x C[eps]^{n - 1}":
@@ -79,7 +76,7 @@ def test_criterion_2_half_quantum_nilradical_statements():
         def embed(value):
             return value if isinstance(value, CycloNum) else CycloNum.rational(order, value)
 
-        nils = nilradical_basis(ring)
+        nils = spectral_report(ring).nilpotents
         nil_rows = [
             [embed(nil.t_part.coefficient(a)) for a in group.elements()] for nil in nils
         ]
@@ -110,7 +107,7 @@ def test_criterion_3_idempotent_system_audit(corpus):
     tested += [(inst.name, inst.ring) for inst in corpus if inst.group.size <= 10]
     for name, ring in tested:
         spec = spectrum(ring)
-        idems = idempotent_system(ring)
+        idems = spectral_report(ring).idempotents
         expected_count = ring.group.size + spec.support_size
         if len(idems) != expected_count:
             failures.append(f"{name}: {len(idems)} idempotents, expected {expected_count}")
@@ -167,7 +164,7 @@ def test_criterion_5_radical_span_agreement(corpus):
         ring = inst.ring
         table = build_table(ring)
         radical = table.radical()
-        nils = nilradical_basis(ring)
+        nils = list(spectral_report(ring).nilpotents)
         if radical.dimension != len(nils):
             failures.append(
                 f"{inst.name}: oracle dimension {radical.dimension}, spectral {len(nils)}"
@@ -259,12 +256,13 @@ def test_criterion_8_dimension_audit(corpus):
     for inst in corpus:
         ring = inst.ring
         spec = spectrum(ring)
-        idems = idempotent_system(ring)
-        nils = nilradical_basis(ring)
+        report = spectral_report(ring)
+        idems, nils = report.idempotents, report.nilpotents
         s, r = spec.group_order, spec.support_size
         if len(idems) != s + r or len(nils) != s - r:
             failures.append(f"{inst.name}: counts {len(idems)}/{len(nils)} != {s + r}/{s - r}")
             continue
-        if not complexified_basis_audit(ring, idems, nils):
+        rows = [e.coefficient_vector() for e in idems + nils]
+        if not linalg.certify_full_row_rank(rows, ring.group.conductor):
             failures.append(f"{inst.name}: rank below {2 * s}")
     _finish(8, f"dimension audit ({len(corpus)} instances)", failures)

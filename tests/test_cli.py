@@ -177,6 +177,17 @@ class TestRun:
         _, code = run(make_request(uq_sl2(2)))
         assert code == cli.EXIT_VERIFICATION
 
+    def test_non_associative_table_exit_code(self, monkeypatch):
+        monkeypatch.setattr(cli.oracle.StructureTable, "is_associative", lambda self: False)
+        doc, code = run(make_request(uq_sl2(2)))
+        assert code == cli.EXIT_VERIFICATION
+        assert doc["oracle"] == {
+            "associative": False,
+            "matches_pair_ring": True,
+            "radical_dim": -1,
+            "radical_matches_spectral": False,
+        }
+
     def test_golden_mismatch_reported(self):
         from dataclasses import replace
 

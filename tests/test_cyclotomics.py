@@ -228,7 +228,7 @@ class TestSerialization:
     def test_json_shape(self):
         a = root_of_unity(4, 1) * Fraction(1, 2) + 1
         doc = a.to_json()
-        assert doc == {"order": 4, "coeffs": [[1, 1], [1, 2]]}
+        assert doc == {"order": 4, "coeffs": [[1, 1], [1, 2]], "display_only": "1.0+0.5i"}
 
     def test_coeffs_in_lowest_terms(self):
         # Zero coordinates take a shortcut; all must read as Fraction(n, den).
@@ -250,18 +250,18 @@ class TestSerialization:
         assert CycloNum.from_json(a.to_json()) == a
 
     def test_display_tag(self):
-        doc = CycloNum.rational(3, 2).to_json(approx=True)
+        doc = CycloNum.rational(3, 2).to_json()
         assert doc["display_only"] == "2.0"
-        doc = root_of_unity(4, 1).to_json(approx=True)
+        doc = root_of_unity(4, 1).to_json()
         assert doc["display_only"] == "0.0+1.0i"
 
     def test_display_beyond_float_range(self):
         # Parts past the float range render as inf; the exact coeffs stay.
         a = CycloNum(4, [2**1100, 3])
-        doc = a.to_json(approx=True)
+        doc = a.to_json()
         assert doc["display_only"] == "inf+3.0i"
         assert doc["coeffs"] == [[2**1100, 1], [3, 1]]
-        assert (-a).to_json(approx=True)["display_only"] == "-inf-3.0i"
+        assert (-a).to_json()["display_only"] == "-inf-3.0i"
         assert CycloNum(4, [Fraction(2**1100, 2**1099 + 1)]).approx() == 2.0
 
     def test_approx_matches_unit_circle(self):

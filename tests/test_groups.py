@@ -453,4 +453,6 @@ class TestSerialization:
         g = AbelianGroup((3,))
         x = GroupRingElement.delta(g, (1,), root_of_unity(3, 1))
         doc = x.to_json()
-        assert doc["terms"][0]["coeff"] == {"order": 3, "coeffs": [[0, 1], [1, 1]]}
+        assert doc["terms"][0]["coeff"] == {
+            "order": 3, "coeffs": [[0, 1], [1, 1]], "display_only": "-0.5+0.866025403784i"
+        }

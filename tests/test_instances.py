@@ -10,8 +10,8 @@ from pcring import (
     GroupRingElement,
     ProjectiveClassRing,
     custom,
-    decomposition,
     dual_group_algebra,
+    spectral_report,
     spectrum,
     trace_element,
     uq_sl2,
@@ -37,7 +37,7 @@ class TestHalfQuantumGroup:
         ring = ProjectiveClassRing(inst.group, inst.canonical)
         spec = spectrum(ring)
         assert spec.support_size == inst.expected_support_size == 1
-        assert decomposition(ring).render() == inst.expected_decomposition
+        assert spectral_report(ring).decomposition.render() == inst.expected_decomposition
 
     def test_rejects_small_orders(self):
         with pytest.raises(ValueError):
@@ -72,7 +72,7 @@ class TestCustom:
         sums = [1 + 2 * cmath.exp(cmath.pi * i * b) + cmath.exp(1.5 * cmath.pi * i * b) for b in range(4)]
         assert all(abs(v) > 1 for v in sums)
         assert spec.support_size == 4
-        assert decomposition(ring).render() == "C^8 x C[eps]^0"
+        assert spectral_report(ring).decomposition.render() == "C^8 x C[eps]^0"
 
     def test_semisimple_rejected(self):
         with pytest.raises(CanonicalElementError, match="semisimple input"):

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from pcring import oracle
 from pcring import (
     AbelianGroup,
     GroupRingElement,
@@ -13,8 +14,8 @@ from pcring import (
     build_table,
     certify_radical,
     matches_pair_ring,
-    nilradical_basis,
     radical_matches_spectral,
+    spectral_report,
     spectrum,
     trace_element,
 )
@@ -258,7 +259,7 @@ class TestRadical:
     @pytest.mark.parametrize("ring", RINGS, ids=IDS)
     def test_span_agreement_with_spectral(self, ring):
         radical = build_table(ring).radical()
-        assert radical_matches_spectral(radical, nilradical_basis(ring))
+        assert radical_matches_spectral(radical, spectral_report(ring).nilpotents)
 
     def test_dimension_mismatch_rejected(self):
         ring = make_ring((2,), {(0,): 1, (1,): 1})
@@ -278,11 +279,11 @@ class TestRadicalCertificate:
         table = build_table(ring)
         expected = table.radical().dimension
         monkeypatch.setattr(StructureTable, "radical", lambda self: pytest.fail("exact path"))
-        assert certify_radical(table, nilradical_basis(ring)) == (expected, True)
+        assert certify_radical(table, spectral_report(ring).nilpotents) == (expected, True)
 
     def test_simple_component_falls_back(self):
         ring = trace_ring(4)
-        nils = nilradical_basis(ring)
+        nils = list(spectral_report(ring).nilpotents)
         with_simple = [ring.simple_class((1,))] + nils[1:]
         assert certify_radical(build_table(ring), with_simple) == (3, False)
 
@@ -291,7 +292,7 @@ class TestRadicalCertificate:
         broken = StructureTable(ring.group, build_table(ring).constants.copy())
         broken.constants[4, 5, 0] += 1
         with pytest.raises(ValueError, match="table not associative"):
-            certify_radical(broken, nilradical_basis(ring))
+            certify_radical(broken, spectral_report(ring).nilpotents)
 
     def test_trace_form_is_exact_for_huge_multiplicities(self):
         for coeff in (2**62, 2**63):
@@ -303,6 +304,39 @@ class TestRadicalCertificate:
                 for i in range(table.dim)
             ]
             assert table.trace_form().tolist() == expected
+
+
+class TestVerify:
+    @pytest.mark.parametrize("ring", RINGS, ids=IDS)
+    def test_block_confirms_the_report(self, ring):
+        report = spectral_report(ring)
+        block, ok = oracle.verify(ring, report)
+        assert ok is True
+        assert block == {
+            "associative": True,
+            "matches_pair_ring": True,
+            "radical_dim": ring.group.size - report.spectrum.support_size,
+            "radical_matches_spectral": True,
+        }
+
+    def test_non_associative_table(self, monkeypatch):
+        monkeypatch.setattr(StructureTable, "is_associative", lambda self: False)
+        ring = trace_ring(3)
+        block, ok = oracle.verify(ring, spectral_report(ring))
+        assert ok is False
+        assert block == {
+            "associative": False,
+            "matches_pair_ring": True,
+            "radical_dim": -1,
+            "radical_matches_spectral": False,
+        }
+
+    def test_radical_dimension_must_equal_the_nilpotent_count(self, monkeypatch):
+        monkeypatch.setattr(oracle, "certify_radical", lambda table, nils: (len(nils) + 1, True))
+        ring = trace_ring(3)
+        block, ok = oracle.verify(ring, spectral_report(ring))
+        assert block["radical_dim"] == 3
+        assert ok is False
 
 
 class TestTensorShapes:

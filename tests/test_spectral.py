@@ -13,12 +13,7 @@ from pcring import (
     GroupRingElement,
     PairElement,
     ProjectiveClassRing,
-    complexified_basis_audit,
-    decomposition,
     fourier,
-    idempotent_system,
-    nilradical_basis,
-    normalize_structure,
     pairing,
     spectral_report,
     spectrum,
@@ -95,19 +90,20 @@ class TestDecomposition:
     def test_half_quantum_shape(self, n):
         inst = uq_sl2(n)
         ring = ProjectiveClassRing(inst.group, inst.canonical)
-        assert decomposition(ring).render() == f"C^2 x C[eps]^{n - 1}"
+        assert spectral_report(ring).decomposition.render() == f"C^2 x C[eps]^{n - 1}"
 
     def test_full_support_shape(self):
-        assert decomposition(make_ring((2,), {(0,): 2})).render() == "C^4 x C[eps]^0"
+        ring = make_ring((2,), {(0,): 2})
+        assert spectral_report(ring).decomposition.render() == "C^4 x C[eps]^0"
 
     def test_trivial_group_shape(self):
-        dec = decomposition(make_ring((1,), {(0,): 2}))
+        dec = spectral_report(make_ring((1,), {(0,): 2})).decomposition
         assert dec == Decomposition(split_characters=1, dual_characters=0)
         assert dec.render() == "C^2 x C[eps]^0"
 
     def test_total_dimension_is_twice_group_order(self):
         for ring in AUDIT_RINGS:
-            assert decomposition(ring).total_dimension == 2 * ring.group.size
+            assert spectral_report(ring).decomposition.total_dimension == 2 * ring.group.size
 
 
 class TestIdempotentSystem:
@@ -124,7 +120,7 @@ class TestIdempotentSystem:
             PairElement(zero, plus_quarter),
             PairElement(minus, zero),
         ]
-        got = idempotent_system(ring)
+        got = spectral_report(ring).idempotents
         assert len(got) == 3
         for e, f in zip(got, expected):
             assert pairs_equal(e, f)
@@ -132,7 +128,7 @@ class TestIdempotentSystem:
     @pytest.mark.parametrize("ring", AUDIT_RINGS, ids=IDS)
     def test_count_idempotency_orthogonality_completeness(self, ring):
         spec = spectrum(ring)
-        idems = idempotent_system(ring)
+        idems = spectral_report(ring).idempotents
         assert len(idems) == ring.group.size + spec.support_size
         for e in idems:
             assert pairs_equal(ring.mul(e, e), e)
@@ -147,14 +143,14 @@ class TestIdempotentSystem:
 
     def test_full_support_leaves_no_nilpotents(self):
         ring = make_ring((2,), {(0,): 2})
-        assert len(idempotent_system(ring)) == 4
-        assert nilradical_basis(ring) == []
+        assert len(spectral_report(ring).idempotents) == 4
+        assert spectral_report(ring).nilpotents == ()
 
 
 class TestNilradical:
     def test_single_vector_for_order_two(self):
         ring = make_ring((2,), {(0,): 1, (1,): 1})
-        nils = nilradical_basis(ring)
+        nils = spectral_report(ring).nilpotents
         assert len(nils) == 1
         half = Fraction(1, 2)
         expected = embed_element(
@@ -166,7 +162,7 @@ class TestNilradical:
 
     @pytest.mark.parametrize("ring", AUDIT_RINGS, ids=IDS)
     def test_squares_and_mutual_products_vanish(self, ring):
-        nils = nilradical_basis(ring)
+        nils = spectral_report(ring).nilpotents
         assert len(nils) == ring.group.size - spectrum(ring).support_size
         for i, x in enumerate(nils):
             for y in nils[i:]:
@@ -180,7 +176,7 @@ class TestNilradical:
 
         g = ring.group
         support = spectrum(ring).support
-        for nil in nilradical_basis(ring):
+        for nil in spectral_report(ring).nilpotents:
             for x in support:
                 assert character_value(g, x, nil.t_part).is_zero()
 
@@ -192,7 +188,7 @@ class TestNilradical:
         order = g.conductor
         nil_rows = [
             [embed_coeff(nil.t_part, a, order) for a in g.elements()]
-            for nil in nilradical_basis(ring)
+            for nil in spectral_report(ring).nilpotents
         ]
         aug_rows = [
             [embed_coeff(basis_vec(g, j), a, order) for a in g.elements()]
@@ -217,7 +213,7 @@ class TestNilradical:
 
     @pytest.mark.parametrize("ring", AUDIT_RINGS, ids=IDS)
     def test_products_with_ring_elements_stay_in_the_radical(self, ring):
-        nils = nilradical_basis(ring)
+        nils = spectral_report(ring).nilpotents
         if not nils:
             return
         g = ring.group
@@ -253,7 +249,7 @@ def basis_vec(g: AbelianGroup, j: int) -> GroupRingElement:
 class TestNormalization:
     def test_normalized_element_transforms_to_indicator(self):
         ring = trace_ring((2,))  # canonical element transforms to (2, 0)
-        norm = normalize_structure(ring)
+        norm = spectral_report(ring).normalized
         assert fourier(ring.group, norm.element) == [
             CycloNum.one(2),
             CycloNum.zero(2),
@@ -261,7 +257,7 @@ class TestNormalization:
 
     def test_order_two_unit_certificate(self):
         ring = trace_ring((2,))
-        norm = normalize_structure(ring)
+        norm = spectral_report(ring).normalized
         half = Fraction(1, 2)
         assert norm.element == embed_element(
             GroupRingElement(ring.group, {(0,): half, (1,): half})
@@ -270,7 +266,7 @@ class TestNormalization:
 
     def test_order_three_trace(self):
         ring = trace_ring((3,))
-        norm = normalize_structure(ring)
+        norm = spectral_report(ring).normalized
         third = Fraction(1, 3)
         expected = embed_element(
             GroupRingElement(ring.group, {(0,): third, (1,): third, (2,): third})
@@ -279,7 +275,7 @@ class TestNormalization:
 
     @pytest.mark.parametrize("ring", AUDIT_RINGS, ids=IDS)
     def test_unit_times_normalized_recovers_canonical(self, ring):
-        norm = normalize_structure(ring)
+        norm = spectral_report(ring).normalized
         assert elements_equal(norm.unit * norm.element, ring.canonical)
         # the same identity pointwise in transform coordinates
         g = ring.group
@@ -291,7 +287,7 @@ class TestNormalization:
 
     @pytest.mark.parametrize("ring", AUDIT_RINGS, ids=IDS)
     def test_unit_is_invertible_and_support_is_preserved(self, ring):
-        norm = normalize_structure(ring)
+        norm = spectral_report(ring).normalized
         g = ring.group
         assert all(v for v in fourier(g, norm.unit))
         spec = spectrum(ring)
@@ -306,8 +302,10 @@ class TestBasisAudit:
     @pytest.mark.parametrize("ring", AUDIT_RINGS, ids=IDS)
     def test_idempotents_and_nilpotents_form_a_basis(self, ring):
         report = spectral_report(ring)
-        assert complexified_basis_audit(
-            ring, list(report.idempotents), list(report.nilpotents)
+        basis = report.idempotents + report.nilpotents
+        assert len(basis) == 2 * ring.group.size
+        assert linalg.certify_full_row_rank(
+            [e.coefficient_vector() for e in basis], ring.group.conductor
         )
 
     def test_idempotents_and_nilpotents_are_built_on_first_access(self, monkeypatch):
@@ -324,12 +322,13 @@ class TestBasisAudit:
         report.to_json(include_idempotents=False, include_nilradical=False)
         assert calls == []
         assert "_pullbacks" not in vars(report)
-        assert report.nilpotents == tuple(nilradical_basis(ring))
+        assert len(report.nilpotents) == ring.group.size - report.spectrum.support_size
         rows = vars(report)["_pullbacks"]
         assert calls == []
-        assert report.idempotents == tuple(idempotent_system(ring))
+        assert len(report.idempotents) == ring.group.size + report.spectrum.support_size
         assert vars(report)["_pullbacks"] is rows
-        assert len(calls) == 2 * report.spectrum.support_size
+        # One inversion per nonvanishing character.
+        assert len(calls) == report.spectrum.support_size
         assert report.idempotents is report.idempotents
 
     def test_report_json_shape(self):
@@ -338,7 +337,8 @@ class TestBasisAudit:
         assert doc["s"] == 2 and doc["r"] == 1
         assert doc["decomposition"] == "C^2 x C[eps]^1"
         assert doc["support_F"] == [[0]]
-        assert len(doc["fourier_c"]) == 2
+        assert [v["display_only"] for v in doc["fourier_c"]] == ["2.0", "0.0"]
+        assert doc["idempotents"][0]["s"]["terms"][0]["coeff"]["display_only"] == "0.5"
         assert len(doc["idempotents"]) == 3
         assert len(doc["nilradical"]) == 1
         assert set(doc["normalized_c"]) == {"element", "unit", "unit_fourier"}
