@@ -13,6 +13,13 @@ on the same input: term ordering is canonical, rationals are reduced with
 positive denominators, and the decimal renderings of cyclotomic values are
 tagged display_only and never feed back into any computation.
 
+Reports are streamed: ``_write`` produces the bytes of
+``json.dumps(report, indent=2)`` in pieces of bounded size, never the whole
+text as one string.  ``batch`` writes each file's entry as soon as its
+analysis returns, so one report is in memory at a time.  The ``-o`` file is
+opened before any analysis; if it cannot be opened or written, the error
+document goes to stdout.
+
 Exit codes: 0 success, 1 validation error, 2 verification failure.
 """
 
@@ -23,6 +30,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import instances, oracle, spectral
@@ -56,7 +64,6 @@ class AnalysisRequest:
     verify: bool = True
     emit_idempotents: bool = False
     emit_nilradical: bool = False
-    output: str | None = None
 
 
 def _check_group_size(size: int, path: str) -> None:
@@ -188,33 +195,102 @@ def _semisimple_report(inst: InstanceDescriptor) -> dict:
     }
 
 
-def _render(doc: dict) -> str:
-    # A validated input can yield report integers beyond Python's limit on
-    # int-to-decimal conversion (4300 digits by default): lift the limit
-    # while encoding only, so input parsing keeps it.  Python 3.10.0-3.10.6
-    # has no limit and no setter.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return json.dumps(doc, indent=2) + "\n"
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+# Chunks the writer buffers between two writes to its stream: what it holds
+# at once is this many pieces, each at most one leaf or one all-integer list.
+_FLUSH_CHUNKS = 4096
+
+
+def _write(value, stream, depth: int = 0) -> None:
+    """Write ``value`` to ``stream`` as ``json.dumps(value, indent=2)``
+    renders it at nesting ``depth``, byte for byte, in writes of at most
+    ``_FLUSH_CHUNKS`` buffered chunks.
+
+    Takes dicts with ``str`` keys, lists, tuples, ``str``, ``int``, ``bool``
+    and ``None``; anything else (floats included) raises ``TypeError``.
+    Strings are escaped as with ``ensure_ascii=True``.  A validated input
+    can yield report integers beyond Python's limit on int-to-decimal
+    conversion (4300 digits by default), so the limit is lifted for this
+    call only and restored before the next input is parsed; Python
+    3.10.0-3.10.6 has no limit and no setter.
+    """
+    chunks: list[str] = []
+    append = chunks.append
+    int_repr = int.__repr__
+    # newlines[d] starts a line at depth d; grown as deeper containers appear.
+    newlines = ["\n" + "  " * d for d in range(depth + 2)]
+
+    def encode(o, depth: int) -> None:
+        if isinstance(o, str):
+            append(encode_basestring_ascii(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int_repr(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+                return
+            if depth + 2 == len(newlines):
+                newlines.append("\n" + "  " * (depth + 2))
+            outer, inner, deeper = newlines[depth:depth + 3]
+            separator = "," + inner
+            if set(map(type, o)) == {int}:
+                append("[" + inner + separator.join(map(int_repr, o)) + outer + "]")
+                return
+            # Most of a report is the [num, den] coordinates of cyclotomic values.
+            pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
+            append("[")
+            for item in o:
+                append(inner)
+                inner = separator
+                if (type(item) is list and len(item) == 2
+                        and type(item[0]) is int and type(item[1]) is int):
+                    append(pair % (item[0], item[1]))
+                else:
+                    encode(item, depth + 1)
+            append(outer + "]")
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            if depth + 2 == len(newlines):
+                newlines.append("\n" + "  " * (depth + 2))
+            outer, inner = newlines[depth:depth + 2]
+            separator = "," + inner
+            append("{")
+            for key, item in o.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                append(inner + encode_basestring_ascii(key) + ": ")
+                inner = separator
+                encode(item, depth + 1)
+            append(outer + "}")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if len(chunks) >= _FLUSH_CHUNKS:
+            stream.write("".join(chunks))
+            chunks.clear()
+
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
-        return json.dumps(doc, indent=2) + "\n"
+        encode(value, depth)
+        stream.write("".join(chunks))
     finally:
-        sys.set_int_max_str_digits(limit)
+        if limited:
+            sys.set_int_max_str_digits(limit)
 
 
-def _emit(doc: dict, output: str | None, code: int) -> int:
-    """Write the document; returns ``code``, or the validation exit code with
-    an error document on stdout when the output file cannot be written."""
-    text = _render(doc)
-    if not output:
-        sys.stdout.write(text)
-        return code
-    try:
-        Path(output).write_text(text)
-    except OSError as exc:
-        sys.stdout.write(_render(_error_document("validation", str(exc), "/output")))
-        return EXIT_VALIDATION
+def _emit(stream, doc: dict, code: int) -> int:
+    """Write the document and a newline to ``stream``; returns ``code``."""
+    _write(doc, stream)
+    stream.write("\n")
     return code
 
 
@@ -263,22 +339,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_and_emit(request: AnalysisRequest) -> int:
-    doc, code = run(request)
-    return _emit(doc, request.output, code)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if not args.output:
+        return _dispatch(args, sys.stdout)
+    # Opened before any analysis.  Input files are read under their own
+    # handlers, so an OSError out of _dispatch comes from writing the report.
+    try:
+        with open(args.output, "w", encoding="utf-8") as stream:
+            return _dispatch(args, stream)
+    except OSError as exc:
+        return _emit(sys.stdout, _error_document("validation", str(exc), "/output"),
+                     EXIT_VALIDATION)
+
+
+def _dispatch(args: argparse.Namespace, stream) -> int:
     try:
         if args.command == "analyze":
             try:
                 text = Path(args.file).read_text()
             except OSError as exc:
-                return _emit(_error_document("validation", str(exc)), args.output,
-                             EXIT_VALIDATION)
+                return _emit(stream, _error_document("validation", str(exc)), EXIT_VALIDATION)
             request = replace(parse_input(text), **_flag_kwargs(args))
-            return _run_and_emit(request)
+            return _emit(stream, *run(request))
 
         if args.command == "example":
             if args.name == "uq-sl2":
@@ -287,15 +370,15 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 orders = _parse_orders(args.orders)
                 descriptor = instances.dual_group_algebra(orders)
-            return _run_and_emit(AnalysisRequest(instance=descriptor, **_flag_kwargs(args)))
+            return _emit(stream, *run(AnalysisRequest(instance=descriptor, **_flag_kwargs(args))))
 
         if args.command == "batch":
-            return _run_batch(args)
+            return _run_batch(args, stream)
     except InputError as exc:
-        return _emit(_error_document("validation", exc.message, exc.path), args.output,
+        return _emit(stream, _error_document("validation", exc.message, exc.path),
                      EXIT_VALIDATION)
     except (CanonicalElementError, ValueError) as exc:
-        return _emit(_error_document("validation", str(exc)), args.output, EXIT_VALIDATION)
+        return _emit(stream, _error_document("validation", str(exc)), EXIT_VALIDATION)
     raise AssertionError("unreachable command")
 
 
@@ -304,7 +387,6 @@ def _flag_kwargs(args: argparse.Namespace) -> dict:
         "verify": not args.no_verify,
         "emit_idempotents": args.idempotents,
         "emit_nilradical": args.nilradical,
-        "output": args.output,
     }
 
 
@@ -318,33 +400,42 @@ def _parse_orders(text: str) -> tuple[int, ...]:
     return orders
 
 
-def _run_batch(args: argparse.Namespace) -> int:
+# Batch exit codes, least severe first: one validation error outranks any
+# number of verification failures.
+_SEVERITY = (EXIT_OK, EXIT_VERIFICATION, EXIT_VALIDATION)
+
+
+def _run_batch(args: argparse.Namespace, stream) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
-        return _emit(_error_document("validation", f"not a directory: {directory}"),
-                     args.output, EXIT_VALIDATION)
-    entries = []
-    codes = []
-    for path in sorted(directory.glob("*.json")):
-        try:
-            request = replace(parse_input(path.read_text()), **{
-                **_flag_kwargs(args), "output": None,
-            })
-        except InputError as exc:
-            doc, code = _error_document("validation", exc.message, exc.path), EXIT_VALIDATION
-        except (OSError, UnicodeDecodeError) as exc:
-            doc, code = _error_document("validation", str(exc)), EXIT_VALIDATION
-        else:
-            doc, code = run(request)
-        entries.append({"file": path.name, "report": doc})
-        codes.append(code)
-    if EXIT_VALIDATION in codes:
-        code = EXIT_VALIDATION
-    elif EXIT_VERIFICATION in codes:
-        code = EXIT_VERIFICATION
+        return _emit(stream, _error_document("validation", f"not a directory: {directory}"),
+                     EXIT_VALIDATION)
+    paths = sorted(directory.glob("*.json"))
+    if not paths:
+        return _emit(stream, {"batch": []}, EXIT_OK)
+    # The text of json.dumps({"batch": entries}, indent=2), with each entry
+    # written as soon as its file is analyzed.
+    code = EXIT_OK
+    stream.write('{\n  "batch": [')
+    for i, path in enumerate(paths):
+        stream.write(",\n    " if i else "\n    ")
+        code = max(code, _write_batch_entry(path, args, stream), key=_SEVERITY.index)
+    stream.write("\n  ]\n}\n")
+    return code
+
+
+def _write_batch_entry(path: Path, args: argparse.Namespace, stream) -> int:
+    """Analyze one batch file and write its entry; returns its exit code."""
+    try:
+        request = replace(parse_input(path.read_text()), **_flag_kwargs(args))
+    except InputError as exc:
+        doc, code = _error_document("validation", exc.message, exc.path), EXIT_VALIDATION
+    except (OSError, UnicodeDecodeError) as exc:
+        doc, code = _error_document("validation", str(exc)), EXIT_VALIDATION
     else:
-        code = EXIT_OK
-    return _emit({"batch": entries}, args.output, code)
+        doc, code = run(request)
+    _write({"file": path.name, "report": doc}, stream, depth=2)
+    return code
 
 
 if __name__ == "__main__":

@@ -202,6 +202,14 @@ class GroupRingElement:
         """The Dirac mass at one group element."""
         return cls(group, {group.element(exponents): coeff})
 
+    @classmethod
+    def _adopt(cls, group: AbelianGroup, coeffs: dict[int, object]) -> "GroupRingElement":
+        """Take an index-keyed map that holds no zero coefficient as it is."""
+        elem = cls.__new__(cls)
+        elem._group = group
+        elem._coeffs = coeffs
+        return elem
+
     # -- inspection ------------------------------------------------------------
 
     @property
@@ -238,7 +246,7 @@ class GroupRingElement:
     # -- arithmetic --------------------------------------------------------------
 
     def _check_same_group(self, other: "GroupRingElement") -> None:
-        if other._group != self._group:
+        if other._group is not self._group and other._group != self._group:
             raise ValueError("mixed-group operands")
 
     def __add__(self, other: object) -> "GroupRingElement":
@@ -259,9 +267,7 @@ class GroupRingElement:
         return self + (-other)
 
     def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(
-            self._group, {k: -v for k, v in self._coeffs.items()}, _trusted=True
-        )
+        return GroupRingElement._adopt(self._group, {k: -v for k, v in self._coeffs.items()})
 
     def __mul__(self, other: object) -> "GroupRingElement":
         if isinstance(other, GroupRingElement):
@@ -269,17 +275,18 @@ class GroupRingElement:
             sums = self._group.sum_table()
             out: dict[int, object] = {}
             # A factor with zero or one term translates the other one: no
-            # two keys collide.
+            # two keys collide, and coefficients lie in a field (Q or
+            # Q(zeta_N)), so a product of nonzero ones is nonzero.
             if len(self._coeffs) <= 1:
                 for a, ca in self._coeffs.items():
                     row = sums[a]
                     out = {row[b]: ca * cb for b, cb in other._coeffs.items()}
-                return GroupRingElement(self._group, out, _trusted=True)
+                return GroupRingElement._adopt(self._group, out)
             if len(other._coeffs) <= 1:
                 for b, cb in other._coeffs.items():
                     row = sums[b]
                     out = {row[a]: ca * cb for a, ca in self._coeffs.items()}
-                return GroupRingElement(self._group, out, _trusted=True)
+                return GroupRingElement._adopt(self._group, out)
             get = out.get
             for a, ca in self._coeffs.items():
                 row = sums[a]

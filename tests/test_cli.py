@@ -1,14 +1,18 @@
 """Tests for the command-line front end and its JSON contract."""
 
+import io
 import json
 import re
 import sys
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcring import CycloNum, cli, trace_element
 from pcring.cli import AnalysisRequest, InputError, parse_input, run
-from pcring.instances import dual_group_algebra, uq_sl2
+from pcring.instances import InstanceDescriptor, dual_group_algebra, uq_sl2
 
 
 def make_request(descriptor, **kwargs) -> AnalysisRequest:
@@ -19,6 +23,10 @@ def make_request(descriptor, **kwargs) -> AnalysisRequest:
 # 4300-digit limit; the 1/lambda terms of the idempotents do not render under it.
 PAST_DIGIT_LIMIT = ('{"group":[3],"c":[{"exp":[0],"coeff":1' + "0" * 4000
                     + '},{"exp":[1],"coeff":1}]}')
+
+
+# A long integer literal the decoder refuses under the default digit limit.
+LONG_INTEGER = '{"group":[4],"c":[{"exp":[0],"coeff":1' + "0" * 5000 + "}]}"
 
 
 def load_without_digit_limit(text: str):
@@ -97,7 +105,7 @@ class TestParseInput:
 
     @pytest.mark.parametrize("document", [
         "[" * 200000 + "]" * 200000,
-        '{"group":[4],"c":[{"exp":[0],"coeff":1' + "0" * 5000 + "}]}",
+        LONG_INTEGER,
     ], ids=["deep-nesting", "long-integer"])
     def test_json_beyond_decoder_limits(self, document):
         with pytest.raises(InputError) as info:
@@ -330,9 +338,7 @@ class TestMain:
         elif kind == "deep-nesting":
             (tmp_path / "b_bad.json").write_text("[" * 200000 + "]" * 200000)
         else:
-            (tmp_path / "b_bad.json").write_text(
-                '{"group":[4],"c":[{"exp":[0],"coeff":1' + "0" * 5000 + "}]}"
-            )
+            (tmp_path / "b_bad.json").write_text(LONG_INTEGER)
         (tmp_path / "c_good.json").write_text(good)
         code = cli.main(["batch", str(tmp_path)])
         doc = json.loads(capsys.readouterr().out)
@@ -357,6 +363,42 @@ class TestMain:
         ]
         assert [entry["report"]["r"] for entry in doc["batch"]] == [1, 3, 1]
         assert len(doc["batch"][1]["report"]["idempotents"]) == 6
+
+    def test_digit_limit_is_back_before_the_next_batch_file(self, tmp_path, capsys):
+        # Entries are written as they finish: the limit lifted for a_huge's
+        # entry must not let b_long's input integer through the parser.
+        (tmp_path / "a_huge.json").write_text(PAST_DIGIT_LIMIT)
+        (tmp_path / "b_long.json").write_text(LONG_INTEGER)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code = cli.main(["batch", str(tmp_path), "--idempotents", "--no-verify"])
+        doc = load_without_digit_limit(capsys.readouterr().out)
+        assert code == cli.EXIT_VALIDATION
+        huge, long = (entry["report"] for entry in doc["batch"])
+        assert huge["instance"]["c"][0]["coeff"] == 10**4000
+        assert huge["r"] == 3 and len(huge["idempotents"]) == 6
+        assert long["error"]["path"] == "/"
+        assert long["error"]["message"].startswith("invalid JSON: ")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_batch_is_the_indented_dump_of_its_entries(self, tmp_path, capsys):
+        good = json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]})
+        (tmp_path / "a_good.json").write_text(good)
+        (tmp_path / "b_bad.json").write_text(json.dumps({"group": [2], "c": []}))
+        (tmp_path / "c_good.json").write_text(good)
+        code = cli.main(["batch", str(tmp_path), "--idempotents", "--nilradical"])
+        report, _ = run(replace(parse_input(good), emit_idempotents=True, emit_nilradical=True))
+        error = {"error": {"type": "validation", "message": "missing trivial factor", "path": "/c"}}
+        expected = {"batch": [
+            {"file": "a_good.json", "report": report},
+            {"file": "b_bad.json", "report": error},
+            {"file": "c_good.json", "report": report},
+        ]}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+        assert code == cli.EXIT_VALIDATION
+
+    def test_empty_batch(self, tmp_path, capsys):
+        assert cli.main(["batch", str(tmp_path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == json.dumps({"batch": []}, indent=2) + "\n"
 
     def test_batch_all_good(self, tmp_path, capsys):
         path = tmp_path / "one.json"
@@ -407,3 +449,65 @@ class TestMain:
         coeff = doc["idempotents"][0]["s"]["terms"][0]["coeff"]
         assert "display_only" in coeff
         assert coeff["coeffs"] == [[1, 2]]
+
+
+def _json_values():
+    leaves = st.one_of(
+        st.text(),
+        st.integers(),
+        st.integers(min_value=-2**200, max_value=2**200),
+        st.booleans(),
+        st.none(),
+        # [num, den]-shaped lists, with a bool standing in for an int at times.
+        st.lists(st.integers() | st.booleans(), min_size=2, max_size=2),
+    )
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(), children, max_size=5),
+    ), max_leaves=40)
+
+
+class RecordingStream:
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+def written(value) -> str:
+    stream = io.StringIO()
+    cli._write(value, stream)
+    return stream.getvalue() + "\n"
+
+
+class TestWrite:
+    """The streaming writer against the standard library's indented dump."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_json_values())
+    def test_matches_indented_dump(self, value):
+        assert written(value) == json.dumps(value, indent=2) + "\n"
+
+    def test_every_corpus_report(self, corpus):
+        for inst in corpus:
+            descriptor = InstanceDescriptor(inst.name, inst.group, inst.ring.canonical)
+            doc, _ = run(AnalysisRequest(instance=descriptor, verify=False,
+                                         emit_idempotents=True, emit_nilradical=True))
+            assert written(doc) == json.dumps(doc, indent=2) + "\n", inst.name
+
+    @pytest.mark.parametrize("value", [1.5, {"x": [0.0]}, [1, 2.0], {1: 2}, {"x": {1, 2}}])
+    def test_unsupported_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._write(value, io.StringIO())
+
+    def test_report_is_written_in_bounded_pieces(self):
+        doc, _ = run(AnalysisRequest(instance=uq_sl2(64), verify=False,
+                                     emit_idempotents=True, emit_nilradical=True))
+        reference = json.dumps(doc, indent=2)
+        stream = RecordingStream()
+        cli._write(doc, stream)
+        assert "".join(stream.writes) == reference
+        assert max(map(len, stream.writes)) <= len(reference) // 8
