@@ -16,9 +16,9 @@ tagged display_only and never feed back into any computation.
 Reports are streamed: ``_write`` produces the bytes of
 ``json.dumps(report, indent=2)`` in pieces of bounded size, never the whole
 text as one string.  ``batch`` writes each file's entry as soon as its
-analysis returns, so one report is in memory at a time.  The ``-o`` file is
-opened before any analysis; if it cannot be opened or written, the error
-document goes to stdout.
+analysis returns, so one report is in memory at a time.  ``-o`` is opened
+after ``analyze`` reads its input, before any analysis, and never read by a
+batch; if it cannot be opened or written, the error goes to stdout.
 
 Exit codes: 0 success, 1 validation error, 2 verification failure.
 """
@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
@@ -341,25 +342,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # The input is read first, since opening -o truncates: `analyze F -o F`
+    # reads F.  -o is opened before any analysis; batch files are read under
+    # their own handlers, so an OSError out of _dispatch comes from writing.
+    text: str | Exception | None = None
+    if args.command == "analyze":
+        try:
+            text = Path(args.file).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            text = exc
     if not args.output:
-        return _dispatch(args, sys.stdout)
-    # Opened before any analysis.  Input files are read under their own
-    # handlers, so an OSError out of _dispatch comes from writing the report.
+        return _dispatch(args, sys.stdout, text)
     try:
         with open(args.output, "w", encoding="utf-8") as stream:
-            return _dispatch(args, stream)
+            return _dispatch(args, stream, text)
     except OSError as exc:
         return _emit(sys.stdout, _error_document("validation", str(exc), "/output"),
                      EXIT_VALIDATION)
 
 
-def _dispatch(args: argparse.Namespace, stream) -> int:
+def _dispatch(args: argparse.Namespace, stream, text: str | Exception | None) -> int:
     try:
         if args.command == "analyze":
-            try:
-                text = Path(args.file).read_text()
-            except OSError as exc:
-                return _emit(stream, _error_document("validation", str(exc)), EXIT_VALIDATION)
+            if isinstance(text, Exception):
+                return _emit(stream, _error_document("validation", str(text)), EXIT_VALIDATION)
             request = replace(parse_input(text), **_flag_kwargs(args))
             return _emit(stream, *run(request))
 
@@ -410,7 +416,9 @@ def _run_batch(args: argparse.Namespace, stream) -> int:
     if not directory.is_dir():
         return _emit(stream, _error_document("validation", f"not a directory: {directory}"),
                      EXIT_VALIDATION)
-    paths = sorted(directory.glob("*.json"))
+    # A batch never reads its own -o file.
+    own = os.path.realpath(args.output) if args.output else None
+    paths = sorted(p for p in directory.glob("*.json") if os.path.realpath(p) != own)
     if not paths:
         return _emit(stream, {"batch": []}, EXIT_OK)
     # The text of json.dumps({"batch": entries}, indent=2), with each entry

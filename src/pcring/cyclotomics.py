@@ -10,11 +10,11 @@ them.
 
 Internally a value keeps an integer numerator vector and a single positive
 denominator with gcd(den, *nums) == 1, and all arithmetic stays on those
-integers: a product folds its high powers back with an integer reduction
-table, input of any degree is folded through the table of zeta^k for
-k < N, and the inverse is the product of the Galois conjugates over the
-norm.  ``fractions.Fraction`` objects appear only at the API boundary:
-constructor input, ``coeffs``, ``as_fraction`` and rational operands.
+integers: products and input of any degree fold their powers back through
+one integer table, the residues of zeta^k for k < N, and the inverse is the
+product of the Galois conjugates over the norm.  ``fractions.Fraction``
+objects appear only at the API boundary: constructor input, ``coeffs``,
+``as_fraction`` and rational operands.
 
 One conductor is fixed per analysis session: arithmetic between values of
 different orders is rejected rather than coerced.  Plain ``int`` and
@@ -113,15 +113,6 @@ def _power_residues(order: int) -> tuple[tuple[int, ...], ...]:
             for i in range(phi):
                 cur[i] += top * fold[i]
     return tuple(rows)
-
-
-@functools.lru_cache(maxsize=None)
-def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
-    # Row k-phi holds x^k mod Phi_order for k in phi .. 2*phi-2, the degrees a
-    # product of two reduced residues can reach; x^k = x^(k mod order) there.
-    phi = euler_phi(order)
-    residues = _power_residues(order)
-    return tuple(residues[k % order] for k in range(phi, 2 * phi - 1))
 
 
 class CycloNum:
@@ -284,11 +275,12 @@ class CycloNum:
                     if bj:
                         conv[i + j] += ai * bj
         nums = conv[:phi]
-        rows = _reduction_rows(self._order)
+        residues = _power_residues(self._order)
         for k in range(phi, 2 * phi - 1):
             t = conv[k]
             if t:
-                row = rows[k - phi]
+                # x^k = x^(k mod N) modulo Phi_N; 2 phi - 2 may reach past N.
+                row = residues[k % self._order]
                 for i in range(phi):
                     r = row[i]
                     if r:

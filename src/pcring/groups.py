@@ -172,19 +172,17 @@ class GroupRingElement:
 
     Multiplication is convolution; addition and scalar multiple are
     coefficientwise.  Zero coefficients are never stored.  ``coeffs`` is
-    keyed by exponent tuple, each one validated; with ``_trusted`` it is
-    keyed by element index instead and taken as it is.
+    keyed by exponent tuple, each one validated.  Results computed inside
+    the module are index-keyed maps taken as they are by ``_adopt``; each
+    operation that can cancel a coefficient drops the zeros first.
     """
 
     __slots__ = ("_group", "_coeffs")
 
-    def __init__(self, group: AbelianGroup, coeffs: Mapping[GroupElement, object] | None = None,
-                 *, _trusted: bool = False):
+    def __init__(self, group: AbelianGroup, coeffs: Mapping[GroupElement, object] | None = None):
         self._group = group
         if coeffs is None:
             self._coeffs: dict[int, object] = {}
-        elif _trusted:
-            self._coeffs = {k: v for k, v in coeffs.items() if v}
         else:
             index = group._indices()
             self._coeffs = {
@@ -259,7 +257,7 @@ class GroupRingElement:
         for k, v in other._coeffs.items():
             cur = out.get(k)
             out[k] = v if cur is None else cur + v
-        return GroupRingElement(self._group, out, _trusted=True)
+        return GroupRingElement._adopt(self._group, {k: v for k, v in out.items() if v})
 
     def __sub__(self, other: object) -> "GroupRingElement":
         if not isinstance(other, GroupRingElement):
@@ -274,28 +272,27 @@ class GroupRingElement:
             self._check_same_group(other)
             sums = self._group.sum_table()
             out: dict[int, object] = {}
-            # A factor with zero or one term translates the other one: no
-            # two keys collide, and coefficients lie in a field (Q or
-            # Q(zeta_N)), so a product of nonzero ones is nonzero.
-            if len(self._coeffs) <= 1:
-                for a, ca in self._coeffs.items():
+            # Convolution commutes (an abelian group, coefficients in Q or
+            # Q(zeta_N)), so the factor with fewer terms goes first.
+            short, long = self._coeffs, other._coeffs
+            if len(long) < len(short):
+                short, long = long, short
+            if len(short) <= 1:
+                # A translate: no two keys collide, and a product of nonzero
+                # coefficients in a field is nonzero.
+                for a, ca in short.items():
                     row = sums[a]
-                    out = {row[b]: ca * cb for b, cb in other._coeffs.items()}
-                return GroupRingElement._adopt(self._group, out)
-            if len(other._coeffs) <= 1:
-                for b, cb in other._coeffs.items():
-                    row = sums[b]
-                    out = {row[a]: ca * cb for a, ca in self._coeffs.items()}
+                    out = {row[b]: ca * cb for b, cb in long.items()}
                 return GroupRingElement._adopt(self._group, out)
             get = out.get
-            for a, ca in self._coeffs.items():
+            for a, ca in short.items():
                 row = sums[a]
-                for b, cb in other._coeffs.items():
+                for b, cb in long.items():
                     key = row[b]
                     v = ca * cb
                     cur = get(key)
                     out[key] = v if cur is None else cur + v
-            return GroupRingElement(self._group, out, _trusted=True)
+            return GroupRingElement._adopt(self._group, {k: v for k, v in out.items() if v})
         if isinstance(other, (int, Fraction, CycloNum)):
             return self.scale(other)
         return NotImplemented
@@ -306,13 +303,13 @@ class GroupRingElement:
         return NotImplemented
 
     def scale(self, scalar: object) -> "GroupRingElement":
-        return GroupRingElement(
-            self._group, {k: v * scalar for k, v in self._coeffs.items()}, _trusted=True
+        return GroupRingElement._adopt(
+            self._group, {k: w for k, v in self._coeffs.items() if (w := v * scalar)}
         )
 
     def map_coefficients(self, fn) -> "GroupRingElement":
-        return GroupRingElement(
-            self._group, {k: fn(v) for k, v in self._coeffs.items()}, _trusted=True
+        return GroupRingElement._adopt(
+            self._group, {k: w for k, v in self._coeffs.items() if (w := fn(v))}
         )
 
     def augmentation(self):
@@ -353,7 +350,7 @@ class GroupRingElement:
 
 def trace_element(group: AbelianGroup) -> GroupRingElement:
     """The sum of all group elements, with integer coefficient 1 each."""
-    return GroupRingElement(group, dict.fromkeys(range(group.size), 1), _trusted=True)
+    return GroupRingElement._adopt(group, dict.fromkeys(range(group.size), 1))
 
 
 def augmentation(x: GroupRingElement):
@@ -436,4 +433,4 @@ def inverse_fourier(group: AbelianGroup, values: Sequence[object]) -> GroupRingE
     rows = [i for i, v in enumerate(values) if v]
     coeffs = exponent_transform(-group.pairing_exponents()[rows], [values[i] for i in rows],
                                 group.conductor, s)
-    return GroupRingElement(group, dict(enumerate(coeffs)), _trusted=True)
+    return GroupRingElement._adopt(group, {i: v for i, v in enumerate(coeffs) if v})

@@ -221,7 +221,8 @@ def image_mod_p(slices: np.ndarray, p: int, w: int) -> np.ndarray:
 
 
 def _max_abs(a: np.ndarray) -> int:
-    return int(np.abs(a).max()) if a.size else 0
+    # From max and min, without an |a| temporary; int() also takes object entries.
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -36,9 +36,10 @@ report (every check passes and the radical has dimension s - r).
 
 Light's test runs on the generators S_(e_i) and P_0 (S_a is a word in the
 S_(e_i), and P_a = S_a P_0) once the table itself shows that they generate,
-and on the whole basis otherwise.  Constants are int64 unless a multiplicity
-leaves int64, in which case they are Python integers; every integer product
-goes through ``linalg.exact_matmul``.
+and on the whole basis otherwise, reading the table in place (one product is
+stacked over its first index, so no transposed copy is made).  Constants are
+int64 unless a multiplicity leaves int64, in which case they are Python
+integers; every integer product goes through ``linalg.exact_matmul``.
 """
 
 from __future__ import annotations
@@ -128,19 +129,20 @@ class StructureTable:
 
         The elements a satisfying this identity form a subalgebra, so a
         generating set suffices; with the whole basis as G it is the check
-        over all 8 s^3 basis triples.  Each a costs two exact products.
-        The result is cached; constants are treated as frozen once any
-        check has run.
+        over all 8 s^3 basis triples.  Each a costs two exact products on
+        the table in place: (x a) y = c[:, a, :] @ c viewed as m -> (y, l),
+        and x (a y) = c[a] @ c[x] stacked over x, indexed [x, y, l].  The
+        result is cached; constants are treated as frozen once any check
+        has run.
         """
         if self._associative is None:
             c = self.constants
             d = self.dim
-            by_left = c.reshape(d, d * d)                      # m -> (y, l)
-            by_right = c.transpose(1, 0, 2).reshape(d, d * d)  # m -> (x, l)
+            by_left = c.reshape(d, d * d)  # m -> (y, l)
             self._associative = all(
                 np.array_equal(
                     linalg.exact_matmul(c[:, a, :], by_left).reshape(d, d, d),
-                    linalg.exact_matmul(c[a], by_right).reshape(d, d, d).transpose(1, 0, 2),
+                    linalg.exact_matmul(c[a], c),
                 )
                 for a in self.generators()
             )

@@ -147,8 +147,7 @@ class ProjectiveClassRing:
         )
 
     def mul(self, x: PairElement, y: PairElement) -> PairElement:
-        if x.group != self._group or y.group != self._group:
-            raise ValueError("mixed-group operands")
+        # The group ring rejects mixed groups; the factor c ties t to this ring.
         s = x.s_part * y.s_part
         t = x.s_part * y.t_part + x.t_part * y.s_part + x.t_part * y.t_part * self._canonical
         return PairElement(s, t)

@@ -203,9 +203,9 @@ def _root_multiples(group: AbelianGroup, value: object) -> list[CycloNum]:
 
 def _pullback_row(group: AbelianGroup, b: int, multiples: list[CycloNum]) -> GroupRingElement:
     # Inverse transform of value * delta_b, given the multiples of value:
-    # coefficient multiples[-<a,b> mod N] at a.
+    # coefficient multiples[-<a,b> mod N] at a, nonzero because value is.
     exps = (-group.pairing_exponents()[b] % group.conductor).tolist()
-    return GroupRingElement(group, dict(enumerate([multiples[k] for k in exps])), _trusted=True)
+    return GroupRingElement._adopt(group, dict(enumerate([multiples[k] for k in exps])))
 
 
 def spectral_report(ring: ProjectiveClassRing) -> SpectralReport:

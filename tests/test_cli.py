@@ -297,6 +297,40 @@ class TestMain:
         doc = json.loads(out.read_text())
         assert doc["r"] == 1
 
+    def test_analyze_writes_over_its_own_input(self, tmp_path, capsys):
+        # Opening -o truncates, so the input has to be read first.
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"group": [3], "c": [{"exp": [0], "coeff": 2}]}))
+        assert cli.main(["analyze", str(path)]) == cli.EXIT_OK
+        expected = capsys.readouterr().out
+        assert cli.main(["analyze", str(path), "-o", str(path)]) == cli.EXIT_OK
+        assert path.read_text() == expected
+        assert capsys.readouterr().out == ""
+
+    def test_missing_input_error_goes_to_the_output_file(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        code = cli.main(["analyze", str(tmp_path / "missing.json"), "-o", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().out == ""
+        doc = json.loads(out.read_text())
+        assert doc["error"]["type"] == "validation"
+        assert "missing.json" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["created", "existing"])
+    def test_batch_never_reads_its_own_output(self, tmp_path, capsys, existing):
+        good = json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]})
+        (tmp_path / "a.json").write_text(good)
+        (tmp_path / "b.json").write_text(json.dumps({"group": [3], "c": [{"exp": [0], "coeff": 2}]}))
+        assert cli.main(["batch", str(tmp_path)]) == cli.EXIT_OK
+        expected = capsys.readouterr().out
+        out = tmp_path / "zz.json"
+        if existing:
+            out.write_text(good)
+        # Named through a different spelling of the same file.
+        alias = tmp_path / ".." / tmp_path.name / "zz.json"
+        assert cli.main(["batch", str(tmp_path), "-o", str(alias)]) == cli.EXIT_OK
+        assert out.read_text() == expected
+
     def test_unwritable_output_is_a_validation_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "out.json"
         code = cli.main(["example", "uq-sl2", "--n", "4", "-o", str(out)])
