@@ -20,12 +20,13 @@ analysis returns, so one report is in memory at a time.  ``-o`` is opened
 after ``analyze`` reads its input, before any analysis, and never read by a
 batch; if it cannot be opened or written, the error goes to stdout.
 
-Exit codes: 0 success, 1 validation error, 2 verification failure.
+Exit codes: 0 success, 1 validation error or unwritable report, 2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -351,14 +352,25 @@ def main(argv: list[str] | None = None) -> int:
             text = Path(args.file).read_text()
         except (OSError, UnicodeDecodeError) as exc:
             text = exc
-    if not args.output:
-        return _dispatch(args, sys.stdout, text)
     try:
-        with open(args.output, "w", encoding="utf-8") as stream:
-            return _dispatch(args, stream, text)
+        if not args.output:
+            code = _dispatch(args, sys.stdout, text)
+        else:
+            try:
+                with open(args.output, "w", encoding="utf-8") as stream:
+                    code = _dispatch(args, stream, text)
+            except OSError as exc:
+                code = _emit(sys.stdout, _error_document("validation", str(exc), "/output"),
+                             EXIT_VALIDATION)
+        sys.stdout.flush()
     except OSError as exc:
-        return _emit(sys.stdout, _error_document("validation", str(exc), "/output"),
-                     EXIT_VALIDATION)
+        # stdout cannot take the report: one line on stderr, not a traceback.
+        # After EPIPE, the interpreter's last flush goes to the null device.
+        print(f"pcring: cannot write the report to stdout: {exc}", file=sys.stderr)
+        if exc.errno == errno.EPIPE:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VALIDATION
+    return code
 
 
 def _dispatch(args: argparse.Namespace, stream, text: str | Exception | None) -> int:

@@ -10,11 +10,12 @@ them.
 
 Internally a value keeps an integer numerator vector and a single positive
 denominator with gcd(den, *nums) == 1, and all arithmetic stays on those
-integers: products and input of any degree fold their powers back through
-one integer table, the residues of zeta^k for k < N, and the inverse is the
-product of the Galois conjugates over the norm.  ``fractions.Fraction``
-objects appear only at the API boundary: constructor input, ``coeffs``,
-``as_fraction`` and rational operands.
+integers.  Reduction modulo Phi_N happens here only, in two ways: ``_fold``
+reads each power past phi from the table of residues of zeta^k, k < N, for
+input, products and the conjugates behind the inverse; and one shift-and-fold
+pass gives value * zeta^k for all k < N, the table itself when value = 1.
+``fractions.Fraction`` objects appear only at the API boundary: constructor
+input, ``coeffs``, ``as_fraction`` and rational operands.
 
 One conductor is fixed per analysis session: arithmetic between values of
 different orders is rejected rather than coerced.  Plain ``int`` and
@@ -57,26 +58,20 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Long division of integer polynomials; ``den`` must be monic."""
-    if not den or den[-1] != 1:
-        raise ValueError("divisor must be monic")
+def _exact_quotient(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """num / den for integer polynomials with den monic and dividing num."""
     rem = list(num)
     dd = len(den) - 1
-    q = [0] * max(len(rem) - dd, 0)
+    q = [0] * (len(rem) - dd)
     for k in range(len(rem) - 1, dd - 1, -1):
         coef = rem[k]
         if coef:
             q[k - dd] = coef
             for j in range(dd + 1):
                 rem[k - dd + j] -= coef * den[j]
-    return q, _poly_trim(rem)
+    if any(rem):
+        raise AssertionError("cyclotomic division left a remainder")
+    return q
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,20 +86,23 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod_monic(poly, cyclotomic_polynomial(d))
-            if rem:
-                raise AssertionError("cyclotomic division left a remainder")
+            poly = _exact_quotient(poly, cyclotomic_polynomial(d))
     return tuple(poly)
 
 
 @functools.lru_cache(maxsize=None)
 def _power_residues(order: int) -> tuple[tuple[int, ...], ...]:
-    # x^k mod Phi_order for every k in 0 .. order-1: shift by x and fold the
-    # top coefficient back with x^phi = -(lower part of Phi_order).
-    phi = euler_phi(order)
+    # x^k mod Phi_order for every k in 0 .. order-1.
+    return _rotations(order, [1] + [0] * (euler_phi(order) - 1))
+
+
+def _rotations(order: int, nums: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    # x^k * nums mod Phi_order for k = 0 .. order-1, nums reduced: shift by x
+    # and fold the top coefficient back with x^phi = -(lower part of Phi_order).
+    phi = len(nums)
     fold = [-c for c in cyclotomic_polynomial(order)[:phi]]
     rows: list[tuple[int, ...]] = []
-    cur = [1] + [0] * (phi - 1)
+    cur = list(nums)
     for _ in range(order):
         rows.append(tuple(cur))
         top = cur[-1]
@@ -130,15 +128,14 @@ class CycloNum:
             raise ValueError("order must be a positive integer")
         fracs = [Fraction(c) for c in coeffs]
         den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        nums = _fold(order, ((k, f.numerator * (den // f.denominator))
-                             for k, f in enumerate(fracs)))
+        nums = _fold(order, [f.numerator * (den // f.denominator) for f in fracs])
         self._order = order
         self._nums, self._den = _normalized(nums, den)
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def _raw(cls, order: int, nums: list[int], den: int) -> "CycloNum":
+    def _raw(cls, order: int, nums: Sequence[int], den: int) -> "CycloNum":
         self = object.__new__(cls)
         self._order = order
         self._nums, self._den = _normalized(nums, den)
@@ -265,27 +262,13 @@ class CycloNum:
                 f"cyclotomic order mismatch: {self._order} vs {other._order}"
             )
         a, b = self._nums, other._nums
-        phi = len(a)
-        if phi == 1:
-            return CycloNum._raw(self._order, [a[0] * b[0]], self._den * other._den)
-        conv = [0] * (2 * phi - 1)
+        conv = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        nums = conv[:phi]
-        residues = _power_residues(self._order)
-        for k in range(phi, 2 * phi - 1):
-            t = conv[k]
-            if t:
-                # x^k = x^(k mod N) modulo Phi_N; 2 phi - 2 may reach past N.
-                row = residues[k % self._order]
-                for i in range(phi):
-                    r = row[i]
-                    if r:
-                        nums[i] += t * r
-        return CycloNum._raw(self._order, nums, self._den * other._den)
+        return CycloNum._raw(self._order, _fold(self._order, conv), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -295,10 +278,10 @@ class CycloNum:
         The conjugates sigma_k (zeta |-> zeta^k, k a unit mod N) fix exactly
         Q, so for P = prod_{k != 1} sigma_k(self) the product self * P is the
         norm, a nonzero rational, and self^-1 = P / norm.  P is built on the
-        integer numerators: sigma_k sends zeta^j to row j*k mod N of the
-        power-residue table, and the conjugates are multiplied with
-        ``__mul__``.  That is phi(N) - 1 products of length-phi vectors, so an
-        inverse costs O(phi^3) integer operations.
+        integer numerators: sigma_k sends zeta^j to zeta^(j*k mod N), valid
+        since zeta^N = 1, and the conjugates are multiplied with ``__mul__``.
+        That is phi(N) - 1 products of length-phi vectors, so an inverse
+        costs O(phi^3) integer operations.
         """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
@@ -308,14 +291,22 @@ class CycloNum:
         conjugates = CycloNum.one(order)
         for k in range(2, order):
             if math.gcd(k, order) == 1:
-                nums = _fold(order, ((j * k, n) for j, n in enumerate(self._nums)))
-                conjugates = conjugates * CycloNum._raw(order, nums, 1)
+                poly = [0] * order
+                for j, n in enumerate(self._nums):
+                    poly[j * k % order] = n
+                conjugates = conjugates * CycloNum._raw(order, _fold(order, poly), 1)
         norm = self * conjugates
         # Phi_N is irreducible and self is a nonzero residue, so its norm is a
         # nonzero rational.
         if not norm.is_rational():
             raise AssertionError("the norm of a cyclotomic number is not rational")
         return conjugates * (1 / norm.as_fraction())
+
+    def root_multiples(self) -> list["CycloNum"]:
+        """``self * zeta^k`` for k = 0 .. order-1, from one shift-and-fold
+        pass over the numerators: O(order * phi) integer operations."""
+        return [CycloNum._raw(self._order, nums, self._den)
+                for nums in _rotations(self._order, self._nums)]
 
     def __truediv__(self, other: object) -> "CycloNum":
         if isinstance(other, (int, Fraction)):
@@ -411,28 +402,26 @@ def root_of_unity(order: int, k: int) -> CycloNum:
     """zeta_order^k as a reduced residue; k is taken modulo order."""
     if order < 1:
         raise ValueError("order must be a positive integer")
-    return _cached_root(order, k % order)
+    return CycloNum._raw(order, _power_residues(order)[k % order], 1)
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_root(order: int, k: int) -> CycloNum:
-    return CycloNum._raw(order, list(_power_residues(order)[k]), 1)
-
-
-def _fold(order: int, terms: Iterable[tuple[int, int]]) -> list[int]:
-    # Power-basis numerators of sum n * zeta^k over the (k, n) in terms:
-    # x^k = zeta^(k mod N), read from the power-residue table.
+def _fold(order: int, poly: Sequence[int]) -> list[int]:
+    # Power-basis numerators of the integer polynomial poly (constant term
+    # first, any length) at zeta: the first phi coefficients stay, and
+    # x^k = zeta^(k mod N) is read from the power-residue table above them.
     residues = _power_residues(order)
-    nums = [0] * len(residues[0])
-    for k, n in terms:
-        if n:
+    phi = len(residues[0])
+    nums = list(poly[:phi]) + [0] * (phi - len(poly))
+    for k in range(phi, len(poly)):
+        t = poly[k]
+        if t:
             for i, r in enumerate(residues[k % order]):
                 if r:
-                    nums[i] += n * r
+                    nums[i] += t * r
     return nums
 
 
-def _normalized(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+def _normalized(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     if den == 0:
         raise ZeroDivisionError("division by zero in cyclotomic field")
     if not any(nums):

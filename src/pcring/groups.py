@@ -8,7 +8,8 @@ conductor.  Evaluating every character at once is the Fourier transform
 CG -> C^G, a ring isomorphism carrying convolution to pointwise product.
 
 Both directions of the transform run through one exact kernel,
-``exponent_transform``.  All coefficients are written over one common
+``exponent_transform``, which serves ``fourier`` and ``inverse_fourier`` and
+nothing else.  All coefficients are written over one common
 denominator, as integer numerators n_j of the powers zeta^j.  The numerator
 n_j of the coefficient at a lands in the cell H[b, (+-E[a, b] + j) mod N] of
 an s x N integer histogram, where E[a, b] = <a, b> mod N is the

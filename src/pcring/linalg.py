@@ -111,6 +111,9 @@ def kernel_basis(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 
 # -- modular rank certificates and exact integer products -----------------------
 
+# Primes a modular certificate tries before the exact path decides.
+PRIME_ATTEMPTS = 3
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -267,7 +270,7 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     return rk
 
 
-def certify_full_row_rank(rows: Sequence[Sequence[object]], order: int, attempts: int = 3) -> bool:
+def certify_full_row_rank(rows: Sequence[Sequence[object]], order: int) -> bool:
     """True iff the rows (entries in Q(zeta_order) or rational) are linearly
     independent.  Fast modular certificates first, exact elimination last."""
     m = len(rows)
@@ -276,7 +279,7 @@ def certify_full_row_rank(rows: Sequence[Sequence[object]], order: int, attempts
     if m > len(rows[0]):
         return False
     slices = integer_slices(rows, order)
-    for p, w in modular_primes(order, attempts):
+    for p, w in modular_primes(order, PRIME_ATTEMPTS):
         if rank_mod_p(image_mod_p(slices, p, w), p) == m:
             return True
     embedded = [

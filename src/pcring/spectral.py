@@ -16,14 +16,14 @@ silent rescaling of the canonical element; the report's ``normalized``
 field exhibits the rescaling separately as a central unit certificate.
 
 ``spectral_report`` is the one entry point: every quantity above is a field
-or property of the ``SpectralReport`` it returns.  Both transforms go
-through the exact histogram kernel of ``groups``: the spectrum is one
+or property of the ``SpectralReport`` it returns.  The spectrum is one
 ``fourier`` call and the normalized structure two ``inverse_fourier``
-calls.  The pullback of the Dirac mass at character b has coefficient
-zeta^(-<a,b>)/s at a, so its s^2 coefficients share the N values zeta^k/s;
-the rows are built at most once per report.  A ``SpectralReport`` builds
-its idempotents and nilpotents on first access, so the cyclotomic
-inversions and the row build run only when a caller reads them.
+calls; no other group transform runs here.  The pullback of value * delta_b
+has coefficient value * zeta^(-<a,b>)/s at a: its s coefficients are among
+the N root multiples of value/s, one shift-and-fold pass of ``CycloNum``,
+run for 1/s once per report and for 1/(s*lambda) per idempotent pair.  A
+``SpectralReport`` builds its idempotents and nilpotents on first access,
+so the inversions and the row build run only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -31,14 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .cyclotomics import CycloNum
 from .groups import (
     AbelianGroup,
     GroupElement,
     GroupRingElement,
-    exponent_transform,
     fourier,
     inverse_fourier,
 )
@@ -123,7 +120,7 @@ class SpectralReport:
     @cached_property
     def _pullbacks(self) -> list[GroupRingElement]:
         # Inverse transform of every Dirac mass, in character order.
-        multiples = _root_multiples(self.group, 1)
+        multiples = (CycloNum.one(self.group.conductor) / self.group.size).root_multiples()
         return [_pullback_row(self.group, b, multiples) for b in range(self.group.size)]
 
     @cached_property
@@ -141,7 +138,7 @@ class SpectralReport:
         out: list[PairElement] = []
         for b, (row, lam) in enumerate(zip(self._pullbacks, self.spectrum.values)):
             if lam:
-                scaled = _pullback_row(group, b, _root_multiples(group, lam.inverse()))
+                scaled = _pullback_row(group, b, (lam.inverse() / group.size).root_multiples())
                 out.append(PairElement(row, -scaled))
                 out.append(PairElement(zero, scaled))
             else:
@@ -195,14 +192,8 @@ def spectrum(ring: ProjectiveClassRing) -> Spectrum:
     return Spectrum(values=tuple(values), support=support, group_order=group.size)
 
 
-def _root_multiples(group: AbelianGroup, value: object) -> list[CycloNum]:
-    # value * zeta^k / s for k = 0 .. N-1.
-    n = group.conductor
-    return exponent_transform(np.arange(n)[None, :], [value], n, group.size)
-
-
 def _pullback_row(group: AbelianGroup, b: int, multiples: list[CycloNum]) -> GroupRingElement:
-    # Inverse transform of value * delta_b, given the multiples of value:
+    # Inverse transform of value * delta_b, given the multiples of value/s:
     # coefficient multiples[-<a,b> mod N] at a, nonzero because value is.
     exps = (-group.pairing_exponents()[b] % group.conductor).tolist()
     return GroupRingElement._adopt(group, dict(enumerate([multiples[k] for k in exps])))

@@ -2,14 +2,18 @@
 
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcring
 from pcring import CycloNum, cli, trace_element
 from pcring.cli import AnalysisRequest, InputError, parse_input, run
 from pcring.instances import InstanceDescriptor, dual_group_algebra, uq_sl2
@@ -483,6 +487,34 @@ class TestMain:
         coeff = doc["idempotents"][0]["s"]["terms"][0]["coeff"]
         assert "display_only" in coeff
         assert coeff["coeffs"] == [[1, 2]]
+
+
+def _cli_process(argv: list[str], **kwargs) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(Path(pcring.__file__).resolve().parents[1]))
+    return subprocess.Popen([sys.executable, "-m", "pcring.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+class TestStdoutWriteFailure:
+    def test_closed_pipe(self):
+        # About 290 kB of report: more than a pipe and the stream buffer hold.
+        proc = _cli_process(["example", "uq-sl2", "--n", "16", "--no-verify", "--idempotents"],
+                            stdout=subprocess.PIPE)
+        assert proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == cli.EXIT_VALIDATION
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err.count("\n") == 1 and "Broken pipe" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            proc = _cli_process(["example", "uq-sl2", "--n", "4"], stdout=full)
+            err = proc.communicate(timeout=120)[1].decode()
+        assert proc.returncode == cli.EXIT_VALIDATION
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err.count("\n") == 1 and "No space left" in err
 
 
 def _json_values():

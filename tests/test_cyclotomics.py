@@ -131,6 +131,22 @@ class TestFieldOperations:
         assert root_of_unity(251, 3).inverse() == root_of_unity(251, -3)
 
 
+class TestRootMultiples:
+    @pytest.mark.parametrize("order", [1, 2, 12, 105, 128, 256])
+    def test_matches_products_with_roots(self, order):
+        phi = euler_phi(order)
+        values = [
+            CycloNum.zero(order),
+            CycloNum.rational(order, Fraction(-7, 9)),
+            # Numerators past 2**63 over a non-unit denominator.
+            CycloNum(order, [Fraction((-1) ** i * (2**70 + 13 * i), 3 + i % 5)
+                             for i in range(phi)]),
+            (root_of_unity(order, 1) * 3 + Fraction(2, 5)).inverse(),
+        ]
+        for v in values:
+            assert v.root_multiples() == [v * root_of_unity(order, k) for k in range(order)]
+
+
 class TestZeroTest:
     def test_zero(self):
         assert CycloNum.zero(7).is_zero()

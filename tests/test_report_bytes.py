@@ -38,6 +38,13 @@ def invocations(directory: Path) -> dict[str, list[str]]:
         path = directory / f"{instance.name}.json"
         path.write_text(json.dumps(_document(instance)))
         calls[f"analyze-{instance.name}"] = ["analyze", str(path), *FLAGS]
+    # r = s = 35: every character has an idempotent pair with 1/lambda
+    # numerators of about 40 bits.
+    sparse = directory / "sparse-5x7.json"
+    sparse.write_text(json.dumps({"group": [5, 7], "c": [
+        {"exp": [0, 0], "coeff": 3}, {"exp": [1, 2], "coeff": 2},
+        {"exp": [2, 6], "coeff": 1}, {"exp": [4, 3], "coeff": 1}]}))
+    calls["analyze-sparse-5x7"] = ["analyze", str(sparse), *FLAGS]
     calls["dual-group-2,3"] = ["example", "dual-group", "--orders", "2,3"]
     semisimple = directory / "semisimple.json"
     semisimple.write_text('{"group": [2], "c": [{"exp": [0], "coeff": 1}]}')
@@ -69,6 +76,7 @@ DIGESTS = {
     "analyze-rank3-2x2x2": (0, "de1521124ed5ff766326255d4cee91a03fe654357e5f990803de61fc7febae3f"),
     "analyze-rank3-2x3x5-trace": (0, "ee235e385a28b4077eea6c0aefcd8add278ff84e9510795343e627de3d7eeb28"),
     "analyze-rank3-3x3x3-trace": (0, "09dd5571c6699cb8c711e8063815393f1c2ebbe5596a5ba9da2e773d0d6f2b43"),
+    "analyze-sparse-5x7": (0, "15910df5ddbd7fc65c65d5b454fb19fc1d10a2e99aaea5d30b052a58642155d0"),
     "analyze-trivial-group": (0, "2469bdc6581a0ea320049db2a88568cc9890bcaef5fa365b43ca8846f8291534"),
     "batch": (1, "bedb6cc9b4e1695f85afe46af70762e0174c99b274a86c882f375e2cb51334c1"),
     "dual-group-2,3": (0, "150eda69f9799d88a619a9b7105bf08d4660177b9fe73b5119e500cdfa672d31"),

@@ -331,6 +331,25 @@ class TestBasisAudit:
         assert len(calls) == report.spectrum.support_size
         assert report.idempotents is report.idempotents
 
+    @pytest.mark.parametrize("ring", [
+        ProjectiveClassRing(uq_sl2(12).group, uq_sl2(12).canonical),
+        make_ring((5, 7), {(0, 0): 3, (1, 2): 2, (2, 6): 1, (4, 3): 1}),
+    ], ids=["uq-sl2-12", "split-5x7"])
+    def test_idempotents_and_nilpotents_run_no_group_transform(self, ring, monkeypatch):
+        # The root multiples behind every pullback come from one
+        # shift-and-fold pass each, not from a histogram product.
+        report = spectral_report(ring)
+        calls = []
+        original = linalg.exact_matmul
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "exact_matmul", counted)
+        assert len(report.idempotents) + len(report.nilpotents) == 2 * ring.group.size
+        assert calls == []
+
     def test_report_json_shape(self):
         ring = trace_ring((2,))
         doc = spectral_report(ring).to_json()
