@@ -45,9 +45,12 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 
-# The oracle keeps a dense (2s)^3 integer tensor and multiplies (2s) x (2s)^2
-# slices of it, so analysis is meant for desk-scale groups; refuse anything
-# larger up front.
+# The oracle keeps a dense (2s)^3 table of structure constants (int8 for
+# multiplicities below 128: 134 MB at s = 256) and Light's test multiplies
+# (2s) x (2s)^2 slices of a float32 cast of it (537 MB at s = 256; float64 or
+# Python integers when the constants are too large for float32 to stay
+# exact), so analysis is meant for desk-scale groups; refuse anything larger
+# up front.
 MAX_GROUP_SIZE = 256
 
 

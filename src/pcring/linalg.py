@@ -13,8 +13,9 @@ image certifies full rank exactly, and ``rank_mod_p`` bounds the rational
 rank of an integer matrix from below.  ``certify_full_row_rank`` settles the
 claim by exact elimination when no prime certifies it (which also happens
 for genuinely rank-deficient input).  ``exact_matmul`` multiplies integer
-matrices exactly: in float64 BLAS when a bound proves every partial sum is an
-integer below 2**53, in Python integers otherwise.
+matrices exactly in the narrowest tier ``exact_dtype`` proves exact: float32
+BLAS when every partial sum is an integer below 2**24, float64 BLAS below
+2**53, Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ from .cyclotomics import CycloNum, euler_phi
 __all__ = [
     "certify_full_row_rank",
     "common_numerators",
+    "exact_dtype",
     "exact_matmul",
     "image_mod_p",
     "in_row_span",
     "integer_slices",
     "kernel_basis",
+    "max_abs",
     "modular_primes",
     "rank",
     "rank_mod_p",
@@ -223,23 +226,38 @@ def image_mod_p(slices: np.ndarray, p: int, w: int) -> np.ndarray:
     return image
 
 
-def _max_abs(a: np.ndarray) -> int:
-    # From max and min, without an |a| temporary; int() also takes object entries.
+def max_abs(a: np.ndarray) -> int:
+    """max |a| as a Python integer (0 for an empty array), taken from max and
+    min without an |a| temporary; object entries work too."""
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer product a @ b.
+def exact_dtype(inner: int, a_max: int, b_max: int) -> np.dtype:
+    """The narrowest dtype in which a @ b is exact for integer operands with
+    inner dimension ``inner``, max|a| <= a_max and max|b| <= b_max.
 
-    float64 BLAS, cast back to int64, when max(max|a|, max|b|,
-    inner * max|a| * max|b|) < 2**53 proves that every partial sum is an
-    integer float64 represents exactly; Python integers (object dtype)
-    otherwise.  (numpy's int64 matmul does not use BLAS.)
+    With bound = max(a_max, b_max, inner * a_max * b_max) every operand and
+    every partial sum, in whatever order BLAS adds them, is an integer of
+    magnitude at most bound: float32 represents all of them when
+    bound < 2**24, float64 when bound < 2**53.  Otherwise object dtype, whose
+    products are Python integers.
     """
-    a_max, b_max = _max_abs(a), _max_abs(b)
-    if max(a_max, b_max, a.shape[-1] * a_max * b_max) < 2**53:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    return a.astype(object) @ b.astype(object)
+    bound = max(a_max, b_max, inner * a_max * b_max)
+    if bound < 2**24:
+        return np.dtype(np.float32)
+    if bound < 2**53:
+        return np.dtype(np.float64)
+    return np.dtype(object)
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact integer product a @ b in the ``exact_dtype`` of the operands:
+    float32 or float64 BLAS, cast back to int64, or Python integers (object
+    dtype).  (numpy's int64 matmul does not use BLAS.)
+    """
+    dtype = exact_dtype(a.shape[-1], max_abs(a), max_abs(b))
+    product = a.astype(dtype) @ b.astype(dtype)
+    return product if dtype == object else product.astype(np.int64)
 
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:

@@ -34,12 +34,16 @@ compare the certificate against.
 returns the report's ``oracle`` block and whether that block confirms the
 report (every check passes and the radical has dimension s - r).
 
-Light's test runs on the generators S_(e_i) and P_0 (S_a is a word in the
-S_(e_i), and P_a = S_a P_0) once the table itself shows that they generate,
-and on the whole basis otherwise, reading the table in place (one product is
-stacked over its first index, so no transposed copy is made).  Constants are
-int64 unless a multiplicity leaves int64, in which case they are Python
-integers; every integer product goes through ``linalg.exact_matmul``.
+The table stores its constants in the smallest signed integer dtype that
+holds the largest multiplicity (int8 for every c_u below 128: 134 MB at the
+size bound s = 256), and in Python integers (object dtype) from 2**63 on.
+Every product widens: Light's test runs on the generators S_(e_i) and P_0
+(S_a is a word in the S_(e_i), and P_a = S_a P_0) once the table itself
+shows that they generate, and on the whole basis otherwise.  It casts the
+table once to the narrowest exact tier ``linalg.exact_dtype`` allows
+(float32, float64 or Python integers) and compares the two products block
+by block of rows.  The trace form reads the diagonals and makes one product
+that casts the table in buffered pieces.
 """
 
 from __future__ import annotations
@@ -64,6 +68,14 @@ __all__ = [
     "radical_matches_spectral",
     "verify",
 ]
+
+
+# Signed integer dtypes a table may use, narrowest first; object past int64.
+_TABLE_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+
+# Rows x per block of Light's test: two float32 blocks of 32 x (2s)^2 are
+# 64 MB at s = 256, against 537 MB for the cast table.
+_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -129,32 +141,48 @@ class StructureTable:
 
         The elements a satisfying this identity form a subalgebra, so a
         generating set suffices; with the whole basis as G it is the check
-        over all 8 s^3 basis triples.  Each a costs two exact products on
-        the table in place: (x a) y = c[:, a, :] @ c viewed as m -> (y, l),
-        and x (a y) = c[a] @ c[x] stacked over x, indexed [x, y, l].  The
-        result is cached; constants are treated as frozen once any check
-        has run.
+        over all 8 s^3 basis triples.  The table is cast once to
+        ``linalg.exact_dtype`` for inner dimension 2s and max|c| on both
+        sides: float32 when 2s max|c|^2 < 2**24 (every table with
+        multiplicities below 128 at the size bound), float64 below 2**53,
+        Python integers otherwise.  For each a and each block X of
+        ``_BLOCK_ROWS`` rows x it forms (x a) y = c[X, a, :] @ c viewed as
+        m -> (y, l), and x (a y) = c[a] @ c[x] stacked over x in X, and
+        stops at the first block where they differ.  Every entry is an
+        integer the cast represents exactly, so float equality is integer
+        equality.  The result is cached; constants are treated as frozen
+        once any check has run.
         """
         if self._associative is None:
-            c = self.constants
             d = self.dim
+            bound = linalg.max_abs(self.constants)
+            c = self.constants.astype(linalg.exact_dtype(d, bound, bound), copy=False)
             by_left = c.reshape(d, d * d)  # m -> (y, l)
             self._associative = all(
                 np.array_equal(
-                    linalg.exact_matmul(c[:, a, :], by_left).reshape(d, d, d),
-                    linalg.exact_matmul(c[a], c),
+                    c[x:x + _BLOCK_ROWS, a, :] @ by_left,
+                    (c[a] @ c[x:x + _BLOCK_ROWS]).reshape(-1, d * d),
                 )
                 for a in self.generators()
+                for x in range(0, d, _BLOCK_ROWS)
             )
         return self._associative
 
     def trace_form(self) -> np.ndarray:
-        """Gram matrix T[i,j] = trace of left multiplication by e_i * e_j,
-        computed exactly (int64 under a proven bound, Python ints otherwise)."""
+        """Gram matrix T[i,j] = trace of left multiplication by e_i * e_j =
+        sum_k c_ijk t_k, with t_k the trace of left multiplication by e_k.
+
+        t is read off the diagonals with ``linalg.exact_matmul``; T is one
+        ``np.einsum`` in the ``linalg.exact_dtype`` of c and t, which casts
+        the table in buffered pieces rather than as a (2s)^2 x 2s copy.
+        int64 on the float tiers, Python integers otherwise.
+        """
         d = self.dim
-        diagonals = self.constants.diagonal(axis1=1, axis2=2)
-        traces = linalg.exact_matmul(diagonals, np.ones(d, dtype=np.int64))
-        return linalg.exact_matmul(self.constants.reshape(d * d, d), traces).reshape(d, d)
+        c = self.constants
+        traces = linalg.exact_matmul(c.diagonal(axis1=1, axis2=2), np.ones(d, dtype=np.int64))
+        dtype = linalg.exact_dtype(d, linalg.max_abs(c), linalg.max_abs(traces))
+        gram = np.einsum("ijk,k->ij", c, traces.astype(dtype), dtype=dtype)
+        return gram if dtype == object else gram.astype(np.int64)
 
     def radical(self) -> RadicalBasis:
         """Exact rational kernel of the trace form; in characteristic zero
@@ -173,6 +201,8 @@ def build_table(ring: ProjectiveClassRing) -> StructureTable:
     """Assemble the structure constants from the module product rules, one
     vectorised assignment per rule and per canonical term u.  For fixed a
     and b distinct u reach distinct a + b + u, so no target is written twice.
+    The dtype is the first of int8, int16, int32, int64 that holds max c_u,
+    and object (Python integers) for a multiplicity of 2**63 or more.
     """
     group = ring.group
     elements = np.array(group.elements(), dtype=np.int64)
@@ -184,9 +214,11 @@ def build_table(ring: ProjectiveClassRing) -> StructureTable:
     # Index of a + b; the last factor varies fastest in elements().
     plus = (elements[:, None, :] + elements[None, :, :]) % orders @ radix
     canonical = list(ring.canonical.items())
-    # Each constant is 1 or a single multiplicity; keep them exact.
-    fits = all(cu < 2**63 for _, cu in canonical)
-    constants = np.zeros((d, d, d), dtype=np.int64 if fits else object)
+    # Each constant is 0, 1 or a single multiplicity: the smallest signed
+    # dtype that holds the largest multiplicity holds them all exactly.
+    top = max((cu for _, cu in canonical), default=1)
+    dtype = next((t for t in _TABLE_DTYPES if top <= np.iinfo(t).max), object)
+    constants = np.zeros((d, d, d), dtype=dtype)
     rows = np.arange(s)[:, None]
     cols = np.arange(s)[None, :]
     constants[rows, cols, plus] = 1                # simple * simple

@@ -9,6 +9,7 @@ import pytest
 from pcring import CycloNum, root_of_unity
 from pcring.linalg import (
     certify_full_row_rank,
+    exact_dtype,
     exact_matmul,
     image_mod_p,
     in_row_span,
@@ -169,6 +170,37 @@ class TestExactMatmul:
         # inner * max|a| * max|b| = 2**53 - 2; the odd sum 2**53 - 3 is exact.
         out = exact_matmul(np.array([[1, 1]]), np.array([[2**52 - 1], [2**52 - 2]]))
         assert out.dtype == np.int64 and out.tolist() == [[2**53 - 3]]
+
+    def test_bound_just_below_two_to_the_24_stays_int64(self):
+        out = exact_matmul(np.array([[2**24 - 1]]), np.array([[1]]))
+        assert out.dtype == np.int64 and out.tolist() == [[2**24 - 1]]
+        # inner * max|a| * max|b| = 3 * 1365 * 4097 = 2**24 - 1, the sum itself.
+        out = exact_matmul(np.full((1, 3), 1365), np.full((3, 1), 4097))
+        assert out.dtype == np.int64 and out.tolist() == [[2**24 - 1]]
+
+    def test_bound_from_two_to_the_24_is_exact(self):
+        out = exact_matmul(np.array([[2**24]]), np.array([[1]]))
+        assert out.dtype == np.int64 and out.tolist() == [[2**24]]
+        out = exact_matmul(np.full((1, 4), 2**11), np.full((4, 1), 2**11))
+        assert out.dtype == np.int64 and out.tolist() == [[2**24]]
+        # An odd sum above 2**24, which float32 cannot represent.
+        assert int(np.float32(2**25 - 3)) != 2**25 - 3
+        out = exact_matmul(np.array([[1, 1]]), np.array([[2**24 - 1], [2**24 - 2]]))
+        assert out.dtype == np.int64 and out.tolist() == [[2**25 - 3]]
+
+    @pytest.mark.parametrize("inner, a_max, b_max, dtype", [
+        (1, 2**24 - 1, 1, np.float32),
+        (3, 1365, 4097, np.float32),  # 2**24 - 1
+        (1, 2**24, 1, np.float64),
+        (1, 1, 2**24, np.float64),
+        (4, 2**11, 2**11, np.float64),  # exactly 2**24
+        (0, 2**24, 0, np.float64),
+        (1, 2**53 - 1, 1, np.float64),
+        (2, 2**26, 2**26, object),  # exactly 2**53
+        (0, 0, 2**53, object),
+    ])
+    def test_exact_dtype_tiers(self, inner, a_max, b_max, dtype):
+        assert exact_dtype(inner, a_max, b_max) == dtype
 
     @pytest.mark.parametrize("entry", [2**53, 2**53 + 1])
     def test_entries_from_two_to_the_53_use_python_ints(self, entry):

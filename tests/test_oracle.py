@@ -49,7 +49,8 @@ HUGE_RINGS = [
 
 
 def reference_table(ring: ProjectiveClassRing) -> np.ndarray:
-    """The structure constants by a loop over basis pairs with ``group.mul``."""
+    """The structure constants by a loop over basis pairs with ``group.mul``,
+    in int64 (object past int64), whatever dtype the table stores them in."""
     group = ring.group
     s = group.size
     d = 2 * s
@@ -96,8 +97,22 @@ class TestBuildTable:
     def test_matches_reference_loop(self, ring):
         constants = build_table(ring).constants
         expected = reference_table(ring)
-        assert constants.dtype == expected.dtype
+        # Multiplicities of RINGS are at most 3; HUGE_RINGS pass int64.
+        assert constants.dtype == (object if ring in HUGE_RINGS else np.int8)
         assert np.array_equal(constants, expected)
+
+    @pytest.mark.parametrize("top, dtype", [
+        (127, np.int8), (128, np.int16),
+        (2**15 - 1, np.int16), (2**15, np.int32),
+        (2**31 - 1, np.int32), (2**31, np.int64),
+        (2**63 - 1, np.int64), (2**63, object),
+    ])
+    def test_smallest_dtype_that_holds_the_largest_multiplicity(self, top, dtype):
+        ring = make_ring((2, 2), {(0, 0): 1, (1, 0): 2, (1, 1): top})
+        constants = build_table(ring).constants
+        assert constants.dtype == dtype
+        assert np.array_equal(constants, reference_table(ring))
+        assert constants.max() == top
 
     def test_labels(self):
         table = build_table(make_ring((2,), {(0,): 1, (1,): 1}))
@@ -162,11 +177,16 @@ class TestAgreementWithPairRing:
             broken.radical()
 
 
-def brute_force_associative(constants: np.ndarray) -> bool:
-    """(e_i e_j) e_k == e_i (e_j e_k) on all 8 s^3 basis triples."""
+def non_associative_rows(constants: np.ndarray) -> set[int]:
+    """The i of every basis triple with (e_i e_j) e_k != e_i (e_j e_k)."""
     left = np.einsum("ijm,mkl->ijkl", constants, constants)
     right = np.einsum("jkm,iml->ijkl", constants, constants)
-    return bool(np.array_equal(left, right))
+    return set(np.flatnonzero((left != right).any(axis=(1, 2, 3))).tolist())
+
+
+def brute_force_associative(constants: np.ndarray) -> bool:
+    """(e_i e_j) e_k == e_i (e_j e_k) on all 8 s^3 basis triples."""
+    return not non_associative_rows(constants)
 
 
 def unit_generators(group: AbelianGroup) -> list[int]:
@@ -203,6 +223,7 @@ class TestLightAssociativity:
     def test_agrees_with_brute_force_on_perturbed_tables(self):
         verdicts = []
         for table in perturbed_tables():
+            assert table.constants.dtype == np.int8
             expected = brute_force_associative(table.constants)
             assert table.is_associative() == expected
             verdicts.append(expected)
@@ -215,6 +236,42 @@ class TestLightAssociativity:
         table = StructureTable(ring.group, constants)
         assert table.generators() == list(range(table.dim))
         assert table.is_associative() == brute_force_associative(constants) is False
+
+    @pytest.mark.parametrize("value", [300, 2**20, 2**40],
+                             ids=["float32", "float64", "python-int"])
+    @pytest.mark.parametrize("ring", RINGS, ids=IDS)
+    def test_perturbation_that_needs_a_wider_dtype(self, ring, value):
+        # A widened copy of the int8 table with one constant too large for
+        # int8; the value picks the tier Light's test casts the table to.
+        constants = build_table(ring).constants.astype(np.int64)
+        d = len(constants)
+        constants[d - 1, d - 1, d - 1] = value
+        table = StructureTable(ring.group, constants)
+        assert table.is_associative() == brute_force_associative(constants) is False
+
+    def test_perturbation_in_the_last_row_block(self):
+        # d = 40: Light's test runs over one block of 32 rows x and a last
+        # block of 8, and the broken constant sits in row x = d - 1.
+        ring = make_ring((4, 5), {(0, 0): 1, (1, 2): 2, (3, 4): 1})
+        table = build_table(ring)
+        assert table.dim == 40 and table.constants.dtype == np.int8
+        assert table.is_associative() and brute_force_associative(table.constants)
+        constants = table.constants.copy()
+        d = table.dim
+        constants[d - 1, d - 1, 0] += 1
+        broken = StructureTable(ring.group, constants)
+        assert broken.is_associative() == brute_force_associative(constants) is False
+
+    def test_table_that_fails_only_in_the_last_row(self):
+        # e_(d-1) e_0 = e_(d-1) and every other product 0: then
+        # (e_(d-1) e_0) e_0 = e_(d-1) but e_(d-1) (e_0 e_0) = 0, and every
+        # failing triple starts with x = d - 1, in the partial last block.
+        group = AbelianGroup((4, 5))
+        d = 2 * group.size
+        constants = np.zeros((d, d, d), dtype=np.int8)
+        constants[d - 1, 0, d - 1] = 1
+        assert non_associative_rows(constants) == {d - 1}
+        assert StructureTable(group, constants).is_associative() is False
 
     def test_object_constants_with_huge_multiplicity(self):
         ring = make_ring((4,), {(0,): 2**63, (2,): 1})
@@ -295,7 +352,7 @@ class TestRadicalCertificate:
             certify_radical(broken, spectral_report(ring).nilpotents)
 
     def test_trace_form_is_exact_for_huge_multiplicities(self):
-        for coeff in (2**62, 2**63):
+        for coeff in (127, 2**20, 2**31, 2**62, 2**63):
             table = build_table(make_ring((4,), {(0,): coeff}))
             c = table.constants.tolist()
             traces = [sum(c[k][l][l] for l in range(table.dim)) for k in range(table.dim)]
