@@ -33,7 +33,6 @@ from .pair_ring import (
     validate_canonical_element,
 )
 from .spectral import (
-    Decomposition,
     NormalizedStructure,
     SpectralReport,
     Spectrum,
@@ -47,7 +46,6 @@ __all__ = [
     "AbelianGroup",
     "CanonicalElementError",
     "CycloNum",
-    "Decomposition",
     "GroupRingElement",
     "InstanceDescriptor",
     "NormalizedStructure",

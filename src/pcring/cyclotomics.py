@@ -195,7 +195,7 @@ class CycloNum:
         # part by part.  Power-of-two scaling is exact: a value whose plain
         # float sum does not overflow renders the same either way.
         z = cmath.exp(2j * cmath.pi / self._order)
-        e = max(0, max(abs(n).bit_length() for n in self._nums) - 960)
+        e = max(0, max(map(abs, self._nums)).bit_length() - 960)
         f = max(0, self._den.bit_length() - 960)
         acc = 0j
         for k, n in enumerate(self._nums):

@@ -1,4 +1,10 @@
-"""Generators for named ring instances and the validated custom entry point."""
+"""Generators for named ring instances and the validated custom entry point.
+
+A descriptor stores what defines an instance and nothing that follows from
+it: a missing canonical element marks the semisimple case, and the golden
+decomposition of ``uq_sl2`` is rendered from its golden support size r and
+the group order by ``spectral.render_decomposition``.
+"""
 
 from __future__ import annotations
 
@@ -17,14 +23,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InstanceDescriptor:
-    """A ready-to-analyze instance, optionally with golden expectations."""
+    """A ready-to-analyze instance, optionally with a golden support size."""
 
     name: str
     group: AbelianGroup
     canonical: GroupRingElement | None
-    semisimple: bool = False
     expected_support_size: int | None = None
-    expected_decomposition: str | None = None
+
+    @property
+    def semisimple(self) -> bool:
+        return self.canonical is None
 
 
 def uq_sl2(n: int) -> InstanceDescriptor:
@@ -38,7 +46,6 @@ def uq_sl2(n: int) -> InstanceDescriptor:
         group=group,
         canonical=trace_element(group),
         expected_support_size=1,
-        expected_decomposition=f"C^2 x C[eps]^{n - 1}",
     )
 
 
@@ -51,7 +58,6 @@ def dual_group_algebra(orders: tuple[int, ...]) -> InstanceDescriptor:
         name=f"dual-group({','.join(str(n) for n in orders)})",
         group=group,
         canonical=None,
-        semisimple=True,
     )
 
 

@@ -80,8 +80,11 @@ _BLOCK_ROWS = 32
 
 @dataclass(frozen=True)
 class RadicalBasis:
-    dimension: int
     vectors: tuple[tuple[Fraction, ...], ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.vectors)
 
 
 class StructureTable:
@@ -191,10 +194,7 @@ class StructureTable:
             raise ValueError("table not associative")
         gram = self.trace_form()
         matrix = [[Fraction(int(v)) for v in row] for row in gram]
-        vectors = linalg.kernel_basis(matrix)
-        return RadicalBasis(
-            dimension=len(vectors), vectors=tuple(tuple(v) for v in vectors)
-        )
+        return RadicalBasis(tuple(tuple(v) for v in linalg.kernel_basis(matrix)))
 
 
 def build_table(ring: ProjectiveClassRing) -> StructureTable:
@@ -349,7 +349,6 @@ def verify(ring: ProjectiveClassRing, report) -> tuple[dict, bool]:
         radical_dim, spans_match = certify_radical(table, list(report.nilpotents))
     else:
         radical_dim, spans_match = -1, False
-    spec = report.spectrum
     block = {
         "associative": associative,
         "matches_pair_ring": matches,
@@ -357,5 +356,5 @@ def verify(ring: ProjectiveClassRing, report) -> tuple[dict, bool]:
         "radical_matches_spectral": spans_match,
     }
     ok = (associative and matches and spans_match
-          and radical_dim == spec.group_order - spec.support_size)
+          and radical_dim == report.group.size - report.spectrum.support_size)
     return block, ok

@@ -6,7 +6,8 @@ character, a two-dimensional algebra on pairs (x, y) with product
 canonical element at that character.  For lambda != 0 the block splits into
 two one-dimensional factors; for lambda == 0 it is the dual numbers.  With
 r the number of nonvanishing characters and s the group order this yields
-the decomposition C^(2r) x C[eps]^(s-r).
+the decomposition C^(2r) x C[eps]^(s-r), which ``render_decomposition``
+alone spells out: it depends on r and s only, and nothing stores it.
 
 Everything here is computed in transform coordinates, where the block
 formulas are literal, and pulled back to group ring coordinates through the
@@ -16,12 +17,13 @@ silent rescaling of the canonical element; the report's ``normalized``
 field exhibits the rescaling separately as a central unit certificate.
 
 ``spectral_report`` is the one entry point: every quantity above is a field
-or property of the ``SpectralReport`` it returns.  The spectrum is one
-``fourier`` call and the normalized structure two ``inverse_fourier``
-calls; no other group transform runs here.  The pullback of value * delta_b
-has coefficient value * zeta^(-<a,b>)/s at a: its s coefficients are among
-the N root multiples of value/s, one shift-and-fold pass of ``CycloNum``,
-run for 1/s once per report and for 1/(s*lambda) per idempotent pair.  A
+or property of the ``SpectralReport`` it returns, and s is its group's
+size.  The spectrum is one ``fourier`` call and the normalized structure
+two ``inverse_fourier`` calls; no other group transform runs here.  The
+pullback of value * delta_b has coefficient value * zeta^(-<a,b>)/s at a:
+its s coefficients are among the N root multiples of value/s, one
+shift-and-fold pass of ``CycloNum``, run for 1/s once per report and for
+1/(s*lambda) per idempotent pair.  A
 ``SpectralReport`` builds its idempotents and nilpotents on first access,
 so the inversions and the row build run only when a caller reads them.
 """
@@ -42,10 +44,10 @@ from .groups import (
 from .pair_ring import PairElement, ProjectiveClassRing
 
 __all__ = [
-    "Decomposition",
     "NormalizedStructure",
     "Spectrum",
     "SpectralReport",
+    "render_decomposition",
     "spectral_report",
     "spectrum",
 ]
@@ -57,35 +59,17 @@ class Spectrum:
 
     values: tuple[CycloNum, ...]       # one value per character, canonical order
     support: tuple[GroupElement, ...]  # labels of the nonvanishing characters
-    group_order: int
 
     @property
     def support_size(self) -> int:
         return len(self.support)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Shape of the complexified ring: split character blocks contribute a
-    pair of one-dimensional factors each, the rest contribute dual numbers."""
-
-    split_characters: int
-    dual_characters: int
-
-    def render(self) -> str:
-        return f"C^{2 * self.split_characters} x C[eps]^{self.dual_characters}"
-
-    @property
-    def total_dimension(self) -> int:
-        return 2 * self.split_characters + 2 * self.dual_characters
-
-    def __str__(self) -> str:
-        return self.render()
-
-    @classmethod
-    def from_spectrum(cls, spec: Spectrum) -> "Decomposition":
-        r = spec.support_size
-        return cls(split_characters=r, dual_characters=spec.group_order - r)
+def render_decomposition(r: int, s: int) -> str:
+    """The complexified ring of r split characters out of s: each split
+    block contributes a pair of one-dimensional factors, each of the other
+    s - r blocks the dual numbers."""
+    return f"C^{2 * r} x C[eps]^{s - r}"
 
 
 @dataclass(frozen=True)
@@ -114,8 +98,11 @@ class SpectralReport:
 
     group: AbelianGroup
     spectrum: Spectrum
-    decomposition: Decomposition
     normalized: NormalizedStructure
+
+    @property
+    def decomposition(self) -> str:
+        return render_decomposition(self.spectrum.support_size, self.group.size)
 
     @cached_property
     def _pullbacks(self) -> list[GroupRingElement]:
@@ -160,9 +147,9 @@ class SpectralReport:
     def to_json(self, include_idempotents: bool = True,
                 include_nilradical: bool = True) -> dict:
         doc: dict = {
-            "s": self.spectrum.group_order,
+            "s": self.group.size,
             "r": self.spectrum.support_size,
-            "decomposition": self.decomposition.render(),
+            "decomposition": self.decomposition,
             "support_F": [list(label) for label in self.spectrum.support],
             "fourier_c": [v.to_json() for v in self.spectrum.values],
         }
@@ -189,7 +176,7 @@ def spectrum(ring: ProjectiveClassRing) -> Spectrum:
     support = tuple(b for b, v in zip(group.elements(), values) if v)
     if not support:
         raise AssertionError("transform of a valid canonical element cannot vanish everywhere")
-    return Spectrum(values=tuple(values), support=support, group_order=group.size)
+    return Spectrum(values=tuple(values), support=support)
 
 
 def _pullback_row(group: AbelianGroup, b: int, multiples: list[CycloNum]) -> GroupRingElement:
@@ -212,7 +199,6 @@ def spectral_report(ring: ProjectiveClassRing) -> SpectralReport:
     return SpectralReport(
         group=group,
         spectrum=spec,
-        decomposition=Decomposition.from_spectrum(spec),
         normalized=NormalizedStructure(
             element=inverse_fourier(group, [one if lam else zero for lam in spec.values]),
             unit=inverse_fourier(group, unit_values),

@@ -124,6 +124,28 @@ class TestParseInput:
         assert info.value.path == "/group"
         assert "exceeds" in info.value.message
 
+    @pytest.mark.parametrize("document, path, message", [
+        ([], "/", "expected a JSON object"),
+        ({"group": [], "c": []}, "/group", "expected a non-empty array of positive integers"),
+        ({"group": 2, "c": []}, "/group", "expected a non-empty array of positive integers"),
+        ({"group": [2]}, "/c", "missing required field"),
+        ({"group": [2], "c": {}}, "/c", "expected an array of terms"),
+        ({"group": [2], "c": [{"exp": [0], "coeff": 2}, 1]}, "/c/1",
+         "expected an object with exp and coeff"),
+        ({"group": [2], "c": [{"coeff": 2}]}, "/c/0/exp", "missing required field"),
+        ({"group": [2], "c": [{"exp": [0]}]}, "/c/0/coeff", "missing required field"),
+        ({"group": [2], "c": [{"exp": [0, 0], "coeff": 2}]}, "/c/0/exp",
+         "expected an array of 1 integers"),
+        ({"group": [2], "c": [{"exp": [0], "coeff": 2}], "name": 7}, "/name",
+         "expected a string"),
+    ], ids=["not-object", "empty-group", "group-not-list", "c-missing", "c-not-array",
+            "term-not-object", "exp-missing", "coeff-missing", "exp-wrong-length",
+            "name-not-string"])
+    def test_schema_error_paths(self, document, path, message):
+        with pytest.raises(InputError) as info:
+            parse_input(json.dumps(document))
+        assert (info.value.path, info.value.message) == (path, message)
+
     def test_duplicate_terms_are_combined(self):
         doc = json.dumps(
             {"group": [2], "c": [{"exp": [0], "coeff": 1}, {"exp": [0], "coeff": 1}]}
@@ -480,6 +502,28 @@ class TestMain:
         assert json.loads(capsys.readouterr().out)["r"] >= 1
         with pytest.raises(AssertionError, match="inverse called"):
             cli.main(argv + ["--idempotents"])
+
+    @pytest.mark.parametrize("argv", [
+        ["example", "uq-sl2", "--n", "abc"],
+        ["analyze"],
+        ["analyze", "x.json", "--bogus"],
+        [],
+    ], ids=["bad-int", "missing-file", "unknown-flag", "no-command"])
+    def test_usage_error_exits_one(self, capsys, argv):
+        # 2 is the code of a verification failure, so argparse's default
+        # would read as a report that failed its check.
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == cli.EXIT_VALIDATION
+        assert captured.out == ""
+        assert "usage: pcring" in captured.err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["example", "--help"])
+        assert info.value.code == cli.EXIT_OK
+        assert "usage: pcring example" in capsys.readouterr().out
 
     def test_display_values_are_tagged(self, capsys):
         cli.main(["example", "uq-sl2", "--n", "2", "--idempotents"])

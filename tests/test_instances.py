@@ -24,12 +24,12 @@ class TestHalfQuantumGroup:
         assert inst.group.orders == (3,)
         assert inst.canonical == trace_element(inst.group)
         assert inst.expected_support_size == 1
-        assert inst.expected_decomposition == "C^2 x C[eps]^2"
 
     def test_order_two(self):
         inst = uq_sl2(2)
         assert inst.canonical == GroupRingElement(inst.group, {(0,): 1, (1,): 1})
-        assert inst.expected_decomposition == "C^2 x C[eps]^1"
+        assert inst.expected_support_size == 1
+        assert not inst.semisimple
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_golden_values_hold(self, n):
@@ -37,7 +37,7 @@ class TestHalfQuantumGroup:
         ring = ProjectiveClassRing(inst.group, inst.canonical)
         spec = spectrum(ring)
         assert spec.support_size == inst.expected_support_size == 1
-        assert spectral_report(ring).decomposition.render() == inst.expected_decomposition
+        assert spectral_report(ring).decomposition == f"C^2 x C[eps]^{n - 1}"
 
     def test_rejects_small_orders(self):
         with pytest.raises(ValueError):
@@ -72,7 +72,7 @@ class TestCustom:
         sums = [1 + 2 * cmath.exp(cmath.pi * i * b) + cmath.exp(1.5 * cmath.pi * i * b) for b in range(4)]
         assert all(abs(v) > 1 for v in sums)
         assert spec.support_size == 4
-        assert spectral_report(ring).decomposition.render() == "C^8 x C[eps]^0"
+        assert spectral_report(ring).decomposition == "C^8 x C[eps]^0"
 
     def test_semisimple_rejected(self):
         with pytest.raises(CanonicalElementError, match="semisimple input"):
@@ -88,7 +88,6 @@ class TestCustom:
     def test_descriptor_has_no_golden_values(self):
         inst = custom((2,), {(0,): 1, (1,): 1})
         assert inst.expected_support_size is None
-        assert inst.expected_decomposition is None
 
     @pytest.mark.parametrize("orders", [(2,), (3,), (2, 2), (2, 3), (4, 3), (5,)])
     def test_trace_element_always_gives_support_one(self, orders):
