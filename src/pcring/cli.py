@@ -15,10 +15,13 @@ tagged display_only and never feed back into any computation.
 
 Reports are streamed: ``_write`` produces the bytes of
 ``json.dumps(report, indent=2)`` in pieces of bounded size, never the whole
-text as one string.  ``batch`` writes each file's entry as soon as its
-analysis returns, so one report is in memory at a time.  ``-o`` is opened
-after ``analyze`` reads its input, before any analysis, and never read by a
-batch; if it cannot be opened or written, the error goes to stdout.
+text as one string.  A report renders each distinct cyclotomic value once,
+into a dict shared by all its occurrences, and ``_write`` encodes each such
+dict once per depth and reuses the text.  ``batch`` writes each file's
+entry as soon as its analysis returns, so one report is in memory at a
+time.  ``-o`` is opened after ``analyze`` reads its input, before any
+analysis, and never read by a batch; if it cannot be opened or written, the
+error goes to stdout.
 
 Exit codes: 0 success, 1 usage error, validation error or unwritable report,
 2 verification failure.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import io
 import json
 import math
 import os
@@ -193,15 +197,25 @@ def _semisimple_report(inst: InstanceDescriptor) -> dict:
     }
 
 
-# Chunks the writer buffers between two writes to its stream: what it holds
-# at once is this many pieces, each at most one leaf or one all-integer list.
-_FLUSH_CHUNKS = 4096
+# Characters the writer buffers before it writes them to its stream.  One
+# write is at most this budget plus its last piece: a leaf dict, a list of
+# integers or of [int, int] pairs, or a string.
+_FLUSH_CHARS = 1 << 16
+
+
+def _is_leaf(d: dict) -> bool:
+    # A dict with no dict value and no list value that holds a dict.
+    for v in d.values():
+        if isinstance(v, dict) or (
+                isinstance(v, (list, tuple)) and any(isinstance(x, dict) for x in v)):
+            return False
+    return True
 
 
 def _write(value, stream, depth: int = 0) -> None:
     """Write ``value`` to ``stream`` as ``json.dumps(value, indent=2)``
-    renders it at nesting ``depth``, byte for byte, in writes of at most
-    ``_FLUSH_CHUNKS`` buffered chunks.
+    renders it at nesting ``depth``, byte for byte, in writes of about
+    ``_FLUSH_CHARS`` characters each.
 
     Takes dicts with ``str`` keys, lists, tuples, ``str``, ``int``, ``bool``
     and ``None``; anything else (floats included) raises ``TypeError``.
@@ -210,12 +224,49 @@ def _write(value, stream, depth: int = 0) -> None:
     conversion (4300 digits by default), so the limit is lifted for this
     call only and restored before the next input is parsed; Python
     3.10.0-3.10.6 has no limit and no setter.
+
+    A leaf dict, one with no dict value and no list value that holds a
+    dict, is encoded into one piece of its own, and that piece is reused
+    wherever the same dict object recurs at the same depth during this
+    call.  Such a piece is never split across two writes.  The value must
+    not be modified while it is written.
     """
-    chunks: list[str] = []
-    append = chunks.append
+    buffer = io.StringIO()
+    append, pending = buffer.write, buffer.tell
     int_repr = int.__repr__
     # newlines[d] starts a line at depth d; grown as deeper containers appear.
     newlines = ["\n" + "  " * d for d in range(depth + 2)]
+    # (id, depth) -> (leaf dict, its text); the dict is held so that its id
+    # cannot be reused by another object during the call.
+    leaves: dict[tuple[int, int], tuple[dict, str]] = {}
+
+    def encode_dict(o: dict, depth: int) -> None:
+        if not o:
+            append("{}")
+            return
+        if depth + 2 == len(newlines):
+            newlines.append("\n" + "  " * (depth + 2))
+        outer, inner = newlines[depth:depth + 2]
+        separator = "," + inner
+        append("{")
+        for key, item in o.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            append(inner + encode_basestring_ascii(key) + ": ")
+            inner = separator
+            encode(item, depth + 1)
+        append(outer + "}")
+
+    def encode_leaf(o: dict, depth: int) -> str:
+        # The text of o alone, so that no flush can split it.
+        nonlocal append
+        outer, piece = append, []
+        append = piece.append
+        try:
+            encode_dict(o, depth)
+        finally:
+            append = outer
+        return "".join(piece)
 
     def encode(o, depth: int) -> None:
         if isinstance(o, str):
@@ -252,26 +303,19 @@ def _write(value, stream, depth: int = 0) -> None:
                     encode(item, depth + 1)
             append(outer + "]")
         elif isinstance(o, dict):
-            if not o:
-                append("{}")
-                return
-            if depth + 2 == len(newlines):
-                newlines.append("\n" + "  " * (depth + 2))
-            outer, inner = newlines[depth:depth + 2]
-            separator = "," + inner
-            append("{")
-            for key, item in o.items():
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                append(inner + encode_basestring_ascii(key) + ": ")
-                inner = separator
-                encode(item, depth + 1)
-            append(outer + "}")
+            leaf = leaves.get((id(o), depth))
+            if leaf is None and _is_leaf(o):
+                leaf = leaves[id(o), depth] = (o, encode_leaf(o, depth))
+            if leaf is None:
+                encode_dict(o, depth)
+            else:
+                append(leaf[1])
         else:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        if len(chunks) >= _FLUSH_CHUNKS:
-            stream.write("".join(chunks))
-            chunks.clear()
+        if pending() >= _FLUSH_CHARS:
+            stream.write(buffer.getvalue())
+            buffer.seek(0)
+            buffer.truncate()
 
     limited = hasattr(sys, "set_int_max_str_digits")
     if limited:
@@ -279,7 +323,7 @@ def _write(value, stream, depth: int = 0) -> None:
         sys.set_int_max_str_digits(0)
     try:
         encode(value, depth)
-        stream.write("".join(chunks))
+        stream.write(buffer.getvalue())
     finally:
         if limited:
             sys.set_int_max_str_digits(limit)

@@ -384,9 +384,21 @@ class CycloNum:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_json(self) -> dict:
+    def to_json(self, memo: dict | None = None) -> dict:
         """Power-basis serialization with a decimal rendering tagged
-        display_only, which nothing reads back."""
+        display_only, which nothing reads back.
+
+        With a ``memo`` (a dict the caller owns, one per document), equal
+        values render once: the dict is built on the first call and every
+        later call with an equal value returns that same object.  A returned
+        dict may then be shared by many places in the document, so it must
+        not be modified.
+        """
+        if memo is not None:
+            doc = memo.get(self)
+            if doc is None:
+                doc = memo[self] = self.to_json()
+            return doc
         return {
             "order": self._order,
             "coeffs": [_lowest_terms(n, self._den) if n else [0, 1] for n in self._nums],

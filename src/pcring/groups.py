@@ -336,11 +336,13 @@ class GroupRingElement:
 
     # -- serialization -----------------------------------------------------------
 
-    def to_json(self) -> dict:
+    def to_json(self, memo: dict | None = None) -> dict:
+        """Terms in exponent order; cyclotomic coefficients render through
+        ``CycloNum.to_json(memo)``, so with a memo they may share dicts."""
         terms = []
         for exp, coeff in self.sorted_terms():
             if isinstance(coeff, CycloNum):
-                val: object = coeff.to_json()
+                val: object = coeff.to_json(memo)
             elif isinstance(coeff, Fraction):
                 val = [coeff.numerator, coeff.denominator]
             else:

@@ -103,8 +103,8 @@ class PairElement:
             coords[offset + i] = v
         return coords
 
-    def to_json(self) -> dict:
-        return {"s": self.s_part.to_json(), "t": self.t_part.to_json()}
+    def to_json(self, memo: dict | None = None) -> dict:
+        return {"s": self.s_part.to_json(memo), "t": self.t_part.to_json(memo)}
 
 
 class ProjectiveClassRing:

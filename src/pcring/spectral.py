@@ -146,21 +146,25 @@ class SpectralReport:
 
     def to_json(self, include_idempotents: bool = True,
                 include_nilradical: bool = True) -> dict:
+        """The report document.  Every cyclotomic value renders through one
+        memo for this call, so equal values share one dict, which must not
+        be modified."""
+        memo: dict = {}
         doc: dict = {
             "s": self.group.size,
             "r": self.spectrum.support_size,
             "decomposition": self.decomposition,
             "support_F": [list(label) for label in self.spectrum.support],
-            "fourier_c": [v.to_json() for v in self.spectrum.values],
+            "fourier_c": [v.to_json(memo) for v in self.spectrum.values],
         }
         if include_idempotents:
-            doc["idempotents"] = [e.to_json() for e in self.idempotents]
+            doc["idempotents"] = [e.to_json(memo) for e in self.idempotents]
         if include_nilradical:
-            doc["nilradical"] = [n.to_json() for n in self.nilpotents]
+            doc["nilradical"] = [n.to_json(memo) for n in self.nilpotents]
         doc["normalized_c"] = {
-            "element": self.normalized.element.to_json(),
-            "unit": self.normalized.unit.to_json(),
-            "unit_fourier": [v.to_json() for v in self.normalized.unit_values],
+            "element": self.normalized.element.to_json(memo),
+            "unit": self.normalized.unit.to_json(memo),
+            "unit_fourier": [v.to_json(memo) for v in self.normalized.unit_values],
         }
         return doc
 

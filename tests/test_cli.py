@@ -621,3 +621,32 @@ class TestWrite:
         cli._write(doc, stream)
         assert "".join(stream.writes) == reference
         assert max(map(len, stream.writes)) <= len(reference) // 8
+        # A write is the budget plus at most one piece, and no piece of this
+        # report (a cyclotomic value with phi = 32 at most) is that long.
+        assert max(map(len, stream.writes)) < 2 * cli._FLUSH_CHARS
+
+    @staticmethod
+    def _shared_leaf_document() -> tuple[dict, dict]:
+        leaf = {"order": 4, "coeffs": [[1, 2], [0, 1]], "display_only": "0.5"}
+        doc = {"values": [leaf, leaf, {"coeff": leaf}],
+               "rows": [[{"exp": [i], "coeff": leaf} for i in range(40)]]}
+        return doc, leaf
+
+    def test_leaf_repeated_at_two_depths(self):
+        doc, _ = self._shared_leaf_document()
+        assert written(doc) == json.dumps(doc, indent=2) + "\n"
+        batch = io.StringIO()
+        cli._write(doc, batch, depth=2)
+        assert batch.getvalue() == json.dumps(doc, indent=2).replace("\n", "\n    ")
+
+    def test_leaf_piece_is_never_split(self, monkeypatch):
+        doc, leaf = self._shared_leaf_document()
+        monkeypatch.setattr(cli, "_FLUSH_CHARS", 16)
+        stream = RecordingStream()
+        cli._write(doc, stream)
+        assert "".join(stream.writes) == json.dumps(doc, indent=2)
+        assert len(stream.writes) > 40
+        # The leaf sits at depth 2 twice, at depth 3 once and at depth 4 40 times.
+        for depth, count in ((2, 2), (3, 1), (4, 40)):
+            text = json.dumps(leaf, indent=2).replace("\n", "\n" + "  " * depth)
+            assert sum(w.count(text) for w in stream.writes) == count

@@ -360,6 +360,25 @@ class TestBasisAudit:
         assert len(report.idempotents) + len(report.nilpotents) == 2 * ring.group.size
         assert calls == []
 
+    def test_equal_values_render_to_one_shared_dict(self):
+        # uq-sl2(4) has the transform (4, 0, 0, 0), with each 0 its own object.
+        report = spectral_report(ProjectiveClassRing(uq_sl2(4).group, uq_sl2(4).canonical))
+        values = report.spectrum.values
+        assert values[1] == values[2] and values[1] is not values[2]
+        doc = report.to_json()
+        assert doc["fourier_c"][1] is doc["fourier_c"][2]
+        assert doc["fourier_c"][1] == values[1].to_json()
+        # The unit's transform holds the value 4 again, on the support.
+        assert doc["normalized_c"]["unit_fourier"][0] is doc["fourier_c"][0]
+
+    def test_reports_share_no_rendered_values(self):
+        report = spectral_report(trace_ring((2,)))
+        first, second = report.to_json(), report.to_json()
+        assert first == second
+        assert first["fourier_c"][0] is not second["fourier_c"][0]
+        assert (first["idempotents"][0]["s"]["terms"][0]["coeff"]
+                is not second["idempotents"][0]["s"]["terms"][0]["coeff"])
+
     def test_report_json_shape(self):
         ring = trace_ring((2,))
         doc = spectral_report(ring).to_json()
