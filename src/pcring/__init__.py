@@ -5,7 +5,13 @@ element, transform the canonical element to find its support, derive the
 block decomposition C^(2r) x C[eps]^(s-r) with explicit idempotents and a
 nilradical basis, and cross-check everything against an independent
 structure-constants table.
+
+Only that cross-check needs numpy.  ``oracle``, ``linalg`` and the oracle's
+public names are imported on first access, so an analysis without it never
+loads numpy.
 """
+
+import importlib
 
 from .cyclotomics import CycloNum, cyclotomic_polynomial, euler_phi, root_of_unity
 from .groups import (
@@ -19,13 +25,6 @@ from .groups import (
     trace_element,
 )
 from .instances import InstanceDescriptor, custom, dual_group_algebra, uq_sl2
-from .oracle import (
-    StructureTable,
-    build_table,
-    certify_radical,
-    matches_pair_ring,
-    radical_matches_spectral,
-)
 from .pair_ring import (
     CanonicalElementError,
     PairElement,
@@ -74,3 +73,19 @@ __all__ = [
     "uq_sl2",
     "validate_canonical_element",
 ]
+
+_ORACLE_NAMES = frozenset({
+    "StructureTable",
+    "build_table",
+    "certify_radical",
+    "matches_pair_ring",
+    "radical_matches_spectral",
+})
+
+
+def __getattr__(name: str):
+    if name in ("oracle", "linalg"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _ORACLE_NAMES:
+        return getattr(importlib.import_module(f"{__name__}.oracle"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

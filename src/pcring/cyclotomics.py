@@ -11,9 +11,10 @@ them.
 Internally a value keeps an integer numerator vector and a single positive
 denominator with gcd(den, *nums) == 1, and all arithmetic stays on those
 integers.  Reduction modulo Phi_N happens here only, in two ways: ``_fold``
-reads each power past phi from the table of residues of zeta^k, k < N, for
-input, products and the conjugates behind the inverse; and one shift-and-fold
-pass gives value * zeta^k for all k < N, the table itself when value = 1.
+reads each power past phi from the nonzero coordinates of the residues of
+zeta^k, k < N, for input, products, the conjugates behind the inverse and the
+group transform; and one shift-and-fold pass gives value * zeta^k for all
+k < N, the residue table itself when value = 1.
 ``fractions.Fraction`` objects appear only at the API boundary: constructor
 input, ``coeffs``, ``as_fraction`` and rational operands.
 
@@ -32,6 +33,7 @@ from typing import Iterable, Sequence, Union
 
 __all__ = [
     "CycloNum",
+    "common_numerators",
     "cyclotomic_polynomial",
     "euler_phi",
     "root_of_unity",
@@ -420,24 +422,50 @@ def root_of_unity(order: int, k: int) -> CycloNum:
 def _fold(order: int, poly: Sequence[int]) -> list[int]:
     # Power-basis numerators of the integer polynomial poly (constant term
     # first, any length) at zeta: the first phi coefficients stay, and
-    # x^k = zeta^(k mod N) is read from the power-residue table above them.
-    residues = _power_residues(order)
-    phi = len(residues[0])
+    # x^k = zeta^(k mod N) is read from the sparse residue table above them.
+    residues = _sparse_residues(order)
+    phi = len(_power_residues(order)[0])
     nums = list(poly[:phi]) + [0] * (phi - len(poly))
     for k in range(phi, len(poly)):
         t = poly[k]
         if t:
-            for i, r in enumerate(residues[k % order]):
-                if r:
-                    nums[i] += t * r
+            for i, r in residues[k % order]:
+                nums[i] += t * r
     return nums
+
+
+@functools.lru_cache(maxsize=None)
+def _sparse_residues(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # Row k: the (i, r) with r != 0 of the power-basis coordinates of zeta^k.
+    return tuple(tuple((i, r) for i, r in enumerate(row) if r)
+                 for row in _power_residues(order))
+
+
+def _integer_coeffs(entry: object, order: int, phi: int) -> tuple[tuple[int, ...], int]:
+    if isinstance(entry, CycloNum):
+        if entry.order != order:
+            raise ValueError(f"cyclotomic order mismatch: {entry.order} vs {order}")
+        return entry.integer_coeffs()
+    if isinstance(entry, (int, Fraction)):
+        return (entry.numerator,) + (0,) * (phi - 1), entry.denominator
+    raise TypeError(f"unsupported entry type {type(entry).__name__}")
+
+
+def common_numerators(entries: Sequence[object], order: int) -> tuple[list[list[int]], int]:
+    """Power-basis numerators of ``int``, ``Fraction`` or ``CycloNum``
+    entries over their least common denominator D > 0: entry i equals
+    sum_k nums[i][k] zeta_order^k / D, with phi(order) numerators each."""
+    phi = euler_phi(order)
+    parts = [_integer_coeffs(entry, order, phi) for entry in entries]
+    common = math.lcm(*(den for _, den in parts))
+    return [[n * (common // den) for n in nums] for nums, den in parts], common
 
 
 def _normalized(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     if den == 0:
         raise ZeroDivisionError("division by zero in cyclotomic field")
     if not any(nums):
-        return tuple(0 for _ in nums), 1
+        return (0,) * len(nums), 1
     if den < 0:
         den = -den
         nums = [-n for n in nums]

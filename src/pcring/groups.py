@@ -11,13 +11,13 @@ Both directions of the transform run through one exact kernel,
 ``exponent_transform``, which serves ``fourier`` and ``inverse_fourier`` and
 nothing else.  All coefficients are written over one common
 denominator, as integer numerators n_j of the powers zeta^j.  The numerator
-n_j of the coefficient at a lands in the cell H[b, (+-E[a, b] + j) mod N] of
-an s x N integer histogram, where E[a, b] = <a, b> mod N is the
-pairing-exponent matrix cached on the group.  One exact integer product of H
-with the table of residues zeta^k mod Phi_N then gives every character value
-in the power basis.  Histogram and product are int64 under a proven
-overflow bound and Python integers otherwise, so vanishing stays an exact
-integer test.  ``character_value`` evaluates a single character directly.
+n_j of the coefficient at a lands in the cell H[b][E[a][b] + j] of an
+s x (N + phi - 1) histogram of Python integers, where E[a][b] = <a, b> mod N
+is the pairing-exponent table cached on the group; the inverse transform
+reads the row of -a, since <-a, b> = -<a, b>.  Folding each histogram row
+modulo Phi_N (``cyclotomics._fold``) gives every character value in the
+power basis, so vanishing is an exact integer test.  ``character_value`` evaluates a single
+character directly.
 
 Group ring elements are sparse coefficient maps with no stored zeros, so
 structural equality coincides with mathematical equality.  Inside, a map is
@@ -34,16 +34,12 @@ arithmetic; in practice ``int``, ``Fraction`` or
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
-from . import linalg
-from .cyclotomics import CycloNum, _power_residues, root_of_unity
+from .cyclotomics import CycloNum, _fold, common_numerators, euler_phi, root_of_unity
 
 __all__ = [
     "AbelianGroup",
@@ -78,7 +74,7 @@ class AbelianGroup:
         self._conductor = math.lcm(*orders)
         self._elements: tuple[GroupElement, ...] | None = None
         self._index: dict[GroupElement, int] | None = None
-        self._exponents: np.ndarray | None = None
+        self._exponents: tuple[tuple[int, ...], ...] | None = None
         self._sums: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -115,13 +111,16 @@ class AbelianGroup:
         """The s x s table whose entry [i][j] is the index of
         elements()[i] + elements()[j]; built once per group."""
         if self._sums is None:
-            elems = np.array(self.elements(), dtype=np.int64).reshape(self._size, -1)
-            orders = np.array(self._orders, dtype=np.int64)
-            # Mixed radix: the last factor varies fastest in elements().
-            radix = np.array([math.prod(self._orders[i + 1:]) for i in range(len(self._orders))],
-                             dtype=np.int64)
-            sums = (elems[:, None, :] + elems[None, :, :]) % orders @ radix
-            self._sums = tuple(map(tuple, sums.tolist()))
+            # Mixed radix, one cyclic factor at a time: the last factor varies
+            # fastest in elements(), so index A * n + x extends index A of the
+            # factors before it by the exponent x of the factor of order n.
+            sums: list[list[int]] | None = None
+            for n in self._orders:
+                shifts = [[(x + y) % n for y in range(n)] for x in range(n)]
+                sums = shifts if sums is None else [
+                    [k * n + z for k in row for z in shifted]
+                    for row in sums for shifted in shifts]
+            self._sums = tuple(map(tuple, sums))
         return self._sums
 
     def element(self, exponents: Iterable[int]) -> GroupElement:
@@ -147,15 +146,21 @@ class AbelianGroup:
         n = self._conductor
         return sum((n // ni) * x * y for x, y, ni in zip(a, b, self._orders)) % n
 
-    def pairing_exponents(self) -> np.ndarray:
-        """The read-only s x s int64 matrix E[a, b] = pairing_exponent(a, b),
-        rows and columns in canonical element order; built once per group."""
+    def pairing_exponents(self) -> tuple[tuple[int, ...], ...]:
+        """The s x s table E[a][b] = pairing_exponent(a, b), rows and columns
+        in canonical element order; built once per group."""
         if self._exponents is None:
-            elems = np.array(self.elements(), dtype=np.int64).reshape(self._size, -1)
-            weights = np.array([self._conductor // ni for ni in self._orders], dtype=np.int64)
-            exps = (elems * weights) @ elems.T % self._conductor
-            exps.flags.writeable = False
-            self._exponents = exps
+            # Mixed radix as in sum_table: the factor of order n adds
+            # (N/n) x y to the exponent of the factors before it.
+            big = self._conductor
+            exps: list[list[int]] | None = None
+            for n in self._orders:
+                weights = [big // n * x for x in range(n)]
+                steps = [[w * y % big for y in range(n)] for w in weights]
+                exps = steps if exps is None else [
+                    [(e + d) % big for e in row for d in step]
+                    for row in exps for step in steps]
+            self._exponents = tuple(map(tuple, exps))
         return self._exponents
 
     def __eq__(self, other: object) -> bool:
@@ -254,6 +259,8 @@ class GroupRingElement:
         self._check_same_group(other)
         if not self._coeffs:
             return other
+        if not other._coeffs:
+            return self
         out = dict(self._coeffs)
         for k, v in other._coeffs.items():
             cur = out.get(k)
@@ -271,6 +278,8 @@ class GroupRingElement:
     def __mul__(self, other: object) -> "GroupRingElement":
         if isinstance(other, GroupRingElement):
             self._check_same_group(other)
+            if not self._coeffs or not other._coeffs:
+                return GroupRingElement._adopt(self._group, {})
             sums = self._group.sum_table()
             out: dict[int, object] = {}
             # Convolution commutes (an abelian group, coefficients in Q or
@@ -278,13 +287,13 @@ class GroupRingElement:
             short, long = self._coeffs, other._coeffs
             if len(long) < len(short):
                 short, long = long, short
-            if len(short) <= 1:
+            if len(short) == 1:
                 # A translate: no two keys collide, and a product of nonzero
                 # coefficients in a field is nonzero.
-                for a, ca in short.items():
-                    row = sums[a]
-                    out = {row[b]: ca * cb for b, cb in long.items()}
-                return GroupRingElement._adopt(self._group, out)
+                (a, ca), = short.items()
+                row = sums[a]
+                return GroupRingElement._adopt(
+                    self._group, {row[b]: ca * cb for b, cb in long.items()})
             get = out.get
             for a, ca in short.items():
                 row = sums[a]
@@ -378,41 +387,30 @@ def character_value(group: AbelianGroup, label: GroupElement, x: GroupRingElemen
     return acc
 
 
-def exponent_transform(exponents: np.ndarray, coeffs: Sequence[object], order: int,
+def exponent_transform(group: AbelianGroup, rows: Sequence[int], coeffs: Sequence[object],
                        scale: int = 1) -> list[CycloNum]:
-    """Column sums of coefficient times root of unity, exactly.
+    """Character sums of coefficients at given elements, exactly.
 
-    Returns, for every column t of the m x T integer matrix ``exponents``
-    (entries taken mod ``order``), the value
-    sum_i coeffs[i] * zeta_order^exponents[i, t] / scale.  The coefficients
-    are ``int``, ``Fraction`` or ``CycloNum`` of this order.
+    Returns, for every label b in canonical order, the value
+    sum_i coeffs[i] * zeta_N^E[rows[i]][b] / scale, where E is
+    ``group.pairing_exponents()`` and N the conductor.  The coefficients
+    are ``int``, ``Fraction`` or ``CycloNum`` of order N.
     """
-    scaled, common = linalg.common_numerators(coeffs, order)
-    # Per row of ``exponents`` each histogram cell gets at most one numerator:
-    # the columns are distinct rows of H and j < phi <= order are distinct
-    # residues.  So the row maxima bound every cell.
-    bound = sum(max(map(abs, nums)) for nums in scaled)
-    dtype = np.int64 if bound < 2**63 else object
-    width = exponents.shape[1]
-    hist = np.zeros((width, order), dtype=dtype)
-    rows = np.arange(width)[:, None]
-    for exps, nums in zip(exponents, scaled):
-        js = [j for j, v in enumerate(nums) if v]
-        if js:
-            cells = (exps[:, None] + js) % order
-            hist[rows, cells] += np.array([nums[j] for j in js], dtype=dtype)
-    values = linalg.exact_matmul(hist, _residue_matrix(order)).tolist()
+    order = group.conductor
+    exponents = group.pairing_exponents()
+    scaled, common = common_numerators(coeffs, order)
+    # Cell e + j collects the numerators of zeta^(e + j), e < N and j < phi;
+    # _fold reduces every power, those past N included.
+    width = order + euler_phi(order) - 1
+    hist = [[0] * width for _ in range(group.size)]
+    for row, nums in zip(rows, scaled):
+        exps = exponents[row]
+        for j, n in enumerate(nums):
+            if n:
+                for cells, e in zip(hist, exps):
+                    cells[e + j] += n
     den = common * scale
-    return [CycloNum._raw(order, nums, den) for nums in values]
-
-
-@functools.lru_cache(maxsize=None)
-def _residue_matrix(order: int) -> np.ndarray:
-    # Row k: power-basis coordinates of zeta_order^k, k = 0 .. order-1.
-    try:
-        return np.array(_power_residues(order), dtype=np.int64)
-    except OverflowError:
-        return np.array(_power_residues(order), dtype=object)
+    return [CycloNum._raw(order, _fold(order, cells), den) for cells in hist]
 
 
 def fourier(group: AbelianGroup, x: GroupRingElement) -> list[CycloNum]:
@@ -423,9 +421,7 @@ def fourier(group: AbelianGroup, x: GroupRingElement) -> list[CycloNum]:
     """
     if x.group != group:
         raise ValueError("mixed-group operands")
-    rows = list(x._coeffs)
-    return exponent_transform(group.pairing_exponents()[rows], list(x._coeffs.values()),
-                              group.conductor)
+    return exponent_transform(group, list(x._coeffs), list(x._coeffs.values()))
 
 
 def inverse_fourier(group: AbelianGroup, values: Sequence[object]) -> GroupRingElement:
@@ -433,7 +429,9 @@ def inverse_fourier(group: AbelianGroup, values: Sequence[object]) -> GroupRingE
     s = group.size
     if len(values) != s:
         raise ValueError(f"expected {s} character values, got {len(values)}")
-    rows = [i for i, v in enumerate(values) if v]
-    coeffs = exponent_transform(-group.pairing_exponents()[rows], [values[i] for i in rows],
-                                group.conductor, s)
+    labels = [i for i, v in enumerate(values) if v]
+    # zeta^(-<a, b>) = zeta^<a, -b>: the pairing row of -b.
+    elements = group.elements()
+    rows = [group.index(group.inv(elements[i])) for i in labels]
+    coeffs = exponent_transform(group, rows, [values[i] for i in labels], s)
     return GroupRingElement._adopt(group, {i: v for i, v in enumerate(coeffs) if v})

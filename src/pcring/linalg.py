@@ -16,6 +16,9 @@ for genuinely rank-deficient input).  ``exact_matmul`` multiplies integer
 matrices exactly in the narrowest tier ``exact_dtype`` proves exact: float32
 BLAS when every partial sum is an integer below 2**24, float64 BLAS below
 2**53, Python integers otherwise.
+
+This module and ``oracle`` are the only ones that import numpy; the
+analysis itself runs on Python integers.
 """
 
 from __future__ import annotations
@@ -26,11 +29,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cyclotomics import CycloNum, euler_phi
+from .cyclotomics import CycloNum, _integer_coeffs, euler_phi
 
 __all__ = [
     "certify_full_row_rank",
-    "common_numerators",
     "exact_dtype",
     "exact_matmul",
     "image_mod_p",
@@ -176,26 +178,6 @@ def modular_primes(order: int, attempts: int) -> Iterator[tuple[int, int]]:
         p += order
 
 
-def _integer_coeffs(entry: object, order: int, phi: int) -> tuple[tuple[int, ...], int]:
-    if isinstance(entry, CycloNum):
-        if entry.order != order:
-            raise ValueError(f"cyclotomic order mismatch: {entry.order} vs {order}")
-        return entry.integer_coeffs()
-    if isinstance(entry, (int, Fraction)):
-        return (entry.numerator,) + (0,) * (phi - 1), entry.denominator
-    raise TypeError(f"unsupported entry type {type(entry).__name__}")
-
-
-def common_numerators(entries: Sequence[object], order: int) -> tuple[list[list[int]], int]:
-    """Power-basis numerators of ``int``, ``Fraction`` or ``CycloNum``
-    entries over their least common denominator D > 0: entry i equals
-    sum_k nums[i][k] zeta_order^k / D, with phi(order) numerators each."""
-    phi = euler_phi(order)
-    parts = [_integer_coeffs(entry, order, phi) for entry in entries]
-    common = math.lcm(*(den for _, den in parts))
-    return [[n * (common // den) for n in nums] for nums, den in parts], common
-
-
 def integer_slices(rows: Sequence[Sequence[object]], order: int) -> np.ndarray:
     """Power-basis slices of rows over Q(zeta_order), cleared of denominators.
 
@@ -204,16 +186,32 @@ def integer_slices(rows: Sequence[Sequence[object]], order: int) -> np.ndarray:
     denominators in row i.  Scaling a row by D_i changes neither its rank
     nor whether it lies in a kernel.  int64 when every entry fits, Python
     integers otherwise.
+
+    Each distinct entry value is converted to its numerators once; the
+    slices index those numerators and scale them by D_i / den in one
+    broadcast.
     """
     phi = euler_phi(order)
-    scaled = [common_numerators(row, order)[0] for row in rows]
-    if not scaled:
+    if not rows:
         return np.zeros((0, phi, 0), dtype=np.int64)
-    try:
-        exact = np.array(scaled, dtype=np.int64)
-    except OverflowError:
-        exact = np.array(scaled, dtype=object)
-    return exact.transpose(0, 2, 1)
+    slots: dict[object, int] = {}
+    positions = [[slots.setdefault(entry, len(slots)) for entry in row] for row in rows]
+    parts = [_integer_coeffs(entry, order, phi) for entry in slots]
+    dens = [den for _, den in parts]
+    sizes = [max(map(abs, nums)) for nums, _ in parts]
+    commons = []
+    top = 0  # bounds every row lcm and every output entry
+    for row in positions:
+        used = set(row)
+        common = math.lcm(*(dens[k] for k in used))
+        commons.append(common)
+        top = max(top, common, *(common // dens[k] * sizes[k] for k in used))
+    dtype = np.int64 if top < 2**63 else object
+    index = np.array(positions, dtype=np.intp)
+    scale = np.array(commons, dtype=dtype)[:, None] // np.array(dens, dtype=dtype)[index]
+    slices = np.array([nums for nums, _ in parts], dtype=dtype).reshape(-1, phi)[index]
+    slices *= scale[:, :, None]
+    return slices.transpose(0, 2, 1)
 
 
 def image_mod_p(slices: np.ndarray, p: int, w: int) -> np.ndarray:

@@ -44,6 +44,10 @@ table once to the narrowest exact tier ``linalg.exact_dtype`` allows
 (float32, float64 or Python integers) and compares the two products block
 by block of rows.  The trace form reads the diagonals and makes one product
 that casts the table in buffered pieces.
+
+This module and ``linalg`` are the only ones that import numpy.  The
+package imports them on first access, and the CLI only when it verifies, so
+an unverified analysis never loads numpy.
 """
 
 from __future__ import annotations

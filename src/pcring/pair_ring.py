@@ -65,7 +65,8 @@ class PairElement:
     t_part: GroupRingElement
 
     def __post_init__(self):
-        if self.s_part.group != self.t_part.group:
+        s_group, t_group = self.s_part.group, self.t_part.group
+        if s_group is not t_group and s_group != t_group:
             raise ValueError("pair components live over different groups")
 
     @property

@@ -19,7 +19,10 @@ field exhibits the rescaling separately as a central unit certificate.
 ``spectral_report`` is the one entry point: every quantity above is a field
 or property of the ``SpectralReport`` it returns, and s is its group's
 size.  The spectrum is one ``fourier`` call and the normalized structure
-two ``inverse_fourier`` calls; no other group transform runs here.  The
+one ``inverse_fourier`` call, of the support indicator; no other group
+transform runs here.  The unit then follows without a transform: its
+values are lambda on the support and 1 off it, those of
+c + delta_identity - element.  The
 pullback of value * delta_b has coefficient value * zeta^(-<a,b>)/s at a:
 its s coefficients are among the N root multiples of value/s, one
 shift-and-fold pass of ``CycloNum``, run for 1/s once per report and for
@@ -184,10 +187,11 @@ def spectrum(ring: ProjectiveClassRing) -> Spectrum:
 
 
 def _pullback_row(group: AbelianGroup, b: int, multiples: list[CycloNum]) -> GroupRingElement:
-    # Inverse transform of value * delta_b, given the multiples of value/s:
+    # Inverse transform of value * delta_b, given the N multiples of value/s:
     # coefficient multiples[-<a,b> mod N] at a, nonzero because value is.
-    exps = (-group.pairing_exponents()[b] % group.conductor).tolist()
-    return GroupRingElement._adopt(group, dict(enumerate([multiples[k] for k in exps])))
+    # For 0 <= k < N the index -k is -k mod N.
+    return GroupRingElement._adopt(
+        group, {a: multiples[-k] for a, k in enumerate(group.pairing_exponents()[b])})
 
 
 def spectral_report(ring: ProjectiveClassRing) -> SpectralReport:
@@ -199,13 +203,18 @@ def spectral_report(ring: ProjectiveClassRing) -> SpectralReport:
     spec = spectrum(ring)
     n = group.conductor
     one, zero = CycloNum.one(n), CycloNum.zero(n)
-    unit_values = tuple(lam if lam else one for lam in spec.values)
+    element = inverse_fourier(group, [one if lam else zero for lam in spec.values])
+    # The transform of c + delta_identity - element is lambda + 1 - 1 on the
+    # support and 0 + 1 - 0 off it.  c's integers are embedded so that every
+    # coefficient of the unit is a cyclotomic value.
+    canonical = ring.canonical.map_coefficients(lambda v: CycloNum.rational(n, v))
+    unit = canonical + GroupRingElement.delta(group, group.identity, one) - element
     return SpectralReport(
         group=group,
         spectrum=spec,
         normalized=NormalizedStructure(
-            element=inverse_fourier(group, [one if lam else zero for lam in spec.values]),
-            unit=inverse_fourier(group, unit_values),
-            unit_values=unit_values,
+            element=element,
+            unit=unit,
+            unit_values=tuple(lam if lam else one for lam in spec.values),
         ),
     )

@@ -207,12 +207,12 @@ class TestRun:
         assert doc["decomposition"] == "C^4 x C[eps]^0"
 
     def test_verification_failure_exit_code(self, monkeypatch):
-        monkeypatch.setattr(cli.oracle, "certify_radical", lambda *a: (1, False))
+        monkeypatch.setattr(pcring.oracle, "certify_radical", lambda *a: (1, False))
         _, code = run(make_request(uq_sl2(2)))
         assert code == cli.EXIT_VERIFICATION
 
     def test_non_associative_table_exit_code(self, monkeypatch):
-        monkeypatch.setattr(cli.oracle.StructureTable, "is_associative", lambda self: False)
+        monkeypatch.setattr(pcring.oracle.StructureTable, "is_associative", lambda self: False)
         doc, code = run(make_request(uq_sl2(2)))
         assert code == cli.EXIT_VERIFICATION
         assert doc["oracle"] == {
@@ -559,6 +559,35 @@ class TestStdoutWriteFailure:
         assert proc.returncode == cli.EXIT_VALIDATION
         assert "Traceback" not in err and "Exception ignored" not in err
         assert err.count("\n") == 1 and "No space left" in err
+
+
+# Runs main on argv and reports on stderr whether numpy was imported.
+_NUMPY_PROBE = ("import sys; from pcring.cli import main; code = main(sys.argv[1:]); "
+                "sys.stderr.write(str('numpy' in sys.modules)); sys.exit(code)")
+
+_SPARSE_5X7 = {"group": [5, 7], "c": [
+    {"exp": [0, 0], "coeff": 3}, {"exp": [1, 2], "coeff": 2},
+    {"exp": [2, 6], "coeff": 1}, {"exp": [4, 3], "coeff": 1}]}
+
+
+class TestNumpyOnlyForVerification:
+    """Only the oracle needs numpy: unverified calls never import it."""
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["example", "uq-sl2", "--n", "256", "--no-verify"], False),
+        (["analyze", "{doc}", "--no-verify", "--idempotents", "--nilradical"], False),
+        (["analyze", "{doc}"], True),
+        (["example", "uq-sl2", "--n", "4"], True),
+    ], ids=["uq-sl2-256-unverified", "sparse-5x7-unverified", "sparse-5x7", "uq-sl2-4"])
+    def test_numpy_is_imported_by_verification_alone(self, tmp_path, argv, loaded):
+        doc = tmp_path / "in.json"
+        doc.write_text(json.dumps(_SPARSE_5X7))
+        argv = [arg.format(doc=doc) for arg in argv] + ["-o", str(tmp_path / "out.json")]
+        env = dict(os.environ, PYTHONPATH=str(Path(pcring.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stderr == str(loaded)
 
 
 def _json_values():

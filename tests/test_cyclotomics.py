@@ -1,5 +1,6 @@
 """Tests for exact cyclotomic arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcring import CycloNum, cyclotomic_polynomial, euler_phi, root_of_unity
+from pcring.cyclotomics import _fold, _power_residues
 
 
 def poly_mul(a, b):
@@ -129,6 +131,22 @@ class TestFieldOperations:
         a = root_of_unity(251, 1) * 2 - root_of_unity(251, 100) + Fraction(1, 3)
         assert a * a.inverse() == 1
         assert root_of_unity(251, 3).inverse() == root_of_unity(251, -3)
+
+
+class TestFold:
+    @pytest.mark.parametrize("order", [*range(1, 61), 64, 105, 128, 256])
+    def test_sparse_fold_matches_dense_reference(self, order):
+        # Every power past phi is read from the full residue row of zeta^k.
+        residues = _power_residues(order)
+        phi = euler_phi(order)
+        rng = random.Random(order)
+        for length in (0, phi, 2 * phi - 1, order + phi - 1, 2 * order + 3):
+            poly = [rng.choice((0, 0, 1, -3, 2**70 + 1, -(2**64))) for _ in range(length)]
+            expected = list(poly[:phi]) + [0] * (phi - min(length, phi))
+            for k in range(phi, length):
+                for i in range(phi):
+                    expected[i] += poly[k] * residues[k % order][i]
+            assert _fold(order, poly) == expected
 
 
 class TestRootMultiples:

@@ -363,15 +363,15 @@ class TestTransformKernel:
         assert values == [CycloNum.zero(6)] * g.size
         assert inverse_fourier(g, values).is_zero()
 
-    def test_pairing_exponents_match_pairing(self):
-        g = AbelianGroup((2, 6))
+    @pytest.mark.parametrize("orders", [(1,), (1, 6), (2, 2, 2), (4, 15), (3, 5, 7), (256,)],
+                             ids=str)
+    def test_pairing_exponents_match_pairing(self, orders):
+        g = AbelianGroup(orders)
         exps = g.pairing_exponents()
         elems = g.elements()
-        assert exps.shape == (g.size, g.size)
-        assert not exps.flags.writeable
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                assert exps[i, j] == g.pairing_exponent(a, b)
+        assert len(exps) == g.size
+        for a, row in zip(elems, exps):
+            assert row == tuple(g.pairing_exponent(a, b) for b in elems)
 
     def test_mixed_group_operands_rejected(self):
         g, h = AbelianGroup((2, 3)), AbelianGroup((6,))

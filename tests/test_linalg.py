@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pcring import CycloNum, root_of_unity
+from pcring.cyclotomics import common_numerators
 from pcring.linalg import (
     certify_full_row_rank,
     exact_dtype,
@@ -147,6 +148,29 @@ class TestIntegerSlices:
         z = root_of_unity(6, 1)
         image = image_mod_p(integer_slices([[z, z * z]], 6), p, w)
         assert image.tolist() == [[w % p, w * w % p]]
+
+    def test_repeated_entries_match_the_per_row_numerators(self):
+        # Equal values in different rows scale by different row denominators.
+        z = root_of_unity(12, 1)
+        third = z * Fraction(1, 3) - 1
+        rows = [
+            [third, third, Fraction(1, 2), 0, CycloNum.zero(12), 2],
+            [third, Fraction(5, 7), 1, 1, Fraction(1, 2), z * z],
+            [0, 0, 0, 0, 0, 0],
+        ]
+        slices = integer_slices(rows, 12)
+        assert slices.dtype == np.int64
+        for row, piece in zip(rows, slices):
+            nums, _ = common_numerators(row, 12)
+            assert piece.T.tolist() == nums
+
+    def test_large_row_denominator_falls_back_to_python_integers(self):
+        # Each numerator fits int64 once scaled, but the row's lcm does not.
+        rows = [[Fraction(1, 2**40), Fraction(1, 2**40 - 1)], [1, 2]]
+        slices = integer_slices(rows, 1)
+        assert slices.dtype == object
+        assert slices[0, 0].tolist() == [2**40 - 1, 2**40]
+        assert slices[1, 0].tolist() == [1, 2]
 
     def test_huge_numerators_stay_exact(self):
         slices = integer_slices([[Fraction(2**70, 3), 1]], 1)

@@ -20,7 +20,7 @@ from pcring import (
     trace_element,
     uq_sl2,
 )
-from pcring import linalg
+from pcring import groups, linalg
 
 
 def make_ring(orders, coeffs) -> ProjectiveClassRing:
@@ -295,6 +295,21 @@ class TestNormalization:
         assert lhs == rhs
         assert tuple(unit_values) == norm.unit_values
 
+    def test_unit_is_canonical_plus_identity_minus_element(self, corpus):
+        # lambda on the support and 1 off it: the transform of
+        # c + delta_identity - element, with every coefficient cyclotomic.
+        for inst in corpus:
+            g = inst.group
+            report = spectral_report(inst.ring)
+            norm = report.normalized
+            one = GroupRingElement.delta(g, g.identity, CycloNum.one(g.conductor))
+            expected = embed_element(inst.ring.canonical) + one - norm.element
+            assert norm.unit == expected, inst.name
+            assert all(isinstance(v, CycloNum) for _, v in norm.unit.items()), inst.name
+            assert tuple(fourier(g, norm.unit)) == norm.unit_values, inst.name
+            assert norm.unit_values == tuple(
+                lam if lam else CycloNum.one(g.conductor) for lam in report.spectrum.values)
+
     @pytest.mark.parametrize("ring", AUDIT_RINGS, ids=IDS)
     def test_unit_is_invertible_and_support_is_preserved(self, ring):
         norm = spectral_report(ring).normalized
@@ -347,16 +362,16 @@ class TestBasisAudit:
     ], ids=["uq-sl2-12", "split-5x7"])
     def test_idempotents_and_nilpotents_run_no_group_transform(self, ring, monkeypatch):
         # The root multiples behind every pullback come from one
-        # shift-and-fold pass each, not from a histogram product.
+        # shift-and-fold pass each, not from the transform kernel.
         report = spectral_report(ring)
         calls = []
-        original = linalg.exact_matmul
+        original = groups.exponent_transform
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "exact_matmul", counted)
+        monkeypatch.setattr(groups, "exponent_transform", counted)
         assert len(report.idempotents) + len(report.nilpotents) == 2 * ring.group.size
         assert calls == []
 
