@@ -17,7 +17,6 @@ from .cyclotomics import CycloNum, cyclotomic_polynomial, euler_phi, root_of_uni
 from .groups import (
     AbelianGroup,
     GroupRingElement,
-    augmentation,
     character_value,
     fourier,
     inverse_fourier,
@@ -31,13 +30,7 @@ from .pair_ring import (
     ProjectiveClassRing,
     validate_canonical_element,
 )
-from .spectral import (
-    NormalizedStructure,
-    SpectralReport,
-    Spectrum,
-    spectral_report,
-    spectrum,
-)
+from .spectral import SpectralReport, spectral_report
 
 __version__ = "0.1.0"
 
@@ -47,13 +40,10 @@ __all__ = [
     "CycloNum",
     "GroupRingElement",
     "InstanceDescriptor",
-    "NormalizedStructure",
     "PairElement",
     "ProjectiveClassRing",
     "SpectralReport",
-    "Spectrum",
     "StructureTable",
-    "augmentation",
     "build_table",
     "certify_radical",
     "character_value",
@@ -68,7 +58,6 @@ __all__ = [
     "radical_matches_spectral",
     "root_of_unity",
     "spectral_report",
-    "spectrum",
     "trace_element",
     "uq_sl2",
     "validate_canonical_element",

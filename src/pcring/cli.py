@@ -163,7 +163,7 @@ def run(request: AnalysisRequest) -> tuple[dict, int]:
     if inst.expected_support_size is not None:
         r = inst.expected_support_size
         expected = {"r": r, "decomposition": spectral.render_decomposition(r, inst.group.size)}
-        match = report_data.spectrum.support_size == r
+        match = report_data.support_size == r
         doc["golden"] = {"expected": expected, "match": match}
         if not match:
             failures.append("golden mismatch")
@@ -427,13 +427,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace, stream, text: str | Exception | None) -> int:
+    if args.command == "analyze":
+        return _emit(stream, *_analyze_text(text, args))
     try:
-        if args.command == "analyze":
-            if isinstance(text, Exception):
-                return _emit(stream, _error_document("validation", str(text)), EXIT_VALIDATION)
-            request = replace(parse_input(text), **_flag_kwargs(args))
-            return _emit(stream, *run(request))
-
         if args.command == "example":
             if args.name == "uq-sl2":
                 _check_group_size(args.n, "/n")
@@ -451,6 +447,20 @@ def _dispatch(args: argparse.Namespace, stream, text: str | Exception | None) ->
     except (CanonicalElementError, ValueError) as exc:
         return _emit(stream, _error_document("validation", str(exc)), EXIT_VALIDATION)
     raise AssertionError("unreachable command")
+
+
+def _analyze_text(text: str | Exception, args: argparse.Namespace) -> tuple[dict, int]:
+    """Parse an instance document, or the error that reading it raised, and
+    run it with the flags of ``args``; returns (document, exit code), an
+    error document for invalid input."""
+    if isinstance(text, Exception):
+        return _error_document("validation", str(text)), EXIT_VALIDATION
+    try:
+        return run(replace(parse_input(text), **_flag_kwargs(args)))
+    except InputError as exc:
+        return _error_document("validation", exc.message, exc.path), EXIT_VALIDATION
+    except (CanonicalElementError, ValueError) as exc:
+        return _error_document("validation", str(exc)), EXIT_VALIDATION
 
 
 def _flag_kwargs(args: argparse.Namespace) -> dict:
@@ -500,13 +510,10 @@ def _run_batch(args: argparse.Namespace, stream) -> int:
 def _write_batch_entry(path: Path, args: argparse.Namespace, stream) -> int:
     """Analyze one batch file and write its entry; returns its exit code."""
     try:
-        request = replace(parse_input(path.read_text()), **_flag_kwargs(args))
-    except InputError as exc:
-        doc, code = _error_document("validation", exc.message, exc.path), EXIT_VALIDATION
+        text: str | Exception = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        doc, code = _error_document("validation", str(exc)), EXIT_VALIDATION
-    else:
-        doc, code = run(request)
+        text = exc
+    doc, code = _analyze_text(text, args)
     _write({"file": path.name, "report": doc}, stream, depth=2)
     return code
 

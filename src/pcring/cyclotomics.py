@@ -225,15 +225,17 @@ class CycloNum:
             return CycloNum.rational(self._order, other)
         return None
 
-    def __add__(self, other: object) -> "CycloNum":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+    def _plus(self, rhs: "CycloNum", sign: int) -> "CycloNum":
+        # self + sign * rhs over the least common denominator, sign = +-1.
         d1, d2 = self._den, rhs._den
         g = math.gcd(d1, d2)
-        m1, m2 = d2 // g, d1 // g
+        m1, m2 = d2 // g, sign * (d1 // g)
         nums = [a * m1 + b * m2 for a, b in zip(self._nums, rhs._nums)]
         return CycloNum._raw(self._order, nums, d1 * m1)
+
+    def __add__(self, other: object) -> "CycloNum":
+        rhs = self._coerce(other)
+        return NotImplemented if rhs is None else self._plus(rhs, 1)
 
     __radd__ = __add__
 
@@ -242,15 +244,11 @@ class CycloNum:
 
     def __sub__(self, other: object) -> "CycloNum":
         rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+        return NotImplemented if rhs is None else self._plus(rhs, -1)
 
     def __rsub__(self, other: object) -> "CycloNum":
         rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
+        return NotImplemented if rhs is None else rhs._plus(self, -1)
 
     def __mul__(self, other: object) -> "CycloNum":
         if isinstance(other, (int, Fraction)):

@@ -45,7 +45,6 @@ __all__ = [
     "AbelianGroup",
     "GroupElement",
     "GroupRingElement",
-    "augmentation",
     "character_value",
     "exponent_transform",
     "fourier",
@@ -256,21 +255,28 @@ class GroupRingElement:
     def __add__(self, other: object) -> "GroupRingElement":
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        self._check_same_group(other)
-        if not self._coeffs:
-            return other
-        if not other._coeffs:
-            return self
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return GroupRingElement._adopt(self._group, {k: v for k, v in out.items() if v})
+        return self._plus(other, 1)
 
     def __sub__(self, other: object) -> "GroupRingElement":
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "GroupRingElement", sign: int) -> "GroupRingElement":
+        # self + sign * other, sign = +-1, with no negated copy of other.
+        self._check_same_group(other)
+        if not other._coeffs:
+            return self
+        if not self._coeffs:
+            return other if sign > 0 else -other
+        out = dict(self._coeffs)
+        for k, v in other._coeffs.items():
+            cur = out.get(k)
+            if sign > 0:
+                out[k] = v if cur is None else cur + v
+            else:
+                out[k] = -v if cur is None else cur - v
+        return GroupRingElement._adopt(self._group, {k: v for k, v in out.items() if v})
 
     def __neg__(self) -> "GroupRingElement":
         return GroupRingElement._adopt(self._group, {k: -v for k, v in self._coeffs.items()})
@@ -363,10 +369,6 @@ class GroupRingElement:
 def trace_element(group: AbelianGroup) -> GroupRingElement:
     """The sum of all group elements, with integer coefficient 1 each."""
     return GroupRingElement._adopt(group, dict.fromkeys(range(group.size), 1))
-
-
-def augmentation(x: GroupRingElement):
-    return x.augmentation()
 
 
 def pairing(group: AbelianGroup, a: GroupElement, b: GroupElement) -> CycloNum:

@@ -103,16 +103,6 @@ class StructureTable:
         self.dim = dim
         self._associative: bool | None = None
 
-    def labels(self) -> list[tuple[str, tuple[int, ...]]]:
-        elements = self.group.elements()
-        return [("simple", a) for a in elements] + [("projective", a) for a in elements]
-
-    def product(self, i: int, j: int) -> np.ndarray:
-        return self.constants[i, j]
-
-    def is_commutative(self) -> bool:
-        return bool(np.array_equal(self.constants, self.constants.transpose(1, 0, 2)))
-
     def generators(self) -> list[int]:
         """Basis indices of a set G that generates the algebra.
 
@@ -360,5 +350,5 @@ def verify(ring: ProjectiveClassRing, report) -> tuple[dict, bool]:
         "radical_matches_spectral": spans_match,
     }
     ok = (associative and matches and spans_match
-          and radical_dim == report.group.size - report.spectrum.support_size)
+          and radical_dim == report.group.size - report.support_size)
     return block, ok

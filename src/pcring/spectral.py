@@ -13,22 +13,20 @@ Everything here is computed in transform coordinates, where the block
 formulas are literal, and pulled back to group ring coordinates through the
 inverse transform.  The returned idempotents carry explicit 1/lambda
 factors, so they are valid in the caller's original coordinates without any
-silent rescaling of the canonical element; the report's ``normalized``
-field exhibits the rescaling separately as a central unit certificate.
+silent rescaling of the canonical element; the report's ``element`` and
+``unit`` exhibit the rescaling separately as a central unit certificate.
 
-``spectral_report`` is the one entry point: every quantity above is a field
-or property of the ``SpectralReport`` it returns, and s is its group's
-size.  The spectrum is one ``fourier`` call and the normalized structure
-one ``inverse_fourier`` call, of the support indicator; no other group
-transform runs here.  The unit then follows without a transform: its
-values are lambda on the support and 1 off it, those of
-c + delta_identity - element.  The
-pullback of value * delta_b has coefficient value * zeta^(-<a,b>)/s at a:
-its s coefficients are among the N root multiples of value/s, one
-shift-and-fold pass of ``CycloNum``, run for 1/s once per report and for
-1/(s*lambda) per idempotent pair.  A
-``SpectralReport`` builds its idempotents and nilpotents on first access,
-so the inversions and the row build run only when a caller reads them.
+``spectral_report`` is the one entry point: one ``fourier`` call, the
+transform of c, whose values and ring are all a ``SpectralReport`` stores.
+Everything else is a property of the record, computed on first access and
+then kept, so a caller pays only for what it reads.  The normalized
+element is the one ``inverse_fourier`` call, of the support indicator; the
+unit needs no transform, since its values, lambda on the support and 1 off
+it, are those of c + delta_identity - element.  The pullback of
+value * delta_b has coefficient value * zeta^(-<a,b>)/s at a: its s
+coefficients are among the N root multiples of value/s, one shift-and-fold
+pass of ``CycloNum``, run for 1/s once per report and for 1/(s*lambda) per
+idempotent pair.
 """
 
 from __future__ import annotations
@@ -46,26 +44,7 @@ from .groups import (
 )
 from .pair_ring import PairElement, ProjectiveClassRing
 
-__all__ = [
-    "NormalizedStructure",
-    "Spectrum",
-    "SpectralReport",
-    "render_decomposition",
-    "spectral_report",
-    "spectrum",
-]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Character transform of the canonical element and its support."""
-
-    values: tuple[CycloNum, ...]       # one value per character, canonical order
-    support: tuple[GroupElement, ...]  # labels of the nonvanishing characters
-
-    @property
-    def support_size(self) -> int:
-        return len(self.support)
+__all__ = ["SpectralReport", "render_decomposition", "spectral_report"]
 
 
 def render_decomposition(r: int, s: int) -> str:
@@ -76,36 +55,61 @@ def render_decomposition(r: int, s: int) -> str:
 
 
 @dataclass(frozen=True)
-class NormalizedStructure:
-    """Canonical multiplicative structure and the unit relating it to c.
-
-    ``element`` is the inverse transform of the indicator of the support:
-    the representative with transform values in {0, 1}.  ``unit`` is the
-    central unit with transform values ``unit_values`` (the original value on
-    the support, 1 elsewhere), so that c = unit * element in the group ring.
-    The support set itself is the complete isomorphism invariant.
-    """
-
-    element: GroupRingElement
-    unit: GroupRingElement
-    unit_values: tuple[CycloNum, ...]
-
-
-@dataclass(frozen=True)
 class SpectralReport:
-    """Everything the complexified analysis produces for one ring.
+    """The complexified analysis of one ring, derived from the transform of
+    its canonical element.
 
-    ``idempotents`` and ``nilpotents`` are computed on first access and then
-    kept; both share one build of the pullback rows.
+    ``values`` holds one value lambda per character, in canonical order.
+    The support, the set of characters where lambda does not vanish, is the
+    complete isomorphism invariant.  ``element`` is the representative with
+    transform values in {0, 1}, and ``unit`` the central unit with transform
+    values ``unit_values`` (lambda on the support, 1 elsewhere), so that
+    c = unit * element in the group ring.  ``idempotents`` and
+    ``nilpotents`` share one build of the pullback rows.
     """
 
-    group: AbelianGroup
-    spectrum: Spectrum
-    normalized: NormalizedStructure
+    ring: ProjectiveClassRing
+    values: tuple[CycloNum, ...]
+
+    @property
+    def group(self) -> AbelianGroup:
+        return self.ring.group
+
+    @cached_property
+    def support(self) -> tuple[GroupElement, ...]:
+        """Labels of the nonvanishing characters."""
+        return tuple(b for b, lam in zip(self.group.elements(), self.values) if lam)
+
+    @property
+    def support_size(self) -> int:
+        return len(self.support)
 
     @property
     def decomposition(self) -> str:
-        return render_decomposition(self.spectrum.support_size, self.group.size)
+        return render_decomposition(self.support_size, self.group.size)
+
+    @cached_property
+    def unit_values(self) -> tuple[CycloNum, ...]:
+        one = CycloNum.one(self.group.conductor)
+        return tuple(lam if lam else one for lam in self.values)
+
+    @cached_property
+    def element(self) -> GroupRingElement:
+        # The inverse transform of the support indicator.
+        n = self.group.conductor
+        one, zero = CycloNum.one(n), CycloNum.zero(n)
+        return inverse_fourier(self.group, [one if lam else zero for lam in self.values])
+
+    @cached_property
+    def unit(self) -> GroupRingElement:
+        # The transform of c + delta_identity - element is lambda + 1 - 1 on
+        # the support and 0 + 1 - 0 off it.  c's integers are embedded so
+        # that every coefficient of the unit is a cyclotomic value.
+        group = self.group
+        n = group.conductor
+        canonical = self.ring.canonical.map_coefficients(lambda v: CycloNum.rational(n, v))
+        identity = GroupRingElement.delta(group, group.identity, CycloNum.one(n))
+        return canonical + identity - self.element
 
     @cached_property
     def _pullbacks(self) -> list[GroupRingElement]:
@@ -126,7 +130,7 @@ class SpectralReport:
         group = self.group
         zero = GroupRingElement.zero(group)
         out: list[PairElement] = []
-        for b, (row, lam) in enumerate(zip(self._pullbacks, self.spectrum.values)):
+        for b, (row, lam) in enumerate(zip(self._pullbacks, self.values)):
             if lam:
                 scaled = _pullback_row(group, b, (lam.inverse() / group.size).root_multiples())
                 out.append(PairElement(row, -scaled))
@@ -145,7 +149,7 @@ class SpectralReport:
         """
         zero = GroupRingElement.zero(self.group)
         return tuple(PairElement(zero, row)
-                     for row, lam in zip(self._pullbacks, self.spectrum.values) if not lam)
+                     for row, lam in zip(self._pullbacks, self.values) if not lam)
 
     def to_json(self, include_idempotents: bool = True,
                 include_nilradical: bool = True) -> dict:
@@ -155,35 +159,21 @@ class SpectralReport:
         memo: dict = {}
         doc: dict = {
             "s": self.group.size,
-            "r": self.spectrum.support_size,
+            "r": self.support_size,
             "decomposition": self.decomposition,
-            "support_F": [list(label) for label in self.spectrum.support],
-            "fourier_c": [v.to_json(memo) for v in self.spectrum.values],
+            "support_F": [list(label) for label in self.support],
+            "fourier_c": [v.to_json(memo) for v in self.values],
         }
         if include_idempotents:
             doc["idempotents"] = [e.to_json(memo) for e in self.idempotents]
         if include_nilradical:
             doc["nilradical"] = [n.to_json(memo) for n in self.nilpotents]
         doc["normalized_c"] = {
-            "element": self.normalized.element.to_json(memo),
-            "unit": self.normalized.unit.to_json(memo),
-            "unit_fourier": [v.to_json(memo) for v in self.normalized.unit_values],
+            "element": self.element.to_json(memo),
+            "unit": self.unit.to_json(memo),
+            "unit_fourier": [v.to_json(memo) for v in self.unit_values],
         }
         return doc
-
-
-def spectrum(ring: ProjectiveClassRing) -> Spectrum:
-    """Transform the canonical element and record where it does not vanish.
-
-    The support is never empty: the trivial character evaluates to the
-    augmentation, which is at least 2 for a valid canonical element.
-    """
-    group = ring.group
-    values = fourier(group, ring.canonical)
-    support = tuple(b for b, v in zip(group.elements(), values) if v)
-    if not support:
-        raise AssertionError("transform of a valid canonical element cannot vanish everywhere")
-    return Spectrum(values=tuple(values), support=support)
 
 
 def _pullback_row(group: AbelianGroup, b: int, multiples: list[CycloNum]) -> GroupRingElement:
@@ -195,26 +185,12 @@ def _pullback_row(group: AbelianGroup, b: int, multiples: list[CycloNum]) -> Gro
 
 
 def spectral_report(ring: ProjectiveClassRing) -> SpectralReport:
-    """Run the whole complexified analysis once, sharing the spectrum.
+    """Transform the canonical element and return its report.
 
-    Idempotents and nilpotents are left to first access.
+    The support is never empty: the trivial character evaluates to the
+    augmentation, which is at least 2 for a valid canonical element.
     """
-    group = ring.group
-    spec = spectrum(ring)
-    n = group.conductor
-    one, zero = CycloNum.one(n), CycloNum.zero(n)
-    element = inverse_fourier(group, [one if lam else zero for lam in spec.values])
-    # The transform of c + delta_identity - element is lambda + 1 - 1 on the
-    # support and 0 + 1 - 0 off it.  c's integers are embedded so that every
-    # coefficient of the unit is a cyclotomic value.
-    canonical = ring.canonical.map_coefficients(lambda v: CycloNum.rational(n, v))
-    unit = canonical + GroupRingElement.delta(group, group.identity, one) - element
-    return SpectralReport(
-        group=group,
-        spectrum=spec,
-        normalized=NormalizedStructure(
-            element=element,
-            unit=unit,
-            unit_values=tuple(lam if lam else one for lam in spec.values),
-        ),
-    )
+    report = SpectralReport(ring, tuple(fourier(ring.group, ring.canonical)))
+    if not report.support:
+        raise AssertionError("transform of a valid canonical element cannot vanish everywhere")
+    return report

@@ -26,7 +26,6 @@ from pcring import (
     radical_matches_spectral,
     root_of_unity,
     spectral_report,
-    spectrum,
     uq_sl2,
 )
 from pcring import linalg
@@ -52,12 +51,11 @@ def test_criterion_1_half_quantum_golden_suite():
     start = time.perf_counter()
     for n in range(2, 13):
         ring = _uq_ring(n)
-        spec = spectrum(ring)
-        rendered = spectral_report(ring).decomposition
-        if spec.support_size != 1:
-            failures.append(f"n={n}: support size {spec.support_size} != 1")
-        if rendered != f"C^2 x C[eps]^{n - 1}":
-            failures.append(f"n={n}: decomposition {rendered}")
+        report = spectral_report(ring)
+        if report.support_size != 1:
+            failures.append(f"n={n}: support size {report.support_size} != 1")
+        if report.decomposition != f"C^2 x C[eps]^{n - 1}":
+            failures.append(f"n={n}: decomposition {report.decomposition}")
     elapsed = time.perf_counter() - start
     _finish(1, "half-quantum golden suite", failures, elapsed, budget=1.0)
 
@@ -69,14 +67,14 @@ def test_criterion_2_half_quantum_nilradical_statements():
         group = ring.group
         order = group.conductor
 
-        spec = spectrum(ring)
-        if spec.support != (group.identity,):
-            failures.append(f"n={n}: pairing support {spec.support}")
+        report = spectral_report(ring)
+        if report.support != (group.identity,):
+            failures.append(f"n={n}: pairing support {report.support}")
 
         def embed(value):
             return value if isinstance(value, CycloNum) else CycloNum.rational(order, value)
 
-        nils = spectral_report(ring).nilpotents
+        nils = report.nilpotents
         nil_rows = [
             [embed(nil.t_part.coefficient(a)) for a in group.elements()] for nil in nils
         ]
@@ -106,9 +104,9 @@ def test_criterion_3_idempotent_system_audit(corpus):
     tested = [(f"uq-sl2({n})", _uq_ring(n)) for n in range(2, 13)]
     tested += [(inst.name, inst.ring) for inst in corpus if inst.group.size <= 10]
     for name, ring in tested:
-        spec = spectrum(ring)
-        idems = spectral_report(ring).idempotents
-        expected_count = ring.group.size + spec.support_size
+        report = spectral_report(ring)
+        idems = report.idempotents
+        expected_count = ring.group.size + report.support_size
         if len(idems) != expected_count:
             failures.append(f"{name}: {len(idems)} idempotents, expected {expected_count}")
             continue
@@ -150,7 +148,7 @@ def test_criterion_4_oracle_equivalence(corpus):
         if not table.is_associative():
             failures.append(f"{inst.name}: table not associative")
             continue
-        expected = ring.group.size - spectrum(ring).support_size
+        expected = ring.group.size - spectral_report(ring).support_size
         got = table.radical().dimension
         if got != expected:
             failures.append(f"{inst.name}: radical dimension {got}, expected {expected}")
@@ -255,10 +253,9 @@ def test_criterion_8_dimension_audit(corpus):
     failures: list[str] = []
     for inst in corpus:
         ring = inst.ring
-        spec = spectrum(ring)
         report = spectral_report(ring)
         idems, nils = report.idempotents, report.nilpotents
-        s, r = ring.group.size, spec.support_size
+        s, r = ring.group.size, report.support_size
         if len(idems) != s + r or len(nils) != s - r:
             failures.append(f"{inst.name}: counts {len(idems)}/{len(nils)} != {s + r}/{s - r}")
             continue

@@ -456,6 +456,29 @@ class TestMain:
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
         assert code == cli.EXIT_VALIDATION
 
+    def test_analysis_error_gives_the_same_document_in_analyze_and_batch(
+            self, tmp_path, capsys, monkeypatch):
+        # A ValueError out of run is a validation error for one input, also
+        # inside a batch, whose other entries are still written.
+        original = cli.run
+
+        def failing(request):
+            if request.instance.name == "boom":
+                raise ValueError("analysis failed")
+            return original(request)
+
+        monkeypatch.setattr(cli, "run", failing)
+        good = {"group": [2], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]}
+        (tmp_path / "a_good.json").write_text(json.dumps(good))
+        (tmp_path / "b_boom.json").write_text(json.dumps({**good, "name": "boom"}))
+        error = {"error": {"type": "validation", "message": "analysis failed"}}
+        assert cli.main(["analyze", str(tmp_path / "b_boom.json")]) == cli.EXIT_VALIDATION
+        assert json.loads(capsys.readouterr().out) == error
+        assert cli.main(["batch", str(tmp_path)]) == cli.EXIT_VALIDATION
+        doc = json.loads(capsys.readouterr().out)
+        assert [entry["report"] for entry in doc["batch"]][1] == error
+        assert doc["batch"][0]["report"]["r"] == 1
+
     def test_empty_batch(self, tmp_path, capsys):
         assert cli.main(["batch", str(tmp_path)]) == cli.EXIT_OK
         assert capsys.readouterr().out == json.dumps({"batch": []}, indent=2) + "\n"

@@ -107,6 +107,11 @@ class TestFieldOperations:
         assert (z + 1) - 1 == z
         assert z * Fraction(3, 2) == Fraction(3, 2) * z
         assert 1 / CycloNum.rational(8, 2) == Fraction(1, 2)
+        a = z * Fraction(2, 3) + root_of_unity(8, 3)
+        for q in (3, -2, 0, Fraction(5, 4), Fraction(-1, 6)):
+            assert a - q == a + (-q)
+            assert q - a == q + (-a)
+            assert isinstance(q - a, CycloNum)
 
     def test_high_degree_input_is_reduced(self):
         # 1 + x + x^2 is zero modulo the third cyclotomic polynomial
@@ -238,6 +243,7 @@ class TestFieldAxioms:
         a, b, _ = triple
         assert (a - b) + b == a
         assert (a - a).is_zero()
+        assert a - b == a + (-b)
 
 
 class TestCanonicalForm:

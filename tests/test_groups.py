@@ -12,7 +12,6 @@ from pcring import (
     AbelianGroup,
     CycloNum,
     GroupRingElement,
-    augmentation,
     character_value,
     fourier,
     inverse_fourier,
@@ -111,6 +110,9 @@ class TestGroupRing:
         g = AbelianGroup((2,))
         x = GroupRingElement(g, {(0,): 1, (1,): -1})
         assert len(x + (-x)) == 0
+        assert len(x - x) == 0
+        cyclotomic = embed_element(x)
+        assert len(cyclotomic - cyclotomic) == 0
         y = GroupRingElement(g, {(1,): 0})
         assert y.is_zero()
 
@@ -123,6 +125,9 @@ class TestGroupRing:
             z = random_element(rng, g)
             assert x * (y + z) == x * y + x * z
             assert (x + y) * z == x * z + y * z
+            assert x - y == x + (-y)
+        zero = GroupRingElement.zero(g)
+        assert zero - x == -x and x - zero == x
 
     def test_convolution_is_commutative(self):
         rng = random.Random(37)
@@ -136,9 +141,9 @@ class TestGroupRing:
     def test_augmentation_examples(self):
         g2 = AbelianGroup((2,))
         g3 = AbelianGroup((3,))
-        assert augmentation(GroupRingElement.delta(g2, (0,))) == 1
-        assert augmentation(trace_element(g3)) == 3
-        assert augmentation(GroupRingElement(g2, {(0,): 1, (1,): -1})) == 0
+        assert GroupRingElement.delta(g2, (0,)).augmentation() == 1
+        assert trace_element(g3).augmentation() == 3
+        assert GroupRingElement(g2, {(0,): 1, (1,): -1}).augmentation() == 0
 
     def test_augmentation_is_multiplicative(self):
         g = AbelianGroup((6,))
@@ -146,7 +151,7 @@ class TestGroupRing:
         for _ in range(25):
             x = random_element(rng, g)
             y = random_element(rng, g)
-            assert augmentation(x * y) == augmentation(x) * augmentation(y)
+            assert (x * y).augmentation() == x.augmentation() * y.augmentation()
 
     def test_trace_element_of_trivial_group(self):
         g = AbelianGroup((1,))
@@ -196,7 +201,7 @@ class TestCharacters:
         rng = random.Random(3)
         for _ in range(20):
             x = random_element(rng, g)
-            assert character_value(g, g.identity, x) == augmentation(x)
+            assert character_value(g, g.identity, x) == x.augmentation()
 
     def test_trace_vanishes_at_nontrivial_character(self):
         g = AbelianGroup((3,))

@@ -12,7 +12,6 @@ from pcring import (
     custom,
     dual_group_algebra,
     spectral_report,
-    spectrum,
     trace_element,
     uq_sl2,
 )
@@ -35,9 +34,9 @@ class TestHalfQuantumGroup:
     def test_golden_values_hold(self, n):
         inst = uq_sl2(n)
         ring = ProjectiveClassRing(inst.group, inst.canonical)
-        spec = spectrum(ring)
-        assert spec.support_size == inst.expected_support_size == 1
-        assert spectral_report(ring).decomposition == f"C^2 x C[eps]^{n - 1}"
+        report = spectral_report(ring)
+        assert report.support_size == inst.expected_support_size == 1
+        assert report.decomposition == f"C^2 x C[eps]^{n - 1}"
 
     def test_rejects_small_orders(self):
         with pytest.raises(ValueError):
@@ -65,14 +64,14 @@ class TestCustom:
     def test_full_pipeline_instance(self):
         inst = custom((4,), {(0,): 1, (2,): 2, (3,): 1})
         ring = ProjectiveClassRing(inst.group, inst.canonical)
-        spec = spectrum(ring)
+        report = spectral_report(ring)
         # independent float check: the four character sums of this element
         # stay far from zero, so the transform may be confirmed numerically
         i = 1j
         sums = [1 + 2 * cmath.exp(cmath.pi * i * b) + cmath.exp(1.5 * cmath.pi * i * b) for b in range(4)]
         assert all(abs(v) > 1 for v in sums)
-        assert spec.support_size == 4
-        assert spectral_report(ring).decomposition == "C^8 x C[eps]^0"
+        assert report.support_size == 4
+        assert report.decomposition == "C^8 x C[eps]^0"
 
     def test_semisimple_rejected(self):
         with pytest.raises(CanonicalElementError, match="semisimple input"):
@@ -81,9 +80,9 @@ class TestCustom:
     def test_klein_trace_element(self):
         inst = custom((2, 2), {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
         ring = ProjectiveClassRing(inst.group, inst.canonical)
-        spec = spectrum(ring)
-        assert spec.support_size == 1
-        assert spec.support == ((0, 0),)
+        report = spectral_report(ring)
+        assert report.support_size == 1
+        assert report.support == ((0, 0),)
 
     def test_descriptor_has_no_golden_values(self):
         inst = custom((2,), {(0,): 1, (1,): 1})
@@ -95,7 +94,7 @@ class TestCustom:
         coeffs = {a: 1 for a in group.elements()}
         inst = custom(orders, coeffs)
         ring = ProjectiveClassRing(inst.group, inst.canonical)
-        spec = spectrum(ring)
-        assert spec.support_size == 1
-        assert spec.support == (group.identity,)
-        assert spec.values[0] == group.size
+        report = spectral_report(ring)
+        assert report.support_size == 1
+        assert report.support == (group.identity,)
+        assert report.values[0] == group.size

@@ -1,5 +1,6 @@
 """Tests for the complexified analysis: support, idempotents, nilradical."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -13,14 +14,14 @@ from pcring import (
     GroupRingElement,
     PairElement,
     ProjectiveClassRing,
+    SpectralReport,
     fourier,
     pairing,
     spectral_report,
-    spectrum,
     trace_element,
     uq_sl2,
 )
-from pcring import groups, linalg
+from pcring import groups, linalg, spectral
 
 
 def make_ring(orders, coeffs) -> ProjectiveClassRing:
@@ -51,24 +52,24 @@ IDS = [str(r.group.orders) + "/" + str(sorted(r.canonical.items())) for r in AUD
 class TestSpectrum:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_trace_element_concentrates_at_trivial_character(self, n):
-        spec = spectrum(trace_ring((n,)))
-        assert spec.support_size == 1
-        assert spec.support == ((0,),)
-        assert spec.values[0] == n
+        report = spectral_report(trace_ring((n,)))
+        assert report.support_size == 1
+        assert report.support == ((0,),)
+        assert report.values[0] == n
 
     def test_doubled_unit_has_full_support(self):
-        spec = spectrum(make_ring((2,), {(0,): 2}))
-        assert spec.support_size == 2
-        assert spec.values == (CycloNum.rational(2, 2), CycloNum.rational(2, 2))
+        report = spectral_report(make_ring((2,), {(0,): 2}))
+        assert report.support_size == 2
+        assert report.values == (CycloNum.rational(2, 2), CycloNum.rational(2, 2))
 
     def test_order_two_trace(self):
-        spec = spectrum(make_ring((2,), {(0,): 1, (1,): 1}))
-        assert spec.support_size == 1
-        assert spec.values == (CycloNum.rational(2, 2), CycloNum.zero(2))
+        report = spectral_report(make_ring((2,), {(0,): 1, (1,): 1}))
+        assert report.support_size == 1
+        assert report.values == (CycloNum.rational(2, 2), CycloNum.zero(2))
 
     def test_support_never_empty(self):
         for ring in AUDIT_RINGS:
-            assert spectrum(ring).support_size >= 1
+            assert spectral_report(ring).support_size >= 1
 
     def test_support_matches_bilinear_pairing_set(self):
         # The labels pairing nontrivially with the canonical element under
@@ -82,7 +83,7 @@ class TestSpectrum:
                     total = total + pairing(g, x, a) * coeff
                 if total:
                     by_pairing.add(x)
-            assert by_pairing == set(spectrum(ring).support)
+            assert by_pairing == set(spectral_report(ring).support)
 
     def test_support_is_galois_stable(self, corpus):
         # c has rational coefficients, so lambda_(kb) = sigma_k(lambda_b) for
@@ -92,7 +93,7 @@ class TestSpectrum:
             group = inst.group
             n = group.conductor
             units = [k for k in range(n) if math.gcd(k, n) == 1]
-            support = set(spectrum(inst.ring).support)
+            support = set(spectral_report(inst.ring).support)
             for b in support:
                 for k in units:
                     kb = tuple(k * x % m for x, m in zip(b, group.orders))
@@ -137,9 +138,9 @@ class TestIdempotentSystem:
 
     @pytest.mark.parametrize("ring", AUDIT_RINGS, ids=IDS)
     def test_count_idempotency_orthogonality_completeness(self, ring):
-        spec = spectrum(ring)
-        idems = spectral_report(ring).idempotents
-        assert len(idems) == ring.group.size + spec.support_size
+        report = spectral_report(ring)
+        idems = report.idempotents
+        assert len(idems) == ring.group.size + report.support_size
         for e in idems:
             assert pairs_equal(ring.mul(e, e), e)
         for i, e in enumerate(idems):
@@ -172,8 +173,9 @@ class TestNilradical:
 
     @pytest.mark.parametrize("ring", AUDIT_RINGS, ids=IDS)
     def test_squares_and_mutual_products_vanish(self, ring):
-        nils = spectral_report(ring).nilpotents
-        assert len(nils) == ring.group.size - spectrum(ring).support_size
+        report = spectral_report(ring)
+        nils = report.nilpotents
+        assert len(nils) == ring.group.size - report.support_size
         for i, x in enumerate(nils):
             for y in nils[i:]:
                 assert ring.mul(x, y).is_zero()
@@ -185,9 +187,9 @@ class TestNilradical:
         from pcring import character_value
 
         g = ring.group
-        support = spectrum(ring).support
-        for nil in spectral_report(ring).nilpotents:
-            for x in support:
+        report = spectral_report(ring)
+        for nil in report.nilpotents:
+            for x in report.support:
                 assert character_value(g, x, nil.t_part).is_zero()
 
     @pytest.mark.parametrize("n", range(2, 8))
@@ -259,41 +261,40 @@ def basis_vec(g: AbelianGroup, j: int) -> GroupRingElement:
 class TestNormalization:
     def test_normalized_element_transforms_to_indicator(self):
         ring = trace_ring((2,))  # canonical element transforms to (2, 0)
-        norm = spectral_report(ring).normalized
-        assert fourier(ring.group, norm.element) == [
+        report = spectral_report(ring)
+        assert fourier(ring.group, report.element) == [
             CycloNum.one(2),
             CycloNum.zero(2),
         ]
 
     def test_order_two_unit_certificate(self):
         ring = trace_ring((2,))
-        norm = spectral_report(ring).normalized
+        report = spectral_report(ring)
         half = Fraction(1, 2)
-        assert norm.element == embed_element(
+        assert report.element == embed_element(
             GroupRingElement(ring.group, {(0,): half, (1,): half})
         )
-        assert norm.unit_values == (CycloNum.rational(2, 2), CycloNum.one(2))
+        assert report.unit_values == (CycloNum.rational(2, 2), CycloNum.one(2))
 
     def test_order_three_trace(self):
         ring = trace_ring((3,))
-        norm = spectral_report(ring).normalized
         third = Fraction(1, 3)
         expected = embed_element(
             GroupRingElement(ring.group, {(0,): third, (1,): third, (2,): third})
         )
-        assert norm.element == expected
+        assert spectral_report(ring).element == expected
 
     @pytest.mark.parametrize("ring", AUDIT_RINGS, ids=IDS)
     def test_unit_times_normalized_recovers_canonical(self, ring):
-        norm = spectral_report(ring).normalized
-        assert elements_equal(norm.unit * norm.element, ring.canonical)
+        report = spectral_report(ring)
+        assert elements_equal(report.unit * report.element, ring.canonical)
         # the same identity pointwise in transform coordinates
         g = ring.group
         lhs = fourier(g, ring.canonical)
-        unit_values = fourier(g, norm.unit)
-        rhs = [u * v for u, v in zip(unit_values, fourier(g, norm.element))]
+        unit_values = fourier(g, report.unit)
+        rhs = [u * v for u, v in zip(unit_values, fourier(g, report.element))]
         assert lhs == rhs
-        assert tuple(unit_values) == norm.unit_values
+        assert tuple(unit_values) == report.unit_values
 
     def test_unit_is_canonical_plus_identity_minus_element(self, corpus):
         # lambda on the support and 1 off it: the transform of
@@ -301,26 +302,52 @@ class TestNormalization:
         for inst in corpus:
             g = inst.group
             report = spectral_report(inst.ring)
-            norm = report.normalized
             one = GroupRingElement.delta(g, g.identity, CycloNum.one(g.conductor))
-            expected = embed_element(inst.ring.canonical) + one - norm.element
-            assert norm.unit == expected, inst.name
-            assert all(isinstance(v, CycloNum) for _, v in norm.unit.items()), inst.name
-            assert tuple(fourier(g, norm.unit)) == norm.unit_values, inst.name
-            assert norm.unit_values == tuple(
-                lam if lam else CycloNum.one(g.conductor) for lam in report.spectrum.values)
+            expected = embed_element(inst.ring.canonical) + one - report.element
+            assert report.unit == expected, inst.name
+            assert all(isinstance(v, CycloNum) for _, v in report.unit.items()), inst.name
+            assert tuple(fourier(g, report.unit)) == report.unit_values, inst.name
+            assert report.unit_values == tuple(
+                lam if lam else CycloNum.one(g.conductor) for lam in report.values)
 
     @pytest.mark.parametrize("ring", AUDIT_RINGS, ids=IDS)
     def test_unit_is_invertible_and_support_is_preserved(self, ring):
-        norm = spectral_report(ring).normalized
+        report = spectral_report(ring)
         g = ring.group
-        assert all(v for v in fourier(g, norm.unit))
-        spec = spectrum(ring)
-        normalized_values = fourier(g, norm.element)
+        assert all(v for v in fourier(g, report.unit))
+        normalized_values = fourier(g, report.element)
         support = tuple(b for b, v in zip(g.elements(), normalized_values) if v)
-        assert support == spec.support
+        assert support == report.support
         one = CycloNum.one(g.conductor)
         assert all(v == one for b, v in zip(g.elements(), normalized_values) if v)
+
+
+class TestRecord:
+    def test_stores_the_ring_and_the_transform_values_only(self):
+        assert [f.name for f in dataclasses.fields(SpectralReport)] == ["ring", "values"]
+
+    def test_one_transform_each_way_through_the_module_names(self, monkeypatch):
+        # Tracing wraps spectral.fourier by name, so the report must look
+        # both transforms up there.
+        calls = []
+
+        def counted(name):
+            original = getattr(spectral, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        for name in ("fourier", "inverse_fourier"):
+            monkeypatch.setattr(spectral, name, counted(name))
+        ring = make_ring((2, 3), {(0, 0): 2, (1, 1): 3, (0, 2): 1})
+        report = spectral_report(ring)
+        assert calls == ["fourier"]
+        assert report.values == tuple(fourier(ring.group, ring.canonical))
+        report.to_json()
+        report.to_json()
+        assert calls == ["fourier", "inverse_fourier"]
 
 
 class TestBasisAudit:
@@ -347,13 +374,13 @@ class TestBasisAudit:
         report.to_json(include_idempotents=False, include_nilradical=False)
         assert calls == []
         assert "_pullbacks" not in vars(report)
-        assert len(report.nilpotents) == ring.group.size - report.spectrum.support_size
+        assert len(report.nilpotents) == ring.group.size - report.support_size
         rows = vars(report)["_pullbacks"]
         assert calls == []
-        assert len(report.idempotents) == ring.group.size + report.spectrum.support_size
+        assert len(report.idempotents) == ring.group.size + report.support_size
         assert vars(report)["_pullbacks"] is rows
         # One inversion per nonvanishing character.
-        assert len(calls) == report.spectrum.support_size
+        assert len(calls) == report.support_size
         assert report.idempotents is report.idempotents
 
     @pytest.mark.parametrize("ring", [
@@ -378,7 +405,7 @@ class TestBasisAudit:
     def test_equal_values_render_to_one_shared_dict(self):
         # uq-sl2(4) has the transform (4, 0, 0, 0), with each 0 its own object.
         report = spectral_report(ProjectiveClassRing(uq_sl2(4).group, uq_sl2(4).canonical))
-        values = report.spectrum.values
+        values = report.values
         assert values[1] == values[2] and values[1] is not values[2]
         doc = report.to_json()
         assert doc["fourier_c"][1] is doc["fourier_c"][2]
