@@ -130,6 +130,8 @@ def parse_input(document: str) -> AnalysisRequest:
         coeff = term["coeff"]
         if not isinstance(coeff, int) or isinstance(coeff, bool):
             raise InputError(f"/c/{i}/coeff", "expected an integer")
+        if coeff < 0:
+            raise InputError(f"/c/{i}/coeff", "expected a nonnegative integer")
         key = tuple(exp)
         coeffs[key] = coeffs.get(key, 0) + coeff
 
@@ -340,8 +342,8 @@ def _emit(stream, doc: dict, code: int) -> int:
     return code
 
 
-def _error_document(kind: str, message: str, path: str | None = None) -> dict:
-    err: dict = {"type": kind, "message": message}
+def _error_document(message: str, path: str | None = None) -> dict:
+    err: dict = {"type": "validation", "message": message}
     if path is not None:
         err["path"] = path
     return {"error": err}
@@ -399,12 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     # The input is read first, since opening -o truncates: `analyze F -o F`
     # reads F.  -o is opened before any analysis; batch files are read under
     # their own handlers, so an OSError out of _dispatch comes from writing.
-    text: str | Exception | None = None
-    if args.command == "analyze":
-        try:
-            text = Path(args.file).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            text = exc
+    text = _read(Path(args.file)) if args.command == "analyze" else None
     try:
         if not args.output:
             code = _dispatch(args, sys.stdout, text)
@@ -413,8 +410,7 @@ def main(argv: list[str] | None = None) -> int:
                 with open(args.output, "w", encoding="utf-8") as stream:
                     code = _dispatch(args, stream, text)
             except OSError as exc:
-                code = _emit(sys.stdout, _error_document("validation", str(exc), "/output"),
-                             EXIT_VALIDATION)
+                code = _emit(sys.stdout, _error_document(str(exc), "/output"), EXIT_VALIDATION)
         sys.stdout.flush()
     except OSError as exc:
         # stdout cannot take the report: one line on stderr, not a traceback.
@@ -427,48 +423,43 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace, stream, text: str | Exception | None) -> int:
-    if args.command == "analyze":
-        return _emit(stream, *_analyze_text(text, args))
+    if args.command == "batch":
+        return _run_batch(args, stream)
+    return _emit(stream, *_analyze(args, text))
+
+
+def _read(path: Path) -> str | Exception:
+    """The text of an instance file, or the error that reading it raised."""
     try:
-        if args.command == "example":
-            if args.name == "uq-sl2":
-                _check_group_size(args.n, "/n")
-                descriptor = instances.uq_sl2(args.n)
-            else:
-                orders = _parse_orders(args.orders)
-                descriptor = instances.dual_group_algebra(orders)
-            return _emit(stream, *run(AnalysisRequest(instance=descriptor, **_flag_kwargs(args))))
-
-        if args.command == "batch":
-            return _run_batch(args, stream)
-    except InputError as exc:
-        return _emit(stream, _error_document("validation", exc.message, exc.path),
-                     EXIT_VALIDATION)
-    except (CanonicalElementError, ValueError) as exc:
-        return _emit(stream, _error_document("validation", str(exc)), EXIT_VALIDATION)
-    raise AssertionError("unreachable command")
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        return exc
 
 
-def _analyze_text(text: str | Exception, args: argparse.Namespace) -> tuple[dict, int]:
-    """Parse an instance document, or the error that reading it raised, and
-    run it with the flags of ``args``; returns (document, exit code), an
-    error document for invalid input."""
+def _analyze(args: argparse.Namespace, text: str | Exception | None) -> tuple[dict, int]:
+    """Run one analysis with the flags of ``args``: of the instance document
+    ``text``, or for ``example`` (``text`` None) of the built-in instance
+    that ``args`` names.  Returns (document, exit code); the document is a
+    validation error when ``text`` is the error that reading it raised or
+    when the input is invalid."""
     if isinstance(text, Exception):
-        return _error_document("validation", str(text)), EXIT_VALIDATION
+        return _error_document(str(text)), EXIT_VALIDATION
     try:
-        return run(replace(parse_input(text), **_flag_kwargs(args)))
+        request = parse_input(text) if text is not None else AnalysisRequest(_example(args))
+        return run(replace(request, verify=not args.no_verify,
+                           emit_idempotents=args.idempotents,
+                           emit_nilradical=args.nilradical))
     except InputError as exc:
-        return _error_document("validation", exc.message, exc.path), EXIT_VALIDATION
-    except (CanonicalElementError, ValueError) as exc:
-        return _error_document("validation", str(exc)), EXIT_VALIDATION
+        return _error_document(exc.message, exc.path), EXIT_VALIDATION
+    except ValueError as exc:
+        return _error_document(str(exc)), EXIT_VALIDATION
 
 
-def _flag_kwargs(args: argparse.Namespace) -> dict:
-    return {
-        "verify": not args.no_verify,
-        "emit_idempotents": args.idempotents,
-        "emit_nilradical": args.nilradical,
-    }
+def _example(args: argparse.Namespace) -> InstanceDescriptor:
+    if args.name == "uq-sl2":
+        _check_group_size(args.n, "/n")
+        return instances.uq_sl2(args.n)
+    return instances.dual_group_algebra(_parse_orders(args.orders))
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:
@@ -489,8 +480,7 @@ _SEVERITY = (EXIT_OK, EXIT_VERIFICATION, EXIT_VALIDATION)
 def _run_batch(args: argparse.Namespace, stream) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
-        return _emit(stream, _error_document("validation", f"not a directory: {directory}"),
-                     EXIT_VALIDATION)
+        return _emit(stream, _error_document(f"not a directory: {directory}"), EXIT_VALIDATION)
     # A batch never reads its own -o file.
     own = os.path.realpath(args.output) if args.output else None
     paths = sorted(p for p in directory.glob("*.json") if os.path.realpath(p) != own)
@@ -502,19 +492,10 @@ def _run_batch(args: argparse.Namespace, stream) -> int:
     stream.write('{\n  "batch": [')
     for i, path in enumerate(paths):
         stream.write(",\n    " if i else "\n    ")
-        code = max(code, _write_batch_entry(path, args, stream), key=_SEVERITY.index)
+        doc, entry_code = _analyze(args, _read(path))
+        _write({"file": path.name, "report": doc}, stream, depth=2)
+        code = max(code, entry_code, key=_SEVERITY.index)
     stream.write("\n  ]\n}\n")
-    return code
-
-
-def _write_batch_entry(path: Path, args: argparse.Namespace, stream) -> int:
-    """Analyze one batch file and write its entry; returns its exit code."""
-    try:
-        text: str | Exception = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        text = exc
-    doc, code = _analyze_text(text, args)
-    _write({"file": path.name, "report": doc}, stream, depth=2)
     return code
 
 

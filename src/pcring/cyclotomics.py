@@ -358,6 +358,10 @@ class CycloNum:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A rational value equals the int or Fraction it embeds, so it hashes
+        # like that number.
+        if self.is_rational():
+            return hash(Fraction(self._nums[0], self._den))
         return hash((self._order, self._nums, self._den))
 
     def __repr__(self) -> str:
@@ -395,9 +399,12 @@ class CycloNum:
         not be modified.
         """
         if memo is not None:
-            doc = memo.get(self)
+            # Keyed by the canonical form, which equal values share: a tuple
+            # hashes and compares faster than a CycloNum.
+            key = (self._order, self._nums, self._den)
+            doc = memo.get(key)
             if doc is None:
-                doc = memo[self] = self.to_json()
+                doc = memo[key] = self.to_json()
             return doc
         return {
             "order": self._order,

@@ -25,7 +25,7 @@ keyed by element index (the position in ``AbelianGroup.elements()``), and
 convolution reads the index of a + b from an s x s table cached on the group,
 so multiplication adds integers rather than exponent tuples.  Exponent tuples
 are the keys at the API boundary: validated constructor input,
-``coefficient``, ``items``, ``sorted_terms``, ``support`` and ``to_json``.
+``coefficient``, ``items``, ``support`` and ``to_json``.
 Index order is lexicographic order, so every listing comes out sorted by
 exponent tuple.  The coefficient domain is whatever supports ring
 arithmetic; in practice ``int``, ``Fraction`` or
@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .cyclotomics import CycloNum, _fold, common_numerators, euler_phi, root_of_unity
 
@@ -227,14 +227,11 @@ class GroupRingElement:
         elements = self._group.elements()
         return tuple(elements[i] for i in sorted(self._coeffs))
 
-    def sorted_terms(self) -> list[tuple[GroupElement, object]]:
+    def items(self) -> list[tuple[GroupElement, object]]:
+        """Nonzero terms by exponent tuple, in lexicographic order."""
         elements = self._group.elements()
         coeffs = self._coeffs
         return [(elements[i], coeffs[i]) for i in sorted(coeffs)]
-
-    def items(self) -> Iterator[tuple[GroupElement, object]]:
-        """Nonzero terms by exponent tuple, in lexicographic order."""
-        return iter(self.sorted_terms())
 
     def index_items(self) -> Iterable[tuple[int, object]]:
         """Nonzero terms keyed by element index, in no particular order."""
@@ -346,7 +343,7 @@ class GroupRingElement:
     def __repr__(self) -> str:
         if not self._coeffs:
             return f"GroupRingElement({self._group!r}, 0)"
-        terms = " + ".join(f"{v}*K{list(k)}" for k, v in self.sorted_terms())
+        terms = " + ".join(f"{v}*K{list(k)}" for k, v in self.items())
         return f"GroupRingElement({self._group!r}, {terms})"
 
     # -- serialization -----------------------------------------------------------
@@ -355,7 +352,7 @@ class GroupRingElement:
         """Terms in exponent order; cyclotomic coefficients render through
         ``CycloNum.to_json(memo)``, so with a memo they may share dicts."""
         terms = []
-        for exp, coeff in self.sorted_terms():
+        for exp, coeff in self.items():
             if isinstance(coeff, CycloNum):
                 val: object = coeff.to_json(memo)
             elif isinstance(coeff, Fraction):

@@ -10,9 +10,7 @@ p == 1 (mod N), where zeta_N goes to an element of order N in GF(p)*.  The
 image is taken from integer power-basis slices (``integer_slices``), never
 from fractions.  Rank can only drop under a homomorphism, so full rank of the
 image certifies full rank exactly, and ``rank_mod_p`` bounds the rational
-rank of an integer matrix from below.  ``certify_full_row_rank`` settles the
-claim by exact elimination when no prime certifies it (which also happens
-for genuinely rank-deficient input).  ``exact_matmul`` multiplies integer
+rank of an integer matrix from below.  ``exact_matmul`` multiplies integer
 matrices exactly in the narrowest tier ``exact_dtype`` proves exact: float32
 BLAS when every partial sum is an integer below 2**24, float64 BLAS below
 2**53, Python integers otherwise.
@@ -29,10 +27,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cyclotomics import CycloNum, _integer_coeffs, euler_phi
+from .cyclotomics import _integer_coeffs, euler_phi
 
 __all__ = [
-    "certify_full_row_rank",
     "exact_dtype",
     "exact_matmul",
     "image_mod_p",
@@ -285,21 +282,3 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
         rk += 1
     return rk
 
-
-def certify_full_row_rank(rows: Sequence[Sequence[object]], order: int) -> bool:
-    """True iff the rows (entries in Q(zeta_order) or rational) are linearly
-    independent.  Fast modular certificates first, exact elimination last."""
-    m = len(rows)
-    if m == 0:
-        return True
-    if m > len(rows[0]):
-        return False
-    slices = integer_slices(rows, order)
-    for p, w in modular_primes(order, PRIME_ATTEMPTS):
-        if rank_mod_p(image_mod_p(slices, p, w), p) == m:
-            return True
-    embedded = [
-        [e if isinstance(e, CycloNum) else CycloNum.rational(order, e) for e in row]
-        for row in rows
-    ]
-    return rank(embedded) == m

@@ -25,10 +25,10 @@ with a sandwich certificate: exact integer products show T n = 0 for every
 power-basis slice of every nilpotent, their rank modulo a prime
 p == 1 (mod N) shows dim ker T >= m, and rank_p(T) <= rank_Q(T) shows
 dim ker T <= 2s - rank_p(T).  When the two bounds meet at m the nilpotents
-span the radical.  Otherwise the exact path decides: the rational kernel of
-T (``StructureTable.radical``) and mutual span membership
-(``radical_matches_spectral``), which also serve as the reference the tests
-compare the certificate against.
+span the radical.  Otherwise the exact path decides: a rational basis of
+ker T (``StructureTable.radical``, a tuple of vectors) and mutual span
+membership (``radical_matches_spectral``), which also serve as the
+reference the tests compare the certificate against.
 
 ``verify`` runs the whole oracle step for one ``SpectralReport``: it
 returns the report's ``oracle`` block and whether that block confirms the
@@ -53,8 +53,8 @@ an unverified analysis never loads numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -64,7 +64,6 @@ from .groups import AbelianGroup
 from .pair_ring import PairElement, ProjectiveClassRing
 
 __all__ = [
-    "RadicalBasis",
     "StructureTable",
     "build_table",
     "certify_radical",
@@ -80,15 +79,6 @@ _TABLE_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 # Rows x per block of Light's test: two float32 blocks of 32 x (2s)^2 are
 # 64 MB at s = 256, against 537 MB for the cast table.
 _BLOCK_ROWS = 32
-
-
-@dataclass(frozen=True)
-class RadicalBasis:
-    vectors: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
 
 
 class StructureTable:
@@ -181,14 +171,16 @@ class StructureTable:
         gram = np.einsum("ijk,k->ij", c, traces.astype(dtype), dtype=dtype)
         return gram if dtype == object else gram.astype(np.int64)
 
-    def radical(self) -> RadicalBasis:
-        """Exact rational kernel of the trace form; in characteristic zero
-        this is the radical of the algebra.  Requires an associative table."""
+    def radical(self) -> tuple[tuple[Fraction, ...], ...]:
+        """A basis of the exact rational kernel of the trace form, one vector
+        per free column (``linalg.kernel_basis``); in characteristic zero
+        this kernel is the radical of the algebra.  Requires an associative
+        table."""
         if not self.is_associative():
             raise ValueError("table not associative")
         gram = self.trace_form()
         matrix = [[Fraction(int(v)) for v in row] for row in gram]
-        return RadicalBasis(tuple(tuple(v) for v in linalg.kernel_basis(matrix)))
+        return tuple(tuple(v) for v in linalg.kernel_basis(matrix))
 
 
 def build_table(ring: ProjectiveClassRing) -> StructureTable:
@@ -250,16 +242,18 @@ def matches_pair_ring(table: StructureTable, ring: ProjectiveClassRing) -> bool:
     return True
 
 
-def radical_matches_spectral(radical: RadicalBasis, nilpotents: list[PairElement]) -> bool:
-    """True iff the trace-form kernel and the closed-form nilradical basis
-    span the same space, established by mutual membership.
+def radical_matches_spectral(radical: Sequence[Sequence[Fraction]],
+                             nilpotents: list[PairElement]) -> bool:
+    """True iff the trace-form kernel basis ``radical`` (as from
+    ``StructureTable.radical``) and the closed-form nilradical basis span
+    the same space, established by mutual membership.
 
     Kernel vectors are rational; a transform-coordinate vector lies in their
     complex span iff each of its power-basis slices does, so one direction
     reduces to rational solves.  The other direction solves each kernel
     vector against the nilpotent basis over the cyclotomic field.
     """
-    if radical.dimension != len(nilpotents):
+    if len(radical) != len(nilpotents):
         return False
     if not nilpotents:
         return True
@@ -272,7 +266,7 @@ def radical_matches_spectral(radical: RadicalBasis, nilpotents: list[PairElement
     # construction, the kernel vectors necessarily (anything else means the
     # spans differ).  Work in those s coordinates only.
     kernel_rows = []
-    for v in radical.vectors:
+    for v in radical:
         if any(v[:s]):
             return False
         kernel_rows.append(list(v[s:]))
@@ -301,7 +295,7 @@ def radical_matches_spectral(radical: RadicalBasis, nilpotents: list[PairElement
 
 def certify_radical(table: StructureTable, nilpotents: list[PairElement]) -> tuple[int, bool]:
     """Radical dimension of an associative table and whether the nilpotents
-    span the radical: ``(radical().dimension, radical_matches_spectral(...))``.
+    span the radical: ``(len(radical()), radical_matches_spectral(...))``.
 
     Sandwich certificate on the exact trace form T, in four steps:
 
@@ -329,7 +323,7 @@ def certify_radical(table: StructureTable, nilpotents: list[PairElement]) -> tup
                 if lower == m == upper:
                     return m, True
     radical = table.radical()
-    return radical.dimension, radical_matches_spectral(radical, nilpotents)
+    return len(radical), radical_matches_spectral(radical, nilpotents)
 
 
 def verify(ring: ProjectiveClassRing, report) -> tuple[dict, bool]:

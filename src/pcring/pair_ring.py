@@ -82,9 +82,6 @@ class PairElement:
     def __neg__(self) -> "PairElement":
         return PairElement(-self.s_part, -self.t_part)
 
-    def scale(self, scalar: object) -> "PairElement":
-        return PairElement(self.s_part.scale(scalar), self.t_part.scale(scalar))
-
     def is_zero(self) -> bool:
         return self.s_part.is_zero() and self.t_part.is_zero()
 
@@ -124,10 +121,6 @@ class ProjectiveClassRing:
     @property
     def canonical(self) -> GroupRingElement:
         return self._canonical
-
-    def zero(self) -> PairElement:
-        z = GroupRingElement.zero(self._group)
-        return PairElement(z, z)
 
     def one(self) -> PairElement:
         return self.simple_class(self._group.identity)

@@ -1,4 +1,5 @@
-"""Shared fixtures: deterministic random corpus and comparison helpers."""
+"""Shared fixtures: deterministic random corpus, comparison helpers and
+the full-rank checker."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from pcring import (
     GroupRingElement,
     PairElement,
     ProjectiveClassRing,
+    linalg,
     trace_element,
 )
 
@@ -52,6 +54,26 @@ def elements_equal(a: GroupRingElement, b: GroupRingElement) -> bool:
 
 def pairs_equal(a: PairElement, b: PairElement) -> bool:
     return elements_equal(a.s_part, b.s_part) and elements_equal(a.t_part, b.t_part)
+
+
+def certify_full_row_rank(rows, order: int) -> bool:
+    """True iff the rows (entries in Q(zeta_order) or rational) are linearly
+    independent.  Modular certificates first (full rank of the image mod p
+    implies full rank), exact elimination when no prime certifies it."""
+    m = len(rows)
+    if m == 0:
+        return True
+    if m > len(rows[0]):
+        return False
+    slices = linalg.integer_slices(rows, order)
+    for p, w in linalg.modular_primes(order, linalg.PRIME_ATTEMPTS):
+        if linalg.rank_mod_p(linalg.image_mod_p(slices, p, w), p) == m:
+            return True
+    embedded = [
+        [e if isinstance(e, CycloNum) else CycloNum.rational(order, e) for e in row]
+        for row in rows
+    ]
+    return linalg.rank(embedded) == m
 
 
 def random_element(rng: random.Random, group: AbelianGroup,

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import embed_element, pairs_equal, random_pair
+from conftest import certify_full_row_rank, embed_element, pairs_equal, random_pair
 from pcring import (
     CycloNum,
     GroupRingElement,
@@ -149,7 +149,7 @@ def test_criterion_4_oracle_equivalence(corpus):
             failures.append(f"{inst.name}: table not associative")
             continue
         expected = ring.group.size - spectral_report(ring).support_size
-        got = table.radical().dimension
+        got = len(table.radical())
         if got != expected:
             failures.append(f"{inst.name}: radical dimension {got}, expected {expected}")
     elapsed = time.perf_counter() - start
@@ -163,10 +163,8 @@ def test_criterion_5_radical_span_agreement(corpus):
         table = build_table(ring)
         radical = table.radical()
         nils = list(spectral_report(ring).nilpotents)
-        if radical.dimension != len(nils):
-            failures.append(
-                f"{inst.name}: oracle dimension {radical.dimension}, spectral {len(nils)}"
-            )
+        if len(radical) != len(nils):
+            failures.append(f"{inst.name}: oracle dimension {len(radical)}, spectral {len(nils)}")
             continue
         if not radical_matches_spectral(radical, nils):
             failures.append(f"{inst.name}: spans differ")
@@ -175,7 +173,7 @@ def test_criterion_5_radical_span_agreement(corpus):
         impostor = [ring.projective_class(ring.group.identity)] + nils[1:]
         for label, variant in (("nilradical", nils), ("dropped last", nils[:-1]),
                                ("impostor", impostor)):
-            expected = (radical.dimension, radical_matches_spectral(radical, variant))
+            expected = (len(radical), radical_matches_spectral(radical, variant))
             got = certify_radical(table, variant)
             if got != expected:
                 failures.append(f"{inst.name} ({label}): certificate {got}, exact {expected}")
@@ -260,6 +258,6 @@ def test_criterion_8_dimension_audit(corpus):
             failures.append(f"{inst.name}: counts {len(idems)}/{len(nils)} != {s + r}/{s - r}")
             continue
         rows = [e.coefficient_vector() for e in idems + nils]
-        if not linalg.certify_full_row_rank(rows, ring.group.conductor):
+        if not certify_full_row_rank(rows, ring.group.conductor):
             failures.append(f"{inst.name}: rank below {2 * s}")
     _finish(8, f"dimension audit ({len(corpus)} instances)", failures)

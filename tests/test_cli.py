@@ -138,9 +138,13 @@ class TestParseInput:
          "expected an array of 1 integers"),
         ({"group": [2], "c": [{"exp": [0], "coeff": 2}], "name": 7}, "/name",
          "expected a string"),
+        # Rejected before duplicates are combined: the total for K[1] is 1.
+        ({"group": [3], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": -1},
+                              {"exp": [1], "coeff": 2}]}, "/c/1/coeff",
+         "expected a nonnegative integer"),
     ], ids=["not-object", "empty-group", "group-not-list", "c-missing", "c-not-array",
             "term-not-object", "exp-missing", "coeff-missing", "exp-wrong-length",
-            "name-not-string"])
+            "name-not-string", "negative-term"])
     def test_schema_error_paths(self, document, path, message):
         with pytest.raises(InputError) as info:
             parse_input(json.dumps(document))
@@ -311,6 +315,13 @@ class TestMain:
         assert code == 0
         assert doc["K0p"] == "Z[Z2 x Z3]"
 
+    def test_dual_group_has_no_size_bound(self, capsys):
+        # Semisimple: the report builds no table, so no group is too large.
+        code = cli.main(["example", "dual-group", "--orders", "100000,100000"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_OK
+        assert doc["semisimple"] is True and doc["s"] == 10**10
+
     def test_example_dual_group_bad_orders(self, capsys):
         code = cli.main(["example", "dual-group", "--orders", "2,x"])
         doc = json.loads(capsys.readouterr().out)
@@ -458,12 +469,13 @@ class TestMain:
 
     def test_analysis_error_gives_the_same_document_in_analyze_and_batch(
             self, tmp_path, capsys, monkeypatch):
-        # A ValueError out of run is a validation error for one input, also
-        # inside a batch, whose other entries are still written.
+        # A ValueError out of run is a validation error for one input, from
+        # analyze, example and batch alike; a batch still writes its other
+        # entries.
         original = cli.run
 
         def failing(request):
-            if request.instance.name == "boom":
+            if request.instance.name in ("boom", "uq-sl2(3)"):
                 raise ValueError("analysis failed")
             return original(request)
 
@@ -473,6 +485,8 @@ class TestMain:
         (tmp_path / "b_boom.json").write_text(json.dumps({**good, "name": "boom"}))
         error = {"error": {"type": "validation", "message": "analysis failed"}}
         assert cli.main(["analyze", str(tmp_path / "b_boom.json")]) == cli.EXIT_VALIDATION
+        assert json.loads(capsys.readouterr().out) == error
+        assert cli.main(["example", "uq-sl2", "--n", "3"]) == cli.EXIT_VALIDATION
         assert json.loads(capsys.readouterr().out) == error
         assert cli.main(["batch", str(tmp_path)]) == cli.EXIT_VALIDATION
         doc = json.loads(capsys.readouterr().out)

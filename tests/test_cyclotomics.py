@@ -257,6 +257,12 @@ class TestCanonicalForm:
         assert a == b
         assert hash(a) == hash(b)
 
+    def test_rational_values_hash_like_the_numbers_they_equal(self):
+        assert CycloNum.rational(5, 1) == 1
+        assert 1 in {CycloNum.rational(5, 1)}
+        assert {1: "x"}.get(CycloNum.rational(5, 1)) == "x"
+        assert CycloNum.rational(12, Fraction(-3, 4)) in {Fraction(-3, 4)}
+
     def test_reduced_fractions_positive_denominator(self):
         a = CycloNum(6, [Fraction(2, -4)])
         (f,) = a.coeffs[:1]

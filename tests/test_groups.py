@@ -417,7 +417,6 @@ class TestIndexKeys:
         for z in (x, y, trace_element(g)):
             keys = sorted(z.support())
             assert list(z.support()) == keys
-            assert [a for a, _ in z.sorted_terms()] == keys
             assert [a for a, _ in z.items()] == keys
             assert all(isinstance(a, tuple) and len(a) == 2 for a in keys)
             assert dict(z.items()) == {a: z.coefficient(a) for a in keys}

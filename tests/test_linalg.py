@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import certify_full_row_rank
 from pcring import CycloNum, root_of_unity
 from pcring.cyclotomics import common_numerators
 from pcring.linalg import (
-    certify_full_row_rank,
     exact_dtype,
     exact_matmul,
     image_mod_p,

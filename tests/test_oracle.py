@@ -277,25 +277,25 @@ class TestLightAssociativity:
 
 class TestRadical:
     def test_order_two_dimension_one(self):
-        assert build_table(make_ring((2,), {(0,): 1, (1,): 1})).radical().dimension == 1
+        assert len(build_table(make_ring((2,), {(0,): 1, (1,): 1})).radical()) == 1
 
     def test_full_support_dimension_zero(self):
-        assert build_table(make_ring((2,), {(0,): 2})).radical().dimension == 0
+        assert len(build_table(make_ring((2,), {(0,): 2})).radical()) == 0
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_trace_ring_dimension(self, n):
-        assert build_table(trace_ring(n)).radical().dimension == n - 1
+        assert len(build_table(trace_ring(n)).radical()) == n - 1
 
     @pytest.mark.parametrize("ring", RINGS, ids=IDS)
     def test_dimension_matches_spectral_count(self, ring):
         radical = build_table(ring).radical()
-        assert radical.dimension == ring.group.size - spectral_report(ring).support_size
+        assert len(radical) == ring.group.size - spectral_report(ring).support_size
 
     @pytest.mark.parametrize("ring", RINGS, ids=IDS)
     def test_kernel_vectors_annihilate_the_trace_form(self, ring):
         table = build_table(ring)
         gram = table.trace_form()
-        for vec in table.radical().vectors:
+        for vec in table.radical():
             residual = [
                 sum(int(gram[i][j]) * vec[j] for j in range(table.dim))
                 for i in range(table.dim)
@@ -323,7 +323,7 @@ class TestRadicalCertificate:
     @pytest.mark.parametrize("ring", RINGS, ids=IDS)
     def test_certified_without_exact_path(self, ring, monkeypatch):
         table = build_table(ring)
-        expected = table.radical().dimension
+        expected = len(table.radical())
         monkeypatch.setattr(StructureTable, "radical", lambda self: pytest.fail("exact path"))
         assert certify_radical(table, spectral_report(ring).nilpotents) == (expected, True)
 

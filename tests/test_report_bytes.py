@@ -25,7 +25,7 @@ def _document(instance) -> dict:
     return {
         "group": list(instance.group.orders),
         "c": [{"exp": list(exp), "coeff": coeff}
-              for exp, coeff in instance.ring.canonical.sorted_terms()],
+              for exp, coeff in instance.ring.canonical.items()],
         "name": instance.name,
     }
 

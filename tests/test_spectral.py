@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import elements_equal, embed_element, pairs_equal, random_pair
+from conftest import (
+    certify_full_row_rank,
+    elements_equal,
+    embed_element,
+    pairs_equal,
+    random_pair,
+)
 from pcring import (
     AbelianGroup,
     CycloNum,
@@ -356,7 +362,7 @@ class TestBasisAudit:
         report = spectral_report(ring)
         basis = report.idempotents + report.nilpotents
         assert len(basis) == 2 * ring.group.size
-        assert linalg.certify_full_row_rank(
+        assert certify_full_row_rank(
             [e.coefficient_vector() for e in basis], ring.group.conductor
         )
 
