@@ -8,10 +8,12 @@ Subcommands:
     batch <dir> [same flags]
 
 The input schema is ``{"group": [n1, ...], "c": [{"exp": [...], "coeff": k},
-...]}`` with an optional ``"name"``.  Reports are byte-identical across runs
-on the same input: term ordering is canonical, rationals are reduced with
-positive denominators, and the decimal renderings of cyclotomic values are
-tagged display_only and never feed back into any computation.
+...]}`` with an optional ``"name"``; any other member, or a member repeated
+within one object, is rejected at its JSON pointer.  Reports are
+byte-identical across runs on the same input: term ordering is canonical,
+rationals are reduced with positive denominators, and the decimal
+renderings of cyclotomic values are tagged display_only and never feed
+back into any computation.
 
 Reports are streamed: ``_write`` produces the bytes of
 ``json.dumps(report, indent=2)`` in pieces of bounded size, never the whole
@@ -81,19 +83,32 @@ def _check_group_size(size: int, path: str) -> None:
         raise InputError(path, f"group size {size} exceeds the supported {MAX_GROUP_SIZE}")
 
 
+def _members(pairs: tuple, path: str, fields: tuple[str, ...]) -> dict:
+    """The members of the JSON object at ``path``, decoded as its tuple of
+    (name, value) pairs; every name must be one of ``fields``, and only once."""
+    members: dict = {}
+    for key, value in pairs:
+        if key not in fields:
+            raise InputError(f"{path}/{key}", "unknown field")
+        if key in members:
+            raise InputError(f"{path}/{key}", "duplicate field")
+        members[key] = value
+    return members
+
+
 def parse_input(document: str) -> AnalysisRequest:
     """Parse and validate one instance document into a request."""
+    # Objects decode as tuples of (name, value) pairs, so that a repeated
+    # name is seen; arrays stay lists.
     try:
-        doc = json.loads(document)
+        doc = json.loads(document, object_pairs_hook=tuple)
     except json.JSONDecodeError as exc:
         raise InputError("/", f"invalid JSON: {exc.msg}") from exc
     except (RecursionError, ValueError) as exc:  # nesting or integer-digit limits
         raise InputError("/", f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
+    if not isinstance(doc, tuple):
         raise InputError("/", "expected a JSON object")
-    for key in doc:
-        if key not in ("group", "c", "name"):
-            raise InputError(f"/{key}", "unknown field")
+    doc = _members(doc, "", ("group", "c", "name"))
 
     if "group" not in doc:
         raise InputError("/group", "missing required field")
@@ -112,8 +127,9 @@ def parse_input(document: str) -> AnalysisRequest:
         raise InputError("/c", "expected an array of terms")
     coeffs: dict[tuple[int, ...], int] = {}
     for i, term in enumerate(terms):
-        if not isinstance(term, dict):
+        if not isinstance(term, tuple):
             raise InputError(f"/c/{i}", "expected an object with exp and coeff")
+        term = _members(term, f"/c/{i}", ("exp", "coeff"))
         if "exp" not in term:
             raise InputError(f"/c/{i}/exp", "missing required field")
         if "coeff" not in term:

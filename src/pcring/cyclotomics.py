@@ -179,7 +179,10 @@ class CycloNum:
         return not any(self._nums)
 
     def is_rational(self) -> bool:
-        return not any(self._nums[1:])
+        # Every numerator past the constant term is zero, counted in place:
+        # a slice would copy up to phi - 1 of them first.
+        nums = self._nums
+        return nums.count(0) == len(nums) - (nums[0] != 0)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():

@@ -307,18 +307,13 @@ class GroupRingElement:
                     out[key] = v if cur is None else cur + v
             return GroupRingElement._adopt(self._group, {k: v for k, v in out.items() if v})
         if isinstance(other, (int, Fraction, CycloNum)):
-            return self.scale(other)
+            return self.map_coefficients(lambda v: v * other)
         return NotImplemented
 
     def __rmul__(self, other: object) -> "GroupRingElement":
         if isinstance(other, (int, Fraction, CycloNum)):
-            return self.scale(other)
+            return self.map_coefficients(lambda v: v * other)
         return NotImplemented
-
-    def scale(self, scalar: object) -> "GroupRingElement":
-        return GroupRingElement._adopt(
-            self._group, {k: w for k, v in self._coeffs.items() if (w := v * scalar)}
-        )
 
     def map_coefficients(self, fn) -> "GroupRingElement":
         return GroupRingElement._adopt(

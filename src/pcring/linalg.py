@@ -38,7 +38,6 @@ __all__ = [
     "kernel_basis",
     "max_abs",
     "modular_primes",
-    "rank",
     "rank_mod_p",
     "rref",
 ]
@@ -74,10 +73,6 @@ def rref(rows: Sequence[Sequence[object]]) -> tuple[list[list[object]], list[int
             break
     reduced = work[:row]
     return reduced, pivots
-
-
-def rank(rows: Sequence[Sequence[object]]) -> int:
-    return len(rref(rows)[1])
 
 
 def in_row_span(reduced: list[list[object]], pivots: list[int], vector: Sequence[object]) -> bool:
@@ -131,26 +126,13 @@ def _is_prime(n: int) -> bool:
 
 
 def _unity_root_mod(p: int, order: int) -> int | None:
-    # An element of multiplicative order exactly `order` in GF(p), p == 1 mod order.
-    if order == 1:
-        return 1
+    # An element of multiplicative order exactly `order` in GF(p), p == 1 mod order:
+    # w**order == 1, and w**d != 1 for every proper divisor d of order.
     exponent = (p - 1) // order
-    prime_factors = set()
-    m = order
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            prime_factors.add(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        prime_factors.add(m)
+    divisors = [d for d in range(1, order) if order % d == 0]
     for candidate in range(2, p):
         w = pow(candidate, exponent, p)
-        if w == 1:
-            continue
-        if all(pow(w, order // q, p) != 1 for q in prime_factors):
+        if all(pow(w, d, p) != 1 for d in divisors):
             return w
     return None
 

@@ -73,7 +73,7 @@ def certify_full_row_rank(rows, order: int) -> bool:
         [e if isinstance(e, CycloNum) else CycloNum.rational(order, e) for e in row]
         for row in rows
     ]
-    return linalg.rank(embedded) == m
+    return len(linalg.rref(embedded)[1]) == m
 
 
 def random_element(rng: random.Random, group: AbelianGroup,

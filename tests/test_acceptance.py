@@ -177,6 +177,15 @@ def test_criterion_5_radical_span_agreement(corpus):
             got = certify_radical(table, variant)
             if got != expected:
                 failures.append(f"{inst.name} ({label}): certificate {got}, exact {expected}")
+        # A second copy of n_0 in place of n_1 keeps the count and the
+        # inclusion in the radical; only the rank, m - 1, tells the spans apart.
+        if len(nils) >= 2:
+            duplicate = [nils[0], nils[0]] + nils[2:]
+            expected = (len(radical), False)
+            exact = (len(radical), radical_matches_spectral(radical, duplicate))
+            got = certify_radical(table, duplicate)
+            if (exact, got) != (expected, expected):
+                failures.append(f"{inst.name} (duplicate): certificate {got}, exact {exact}")
     _finish(5, f"radical span agreement ({len(corpus)} instances)", failures)
 
 

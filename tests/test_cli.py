@@ -142,13 +142,28 @@ class TestParseInput:
         ({"group": [3], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": -1},
                               {"exp": [1], "coeff": 2}]}, "/c/1/coeff",
          "expected a nonnegative integer"),
+        # Accepted with c = 2 when term members went unchecked.
+        ({"group": [3], "c": [{"exp": [0], "coeff": 2, "coef": 5}]}, "/c/0/coef",
+         "unknown field"),
     ], ids=["not-object", "empty-group", "group-not-list", "c-missing", "c-not-array",
             "term-not-object", "exp-missing", "coeff-missing", "exp-wrong-length",
-            "name-not-string", "negative-term"])
+            "name-not-string", "negative-term", "term-unknown-field"])
     def test_schema_error_paths(self, document, path, message):
         with pytest.raises(InputError) as info:
             parse_input(json.dumps(document))
         assert (info.value.path, info.value.message) == (path, message)
+
+    # json.dumps cannot repeat a key, so these documents are written out.  The
+    # decoder keeps the last value: the first analyzed Z3, the second failed
+    # with "missing trivial factor" at /c.
+    @pytest.mark.parametrize("document, path", [
+        ('{"group":[2],"c":[{"exp":[0],"coeff":2}],"group":[3]}', "/group"),
+        ('{"group":[3],"c":[{"exp":[0],"coeff":2,"exp":[1]}]}', "/c/0/exp"),
+    ], ids=["top-level", "term"])
+    def test_repeated_member_rejected(self, document, path):
+        with pytest.raises(InputError) as info:
+            parse_input(document)
+        assert (info.value.path, info.value.message) == (path, "duplicate field")
 
     def test_duplicate_terms_are_combined(self):
         doc = json.dumps(

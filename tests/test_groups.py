@@ -291,7 +291,7 @@ class TestFourier:
         for orders in ((2,), (3,), (2, 2), (2, 3), (6,)):
             g = AbelianGroup(orders)
             gram = [[pairing(g, a, b) for b in g.elements()] for a in g.elements()]
-            assert linalg.rank(gram) == g.size
+            assert len(linalg.rref(gram)[1]) == g.size
 
     def test_matches_naive_complex_transform(self):
         # Float cross-check with a wide margin; the transform values here are

@@ -17,7 +17,6 @@ from pcring.linalg import (
     integer_slices,
     kernel_basis,
     modular_primes,
-    rank,
     rank_mod_p,
     rref,
 )
@@ -39,16 +38,16 @@ class TestRref:
         assert len(reduced) == 1
 
     def test_rank(self):
-        assert rank([F(1, 2, 3), F(2, 4, 6), F(0, 1, 1)]) == 2
-        assert rank([]) == 0
+        assert len(rref([F(1, 2, 3), F(2, 4, 6), F(0, 1, 1)])[1]) == 2
+        assert len(rref([])[1]) == 0
 
     def test_works_over_cyclotomic_entries(self):
         z = root_of_unity(4, 1)
         one = CycloNum.one(4)
         rows = [[z, one], [one, z]]
-        assert rank(rows) == 2
+        assert len(rref(rows)[1]) == 2
         rows = [[z, one], [z * z, z]]  # second row is z times the first
-        assert rank(rows) == 1
+        assert len(rref(rows)[1]) == 1
 
 
 class TestRowSpan:
@@ -86,7 +85,7 @@ class TestRankCertificate:
         rows = [
             [z**i * Fraction(1, 3 + i) + j for j in range(4)] for i in range(3)
         ]
-        assert certify_full_row_rank(rows, 12) == (rank(rows) == 3)
+        assert certify_full_row_rank(rows, 12) == (len(rref(rows)[1]) == 3)
 
     def test_dependent_rows_detected(self):
         z = root_of_unity(6, 1)
@@ -116,8 +115,8 @@ class TestModularRank:
                 [sum(rng.randint(-2, 2) * b[j] for b in base) for j in range(cols)]
                 for _ in range(rows)
             ]
-            assert rank_mod_p(np.array(matrix), p) == rank(
-                [[Fraction(v) for v in row] for row in matrix]
+            assert rank_mod_p(np.array(matrix), p) == len(
+                rref([[Fraction(v) for v in row] for row in matrix])[1]
             )
 
     def test_rank_drops_only_at_dividing_primes(self):
@@ -125,10 +124,18 @@ class TestModularRank:
         assert rank_mod_p(np.array([[1, 2], [3, 1]]), 7) == 2
 
     def test_primes_carry_roots_of_exact_order(self):
-        for p, w in modular_primes(12, 3):
-            assert (p - 1) % 12 == 0
-            assert pow(w, 12, p) == 1
-            assert all(pow(w, k, p) != 1 for k in range(1, 12))
+        # Every conductor the CLI accepts; the order of w is found by brute
+        # force, as the first k >= 1 with w**k == 1.
+        for order in range(1, 257):
+            found = list(modular_primes(order, 3))
+            assert len(found) == 3
+            for p, w in found:
+                assert p > 10**6 and (p - 1) % order == 0
+                k, power = 1, w % p
+                while power != 1 and k <= order:
+                    power = power * w % p
+                    k += 1
+                assert k == order, (order, p, w)
 
 
 class TestIntegerSlices:
