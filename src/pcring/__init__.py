@@ -24,12 +24,7 @@ from .groups import (
     trace_element,
 )
 from .instances import InstanceDescriptor, custom, dual_group_algebra, uq_sl2
-from .pair_ring import (
-    CanonicalElementError,
-    PairElement,
-    ProjectiveClassRing,
-    validate_canonical_element,
-)
+from .pair_ring import CanonicalElementError, PairElement, ProjectiveClassRing
 from .spectral import SpectralReport, spectral_report
 
 __version__ = "0.1.0"
@@ -60,7 +55,6 @@ __all__ = [
     "spectral_report",
     "trace_element",
     "uq_sl2",
-    "validate_canonical_element",
 ]
 
 _ORACLE_NAMES = frozenset({

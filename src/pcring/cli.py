@@ -44,7 +44,7 @@ from pathlib import Path
 
 from . import instances, spectral
 from .instances import InstanceDescriptor
-from .pair_ring import CanonicalElementError, ProjectiveClassRing
+from .pair_ring import CanonicalElementError
 
 __all__ = ["AnalysisRequest", "InputError", "main", "parse_input", "run"]
 
@@ -89,7 +89,10 @@ def _members(pairs: tuple, path: str, fields: tuple[str, ...]) -> dict:
     members: dict = {}
     for key, value in pairs:
         if key not in fields:
-            raise InputError(f"{path}/{key}", "unknown field")
+            # The pointer escapes the name as RFC 6901 asks: "~" as "~0",
+            # then "/" as "~1".  No listed field holds either.
+            name = key.replace("~", "~0").replace("/", "~1")
+            raise InputError(f"{path}/{name}", "unknown field")
         if key in members:
             raise InputError(f"{path}/{key}", "duplicate field")
         members[key] = value
@@ -167,8 +170,7 @@ def run(request: AnalysisRequest) -> tuple[dict, int]:
     if inst.semisimple:
         return _semisimple_report(inst), EXIT_OK
 
-    ring = ProjectiveClassRing(inst.group, inst.canonical)
-    report_data = spectral.spectral_report(ring)
+    report_data = spectral.spectral_report(inst.ring)
     doc: dict = {"instance": _instance_json(inst)}
     doc.update(
         report_data.to_json(
@@ -191,7 +193,7 @@ def run(request: AnalysisRequest) -> tuple[dict, int]:
         # never import it.
         from . import oracle
 
-        doc["oracle"], ok = oracle.verify(ring, report_data)
+        doc["oracle"], ok = oracle.verify(report_data)
         if not ok:
             failures.append("oracle verification failed")
 
@@ -200,8 +202,8 @@ def run(request: AnalysisRequest) -> tuple[dict, int]:
 
 def _instance_json(inst: InstanceDescriptor) -> dict:
     doc: dict = {"name": inst.name, "group": list(inst.group.orders)}
-    if inst.canonical is not None:
-        doc["c"] = inst.canonical.to_json()["terms"]
+    if inst.ring is not None:
+        doc["c"] = inst.ring.canonical.to_json()["terms"]
     doc["semisimple"] = inst.semisimple
     return doc
 

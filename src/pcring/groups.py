@@ -113,14 +113,17 @@ class AbelianGroup:
             # Mixed radix, one cyclic factor at a time: the last factor varies
             # fastest in elements(), so index A * n + x extends index A of the
             # factors before it by the exponent x of the factor of order n.
-            sums: list[list[int]] | None = None
-            for n in self._orders:
+            # A factor of order 1 extends no index and is skipped.
+            sums = [[0]]
+            for n in self._nontrivial_orders():
                 shifts = [[(x + y) % n for y in range(n)] for x in range(n)]
-                sums = shifts if sums is None else [
-                    [k * n + z for k in row for z in shifted]
-                    for row in sums for shifted in shifts]
+                sums = [[k * n + z for k in row for z in shifted]
+                        for row in sums for shifted in shifts]
             self._sums = tuple(map(tuple, sums))
         return self._sums
+
+    def _nontrivial_orders(self) -> list[int]:
+        return [n for n in self._orders if n > 1]
 
     def element(self, exponents: Iterable[int]) -> GroupElement:
         """Validate an exponent tuple; out-of-range entries are rejected."""
@@ -152,13 +155,12 @@ class AbelianGroup:
             # Mixed radix as in sum_table: the factor of order n adds
             # (N/n) x y to the exponent of the factors before it.
             big = self._conductor
-            exps: list[list[int]] | None = None
-            for n in self._orders:
+            exps = [[0]]
+            for n in self._nontrivial_orders():
                 weights = [big // n * x for x in range(n)]
                 steps = [[w * y % big for y in range(n)] for w in weights]
-                exps = steps if exps is None else [
-                    [(e + d) % big for e in row for d in step]
-                    for row in exps for step in steps]
+                exps = [[(e + d) % big for e in row for d in step]
+                        for row in exps for step in steps]
             self._exponents = tuple(map(tuple, exps))
         return self._exponents
 

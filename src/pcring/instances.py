@@ -1,7 +1,7 @@
 """Generators for named ring instances and the validated custom entry point.
 
 A descriptor stores what defines an instance and nothing that follows from
-it: a missing canonical element marks the semisimple case, and the golden
+it: a missing ring marks the semisimple case, and the golden
 decomposition of ``uq_sl2`` is rendered from its golden support size r and
 the group order by ``spectral.render_decomposition``.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import AbelianGroup, GroupRingElement, trace_element
-from .pair_ring import validate_canonical_element
+from .pair_ring import ProjectiveClassRing
 
 __all__ = [
     "InstanceDescriptor",
@@ -27,12 +27,12 @@ class InstanceDescriptor:
 
     name: str
     group: AbelianGroup
-    canonical: GroupRingElement | None
+    ring: ProjectiveClassRing | None
     expected_support_size: int | None = None
 
     @property
     def semisimple(self) -> bool:
-        return self.canonical is None
+        return self.ring is None
 
 
 def uq_sl2(n: int) -> InstanceDescriptor:
@@ -44,7 +44,7 @@ def uq_sl2(n: int) -> InstanceDescriptor:
     return InstanceDescriptor(
         name=f"uq-sl2({n})",
         group=group,
-        canonical=trace_element(group),
+        ring=ProjectiveClassRing(group, trace_element(group)),
         expected_support_size=1,
     )
 
@@ -57,14 +57,14 @@ def dual_group_algebra(orders: tuple[int, ...]) -> InstanceDescriptor:
     return InstanceDescriptor(
         name=f"dual-group({','.join(str(n) for n in orders)})",
         group=group,
-        canonical=None,
+        ring=None,
     )
 
 
 def custom(orders: tuple[int, ...], coeffs: dict[tuple[int, ...], int],
            name: str = "custom") -> InstanceDescriptor:
-    """A user-supplied instance; the canonical element is validated here."""
+    """A user-supplied instance; building its ring validates the canonical
+    element."""
     group = AbelianGroup(orders)
-    element = GroupRingElement(group, coeffs)
-    validate_canonical_element(group, element)
-    return InstanceDescriptor(name=name, group=group, canonical=element)
+    ring = ProjectiveClassRing(group, GroupRingElement(group, coeffs))
+    return InstanceDescriptor(name=name, group=group, ring=ring)

@@ -125,16 +125,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _unity_root_mod(p: int, order: int) -> int | None:
+def _unity_root_mod(p: int, order: int) -> int:
     # An element of multiplicative order exactly `order` in GF(p), p == 1 mod order:
-    # w**order == 1, and w**d != 1 for every proper divisor d of order.
+    # w**order == 1, and w**d != 1 for every proper divisor d of order.  GF(p)* is
+    # cyclic, so a primitive root lies below p and its power qualifies.
     exponent = (p - 1) // order
     divisors = [d for d in range(1, order) if order % d == 0]
-    for candidate in range(2, p):
-        w = pow(candidate, exponent, p)
-        if all(pow(w, d, p) != 1 for d in divisors):
-            return w
-    return None
+    powers = (pow(candidate, exponent, p) for candidate in range(2, p))
+    return next(w for w in powers if all(pow(w, d, p) != 1 for d in divisors))
 
 
 def modular_primes(order: int, attempts: int) -> Iterator[tuple[int, int]]:
@@ -151,9 +149,7 @@ def modular_primes(order: int, attempts: int) -> Iterator[tuple[int, int]]:
     for _ in range(attempts):
         while not _is_prime(p):
             p += order
-        w = _unity_root_mod(p, order)
-        if w is not None:
-            yield p, w
+        yield p, _unity_root_mod(p, order)
         p += order
 
 

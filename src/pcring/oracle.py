@@ -97,15 +97,17 @@ class StructureTable:
     def generators(self) -> list[int]:
         """Basis indices of a set G that generates the algebra.
 
-        G is {S_(e_i)} together with P_0, e_i the unit of cyclic factor i (the
-        identity for an order-1 factor), when the table itself shows that
-        words in G reach every basis element: starting from G, index k is
-        reached once x g or g x is a nonzero multiple of e_k for a reached x
-        and some g in G.  Otherwise G is the whole basis.
+        G is {S_(e_i)} together with P_0, e_i the unit of cyclic factor i for
+        each factor of order above 1, when the table itself shows that words
+        in G reach every basis element: starting from G, index k is reached
+        once x g or g x is a nonzero multiple of e_k for a reached x and some
+        g in G.  Otherwise G is the whole basis; so it is for the trivial
+        group, where no word in P_0 reaches S_0.
         """
         group = self.group
-        units = (tuple(int(i == j) % n for j, n in enumerate(group.orders))
-                 for i in range(len(group.orders)))
+        t = len(group.orders)
+        units = (tuple(int(i == j) for j in range(t))
+                 for i, n in enumerate(group.orders) if n > 1)
         gens = sorted({group.index(e) for e in units} | {group.size})
         steps = []
         for g in gens:
@@ -192,15 +194,19 @@ def build_table(ring: ProjectiveClassRing) -> StructureTable:
     and object (Python integers) for a multiplicity of 2**63 or more.
     """
     group = ring.group
-    elements = np.array(group.elements(), dtype=np.int64)
+    # A factor of order 1 moves no index: the columns of the others suffice.
+    factors = [i for i, n in enumerate(group.orders) if n > 1]
+    orders = [group.orders[i] for i in factors]
+    radix = [math.prod(orders[k + 1:]) for k in range(len(orders))]
+    elements = np.array(group.elements(), dtype=np.int64)[:, factors]
     s = len(elements)
     d = 2 * s
-    orders = np.array(group.orders, dtype=np.int64)
-    radix = np.array([math.prod(group.orders[i + 1:]) for i in range(len(orders))],
-                     dtype=np.int64)
     # Index of a + b; the last factor varies fastest in elements().
-    plus = (elements[:, None, :] + elements[None, :, :]) % orders @ radix
-    canonical = list(ring.canonical.items())
+    plus = ((elements[:, None, :] + elements[None, :, :]) % np.array(orders, dtype=np.int64)
+            @ np.array(radix, dtype=np.int64))
+    # The canonical terms, each by the index of its element u.
+    canonical = [(sum(u[i] * r for i, r in zip(factors, radix)), cu)
+                 for u, cu in ring.canonical.items()]
     # Each constant is 0, 1 or a single multiplicity: the smallest signed
     # dtype that holds the largest multiplicity holds them all exactly.
     top = max((cu for _, cu in canonical), default=1)
@@ -212,7 +218,7 @@ def build_table(ring: ProjectiveClassRing) -> StructureTable:
     constants[rows, s + cols, s + plus] = 1        # simple * projective
     constants[s + rows, cols, s + plus] = 1        # projective * simple
     for u, cu in canonical:
-        constants[s + rows, s + cols, s + plus[plus, int(np.dot(u, radix))]] = cu
+        constants[s + rows, s + cols, s + plus[plus, u]] = cu
     return StructureTable(group, constants)
 
 
@@ -322,10 +328,12 @@ def certify_radical(table: StructureTable, nilpotents: list[PairElement]) -> tup
     return len(radical), radical_matches_spectral(radical, nilpotents)
 
 
-def verify(ring: ProjectiveClassRing, report) -> tuple[dict, bool]:
-    """The ``oracle`` block for a ``SpectralReport`` of ``ring`` and whether
-    it confirms the report: every check passes and the radical dimension is
-    s - r.  A non-associative table gets radical dimension -1."""
+def verify(report) -> tuple[dict, bool]:
+    """The ``oracle`` block for a ``SpectralReport`` and whether it confirms
+    the report: every check passes and the radical dimension is s - r.  The
+    table is built from ``report.ring``.  A non-associative table gets
+    radical dimension -1."""
+    ring = report.ring
     table = build_table(ring)
     associative = table.is_associative()
     matches = matches_pair_ring(table, ring)

@@ -26,7 +26,6 @@ __all__ = [
     "CanonicalElementError",
     "PairElement",
     "ProjectiveClassRing",
-    "validate_canonical_element",
 ]
 
 
@@ -41,20 +40,6 @@ class CanonicalElementError(ValueError):
     def __init__(self, invariant: str):
         super().__init__(invariant)
         self.invariant = invariant
-
-
-def validate_canonical_element(group: AbelianGroup, element: GroupRingElement) -> GroupRingElement:
-    """Check the composition-multiplicity invariants; returns the element."""
-    if element.group != group:
-        raise ValueError("mixed-group operands")
-    for _, coeff in element.items():
-        if not isinstance(coeff, int) or coeff < 0:
-            raise CanonicalElementError("invalid multiplicity")
-    if element.coefficient(group.identity) < 1:
-        raise CanonicalElementError("missing trivial factor")
-    if element.augmentation() == 1:
-        raise CanonicalElementError("semisimple input")
-    return element
 
 
 @dataclass(frozen=True)
@@ -105,45 +90,53 @@ class PairElement:
         return {"s": self.s_part.to_json(memo), "t": self.t_part.to_json(memo)}
 
 
+@dataclass(frozen=True, eq=False)
 class ProjectiveClassRing:
-    """The pair ring attached to a structure group and canonical element."""
+    """The pair ring attached to a structure group and canonical element.
 
-    __slots__ = ("_group", "_canonical")
+    Constructing it is the one check of the canonical element: it must
+    live over ``group``, with nonnegative integer multiplicities, the
+    trivial factor present and augmentation other than 1.  Equality is
+    identity.
+    """
 
-    def __init__(self, group: AbelianGroup, canonical: GroupRingElement):
-        self._group = group
-        self._canonical = validate_canonical_element(group, canonical)
+    group: AbelianGroup
+    canonical: GroupRingElement
 
-    @property
-    def group(self) -> AbelianGroup:
-        return self._group
-
-    @property
-    def canonical(self) -> GroupRingElement:
-        return self._canonical
+    def __post_init__(self):
+        group, element = self.group, self.canonical
+        if element.group != group:
+            raise ValueError("mixed-group operands")
+        for _, coeff in element.items():
+            if not isinstance(coeff, int) or coeff < 0:
+                raise CanonicalElementError("invalid multiplicity")
+        if element.coefficient(group.identity) < 1:
+            raise CanonicalElementError("missing trivial factor")
+        if element.augmentation() == 1:
+            raise CanonicalElementError("semisimple input")
 
     def one(self) -> PairElement:
-        return self.simple_class(self._group.identity)
+        return self.simple_class(self.group.identity)
 
     def simple_class(self, element: GroupElement) -> PairElement:
         """The class of the one-dimensional simple module labelled by a
         group element."""
         return PairElement(
-            GroupRingElement.delta(self._group, element),
-            GroupRingElement.zero(self._group),
+            GroupRingElement.delta(self.group, element),
+            GroupRingElement.zero(self.group),
         )
 
     def projective_class(self, element: GroupElement) -> PairElement:
         """The class of the indecomposable projective cover of a simple."""
         return PairElement(
-            GroupRingElement.zero(self._group),
-            GroupRingElement.delta(self._group, element),
+            GroupRingElement.zero(self.group),
+            GroupRingElement.delta(self.group, element),
         )
 
     def mul(self, x: PairElement, y: PairElement) -> PairElement:
         # The group ring rejects mixed groups; the factor c ties t to this ring.
         s = x.s_part * y.s_part
-        t = x.s_part * y.t_part + x.t_part * y.s_part + x.t_part * y.t_part * self._canonical
+        t = x.s_part * y.t_part + x.t_part * y.s_part + x.t_part * y.t_part * self.canonical
         return PairElement(s, t)
 
     def dimension_vector(self, x: PairElement) -> GroupRingElement:
@@ -153,7 +146,7 @@ class ProjectiveClassRing:
         each projective class to the translate of the canonical element by
         its label.
         """
-        return x.s_part + x.t_part * self._canonical
+        return x.s_part + x.t_part * self.canonical
 
     def __repr__(self) -> str:
-        return f"ProjectiveClassRing({self._group!r}, c={self._canonical!r})"
+        return f"ProjectiveClassRing({self.group!r}, c={self.canonical!r})"

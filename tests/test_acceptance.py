@@ -42,8 +42,7 @@ def _finish(num: int, name: str, failures: list[str],
 
 
 def _uq_ring(n: int) -> ProjectiveClassRing:
-    inst = uq_sl2(n)
-    return ProjectiveClassRing(inst.group, inst.canonical)
+    return uq_sl2(n).ring
 
 
 def test_criterion_1_half_quantum_golden_suite():

@@ -406,6 +406,21 @@ class TestIndexKeys:
             assert len(row) == g.size
             assert [elems[k] for k in row] == [g.mul(a, b) for b in elems]
 
+    @pytest.mark.parametrize("padded, plain", [
+        ((256, 1), (256,)),
+        ((256,) + (1,) * 5, (256,)),
+        ((1, 4, 1, 3, 1), (4, 3)),
+    ], ids=str)
+    def test_order_one_factors_leave_the_tables_unchanged(self, padded, plain):
+        padded, plain = AbelianGroup(padded), AbelianGroup(plain)
+        assert padded.sum_table() == plain.sum_table()
+        assert padded.pairing_exponents() == plain.pairing_exponents()
+
+    @pytest.mark.parametrize("k", [1, 2, 8000])
+    def test_trivial_group_tables(self, k):
+        g = AbelianGroup((1,) * k)
+        assert g.sum_table() == g.pairing_exponents() == ((0,),)
+
     def test_listings_use_tuples_in_lexicographic_order(self):
         g = AbelianGroup((3, 4))
         rng = random.Random(11)

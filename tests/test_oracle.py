@@ -100,6 +100,10 @@ class TestBuildTable:
         assert constants.dtype == (object if ring in HUGE_RINGS else np.int8)
         assert np.array_equal(constants, expected)
 
+    def test_order_one_factors_between_others(self):
+        ring = make_ring((1, 2, 1, 3), {(0, 0, 0, 0): 1, (0, 1, 0, 2): 2, (0, 0, 0, 1): 1})
+        assert np.array_equal(build_table(ring).constants, reference_table(ring))
+
     @pytest.mark.parametrize("top, dtype", [
         (127, np.int8), (128, np.int16),
         (2**15 - 1, np.int16), (2**15, np.int32),
@@ -208,6 +212,20 @@ class TestLightAssociativity:
         table = build_table(ring)
         assert table.generators() == unit_generators(ring.group)
         assert len(table.generators()) == len(ring.group.orders) + 1
+        assert table.is_associative() and brute_force_associative(table.constants)
+
+    def test_order_one_factors_add_no_generator(self):
+        # The unit of an order-1 factor is the identity, S_0, which S_1 reaches.
+        padded = build_table(make_ring((4, 1, 1), {(0, 0, 0): 1, (2, 0, 0): 2, (3, 0, 0): 1}))
+        plain = build_table(RINGS[3])  # the same element on Z4
+        assert np.array_equal(padded.constants, plain.constants)
+        assert padded.generators() == plain.generators() == [1, 4]
+        assert padded.is_associative()
+
+    @pytest.mark.parametrize("orders", [(1,), (1, 1, 1)], ids=str)
+    def test_trivial_group_checks_the_whole_basis(self, orders):
+        table = build_table(make_ring(orders, {(0,) * len(orders): 2}))
+        assert table.generators() == [0, 1]
         assert table.is_associative() and brute_force_associative(table.constants)
 
     def test_agrees_with_brute_force_on_perturbed_tables(self):
@@ -356,7 +374,7 @@ class TestVerify:
     @pytest.mark.parametrize("ring", RINGS, ids=IDS)
     def test_block_confirms_the_report(self, ring):
         report = spectral_report(ring)
-        block, ok = oracle.verify(ring, report)
+        block, ok = oracle.verify(report)
         assert ok is True
         assert block == {
             "associative": True,
@@ -367,8 +385,7 @@ class TestVerify:
 
     def test_non_associative_table(self, monkeypatch):
         monkeypatch.setattr(StructureTable, "is_associative", lambda self: False)
-        ring = trace_ring(3)
-        block, ok = oracle.verify(ring, spectral_report(ring))
+        block, ok = oracle.verify(spectral_report(trace_ring(3)))
         assert ok is False
         assert block == {
             "associative": False,
@@ -379,8 +396,7 @@ class TestVerify:
 
     def test_radical_dimension_must_equal_the_nilpotent_count(self, monkeypatch):
         monkeypatch.setattr(oracle, "certify_radical", lambda table, nils: (len(nils) + 1, True))
-        ring = trace_ring(3)
-        block, ok = oracle.verify(ring, spectral_report(ring))
+        block, ok = oracle.verify(spectral_report(trace_ring(3)))
         assert block["radical_dim"] == 3
         assert ok is False
 

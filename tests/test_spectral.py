@@ -111,9 +111,7 @@ class TestSpectrum:
 class TestDecomposition:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_half_quantum_shape(self, n):
-        inst = uq_sl2(n)
-        ring = ProjectiveClassRing(inst.group, inst.canonical)
-        assert spectral_report(ring).decomposition == f"C^2 x C[eps]^{n - 1}"
+        assert spectral_report(uq_sl2(n).ring).decomposition == f"C^2 x C[eps]^{n - 1}"
 
     def test_full_support_shape(self):
         ring = make_ring((2,), {(0,): 2})
@@ -200,8 +198,7 @@ class TestNilradical:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_half_quantum_span_is_augmentation_ideal(self, n):
-        inst = uq_sl2(n)
-        ring = ProjectiveClassRing(inst.group, inst.canonical)
+        ring = uq_sl2(n).ring
         g = ring.group
         order = g.conductor
         nil_rows = [
@@ -222,8 +219,7 @@ class TestNilradical:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_projective_differences_square_to_zero(self, n):
-        inst = uq_sl2(n)
-        ring = ProjectiveClassRing(inst.group, inst.canonical)
+        ring = uq_sl2(n).ring
         for a in ring.group.elements():
             for b in ring.group.elements():
                 diff = ring.projective_class(a) - ring.projective_class(b)
@@ -390,7 +386,7 @@ class TestBasisAudit:
         assert report.idempotents is report.idempotents
 
     @pytest.mark.parametrize("ring", [
-        ProjectiveClassRing(uq_sl2(12).group, uq_sl2(12).canonical),
+        uq_sl2(12).ring,
         make_ring((5, 7), {(0, 0): 3, (1, 2): 2, (2, 6): 1, (4, 3): 1}),
     ], ids=["uq-sl2-12", "split-5x7"])
     def test_idempotents_and_nilpotents_run_no_group_transform(self, ring, monkeypatch):
@@ -410,7 +406,7 @@ class TestBasisAudit:
 
     def test_equal_values_render_to_one_shared_dict(self):
         # uq-sl2(4) has the transform (4, 0, 0, 0), with each 0 its own object.
-        report = spectral_report(ProjectiveClassRing(uq_sl2(4).group, uq_sl2(4).canonical))
+        report = spectral_report(uq_sl2(4).ring)
         values = report.values
         assert values[1] == values[2] and values[1] is not values[2]
         doc = report.to_json()
