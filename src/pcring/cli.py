@@ -16,10 +16,11 @@ renderings of cyclotomic values are tagged display_only and never feed
 back into any computation.
 
 Reports are streamed: ``_write`` produces the bytes of
-``json.dumps(report, indent=2)`` in pieces of bounded size, never the whole
-text as one string.  A report renders each distinct cyclotomic value once,
-into a dict shared by all its occurrences, and ``_write`` encodes each such
-dict once per depth and reuses the text.  ``batch`` writes each file's
+``json.dumps(report, indent=2)`` as one write per piece, never the whole
+text as one string, and the stream's own buffer batches the writes.  A
+report renders each distinct cyclotomic value once, into a dict shared by
+all its occurrences, and ``_write`` encodes each such dict once per depth
+and reuses the text, one write each time.  ``batch`` writes each file's
 entry as soon as its analysis returns, so one report is in memory at a
 time.  ``-o`` is opened after ``analyze`` reads its input, before any
 analysis, and never read by a batch; if it cannot be opened or written, the
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import io
 import json
 import math
 import os
@@ -191,7 +191,11 @@ def run(request: AnalysisRequest) -> tuple[dict, int]:
     if request.verify:
         # The oracle is the only part that needs numpy; unverified calls
         # never import it.
-        from . import oracle
+        try:
+            from . import oracle
+        except ImportError as exc:
+            raise ValueError(f"verification needs numpy ({exc}); "
+                             "pass --no-verify to skip it") from exc
 
         doc["oracle"], ok = oracle.verify(report_data)
         if not ok:
@@ -221,25 +225,22 @@ def _semisimple_report(inst: InstanceDescriptor) -> dict:
     }
 
 
-# Characters the writer buffers before it writes them to its stream.  One
-# write is at most this budget plus its last piece: a leaf dict, a list of
-# integers or of [int, int] pairs, or a string.
-_FLUSH_CHARS = 1 << 16
-
-
 def _is_leaf(d: dict) -> bool:
-    # A dict with no dict value and no list value that holds a dict.
+    # A dict with no dict value and no list value that starts with a dict:
+    # a report never mixes dicts and non-dicts in one list.  Leafness sets
+    # only piece size and reuse, never the bytes.
     for v in d.values():
         if isinstance(v, dict) or (
-                isinstance(v, (list, tuple)) and any(isinstance(x, dict) for x in v)):
+                isinstance(v, (list, tuple)) and v and isinstance(v[0], dict)):
             return False
     return True
 
 
 def _write(value, stream, depth: int = 0) -> None:
     """Write ``value`` to ``stream`` as ``json.dumps(value, indent=2)``
-    renders it at nesting ``depth``, byte for byte, in writes of about
-    ``_FLUSH_CHARS`` characters each.
+    renders it at nesting ``depth``, byte for byte, one write per piece: a
+    bracket, a key, a scalar, a list of integers, an [int, int] pair or a
+    leaf dict.  The stream's own buffer batches the writes.
 
     Takes dicts with ``str`` keys, lists, tuples, ``str``, ``int``, ``bool``
     and ``None``; anything else (floats included) raises ``TypeError``.
@@ -249,14 +250,12 @@ def _write(value, stream, depth: int = 0) -> None:
     call only and restored before the next input is parsed; Python
     3.10.0-3.10.6 has no limit and no setter.
 
-    A leaf dict, one with no dict value and no list value that holds a
-    dict, is encoded into one piece of its own, and that piece is reused
-    wherever the same dict object recurs at the same depth during this
-    call.  Such a piece is never split across two writes.  The value must
-    not be modified while it is written.
+    A leaf dict, one with no dict value and no list value that starts with
+    a dict, is encoded into one piece of its own, and that piece is written
+    whole wherever the same dict object recurs at the same depth during
+    this call.  The value must not be modified while it is written.
     """
-    buffer = io.StringIO()
-    append, pending = buffer.write, buffer.tell
+    append = stream.write
     int_repr = int.__repr__
     # newlines[d] starts a line at depth d; grown as deeper containers appear.
     newlines = ["\n" + "  " * d for d in range(depth + 2)]
@@ -282,7 +281,7 @@ def _write(value, stream, depth: int = 0) -> None:
         append(outer + "}")
 
     def encode_leaf(o: dict, depth: int) -> str:
-        # The text of o alone, so that no flush can split it.
+        # The text of o alone, written and reused as one piece.
         nonlocal append
         outer, piece = append, []
         append = piece.append
@@ -336,10 +335,6 @@ def _write(value, stream, depth: int = 0) -> None:
                 append(leaf[1])
         else:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        if pending() >= _FLUSH_CHARS:
-            stream.write(buffer.getvalue())
-            buffer.seek(0)
-            buffer.truncate()
 
     limited = hasattr(sys, "set_int_max_str_digits")
     if limited:
@@ -347,7 +342,6 @@ def _write(value, stream, depth: int = 0) -> None:
         sys.set_int_max_str_digits(0)
     try:
         encode(value, depth)
-        stream.write(buffer.getvalue())
     finally:
         if limited:
             sys.set_int_max_str_digits(limit)

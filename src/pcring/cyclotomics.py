@@ -29,6 +29,7 @@ import cmath
 import functools
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -409,9 +410,13 @@ class CycloNum:
             if doc is None:
                 doc = memo[key] = self.to_json()
             return doc
+        nums, den = self._nums, self._den
+        # Each coordinate in lowest terms, as Fraction reduces it; a zero
+        # numerator has gcd(0, den) = den and reads [0, 1].
+        gcds = map(math.gcd, nums, repeat(den))
         return {
             "order": self._order,
-            "coeffs": [_lowest_terms(n, self._den) if n else [0, 1] for n in self._nums],
+            "coeffs": [[n // g, den // g] for n, g in zip(nums, gcds)],
             "display_only": _display_string(self.approx()),
         }
 
@@ -487,12 +492,6 @@ def _normalized(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
         nums = [n // g for n in nums]
         den //= g
     return tuple(nums), den
-
-
-def _lowest_terms(num: int, den: int) -> list[int]:
-    # [numerator, denominator] of num/den (den > 0), as Fraction reduces it.
-    g = math.gcd(num, den)
-    return [num // g, den // g]
 
 
 def _display_string(z: complex) -> str:

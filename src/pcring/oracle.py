@@ -60,7 +60,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .cyclotomics import CycloNum, euler_phi
+from .cyclotomics import CycloNum
 from .groups import AbelianGroup
 from .pair_ring import PairElement, ProjectiveClassRing
 
@@ -267,7 +267,6 @@ def radical_matches_spectral(radical: Sequence[Sequence[Fraction]],
         return True
     group = nilpotents[0].group
     order = group.conductor
-    phi = euler_phi(order)
     s = group.size
 
     # Both bases live inside the projective component: the nilpotents by
@@ -288,8 +287,7 @@ def radical_matches_spectral(radical: Sequence[Sequence[Fraction]],
             for v in pair.coefficient_vector()[s:]
         ]
         nil_vectors.append(vec)
-        for k in range(phi):
-            piece = [entry.coeffs[k] for entry in vec]
+        for piece in zip(*(entry.coeffs for entry in vec)):
             if not linalg.in_row_span(reduced_k, pivots_k, piece):
                 return False
     return len(linalg.rref(nil_vectors)[1]) == len(nilpotents)

@@ -666,6 +666,17 @@ class TestStdoutWriteFailure:
 _NUMPY_PROBE = ("import sys; from pcring.cli import main; code = main(sys.argv[1:]); "
                 "sys.stderr.write(str('numpy' in sys.modules)); sys.exit(code)")
 
+# Runs main on argv with every import of numpy failing.
+_WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; from pcring.cli import main; "
+                  "sys.exit(main(sys.argv[1:]))")
+
+
+def _run_python(code: str, argv: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(pcring.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 _SPARSE_5X7 = {"group": [5, 7], "c": [
     {"exp": [0, 0], "coeff": 3}, {"exp": [1, 2], "coeff": 2},
     {"exp": [2, 6], "coeff": 1}, {"exp": [4, 3], "coeff": 1}]}
@@ -684,11 +695,33 @@ class TestNumpyOnlyForVerification:
         doc = tmp_path / "in.json"
         doc.write_text(json.dumps(_SPARSE_5X7))
         argv = [arg.format(doc=doc) for arg in argv] + ["-o", str(tmp_path / "out.json")]
-        env = dict(os.environ, PYTHONPATH=str(Path(pcring.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = _run_python(_NUMPY_PROBE, argv)
         assert proc.returncode == cli.EXIT_OK, proc.stderr
         assert proc.stderr == str(loaded)
+
+    @pytest.mark.parametrize("flags, code", [([], cli.EXIT_VALIDATION),
+                                             (["--no-verify"], cli.EXIT_OK)])
+    def test_analyze_without_numpy(self, tmp_path, flags, code):
+        doc = tmp_path / "in.json"
+        doc.write_text(json.dumps(_SPARSE_5X7))
+        proc = _run_python(_WITHOUT_NUMPY, ["analyze", str(doc), *flags])
+        assert (proc.returncode, proc.stderr) == (code, "")
+        report = json.loads(proc.stdout)
+        if code == cli.EXIT_OK:
+            assert report["decomposition"] == "C^70 x C[eps]^0"
+        else:
+            error = report["error"]
+            assert error["type"] == "validation"
+            assert "numpy" in error["message"] and "--no-verify" in error["message"]
+
+    def test_batch_without_numpy_goes_on(self, tmp_path):
+        for name in ("a.json", "b.json"):
+            (tmp_path / name).write_text(json.dumps(_SPARSE_5X7))
+        proc = _run_python(_WITHOUT_NUMPY, ["batch", str(tmp_path)])
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_VALIDATION, "")
+        entries = json.loads(proc.stdout)["batch"]
+        assert [entry["file"] for entry in entries] == ["a.json", "b.json"]
+        assert all("numpy" in entry["report"]["error"]["message"] for entry in entries)
 
 
 def _json_values():
@@ -715,6 +748,24 @@ class RecordingStream:
     def write(self, text: str) -> int:
         self.writes.append(text)
         return len(text)
+
+
+def leaf_texts(value, depth: int = 0):
+    """The text of each dict in ``value`` that holds no dict, directly or in
+    a list, as ``json.dumps(value, indent=2)`` renders it at its depth."""
+    if isinstance(value, dict):
+        children = value.values()
+        if not any(isinstance(v, dict) or (isinstance(v, (list, tuple))
+                                           and any(isinstance(x, dict) for x in v))
+                   for v in children):
+            yield json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+            return
+    elif isinstance(value, (list, tuple)):
+        children = value
+    else:
+        return
+    for child in children:
+        yield from leaf_texts(child, depth + 1)
 
 
 def written(value) -> str:
@@ -751,9 +802,9 @@ class TestWrite:
         cli._write(doc, stream)
         assert "".join(stream.writes) == reference
         assert max(map(len, stream.writes)) <= len(reference) // 8
-        # A write is the budget plus at most one piece, and no piece of this
-        # report (a cyclotomic value with phi = 32 at most) is that long.
-        assert max(map(len, stream.writes)) < 2 * cli._FLUSH_CHARS
+        # One piece per write, so the longest write is the longest leaf text:
+        # a cyclotomic value with phi = 32 at most.
+        assert max(map(len, stream.writes)) == max(map(len, leaf_texts(doc)))
 
     @staticmethod
     def _shared_leaf_document() -> tuple[dict, dict]:
@@ -769,14 +820,29 @@ class TestWrite:
         cli._write(doc, batch, depth=2)
         assert batch.getvalue() == json.dumps(doc, indent=2).replace("\n", "\n    ")
 
-    def test_leaf_piece_is_never_split(self, monkeypatch):
+    def test_leaf_piece_is_never_split(self):
         doc, leaf = self._shared_leaf_document()
-        monkeypatch.setattr(cli, "_FLUSH_CHARS", 16)
         stream = RecordingStream()
         cli._write(doc, stream)
         assert "".join(stream.writes) == json.dumps(doc, indent=2)
         assert len(stream.writes) > 40
-        # The leaf sits at depth 2 twice, at depth 3 once and at depth 4 40 times.
+        # The leaf sits at depth 2 twice, at depth 3 once and at depth 4 40
+        # times, each time as one whole write.
         for depth, count in ((2, 2), (3, 1), (4, 40)):
             text = json.dumps(leaf, indent=2).replace("\n", "\n" + "  " * depth)
             assert sum(w.count(text) for w in stream.writes) == count
+            assert stream.writes.count(text) == count
+
+    def test_dict_with_a_list_of_dicts_is_not_a_leaf(self):
+        _, leaf = self._shared_leaf_document()
+        row = {"exp": [1], "terms": [leaf, leaf]}
+        doc = {"rows": [row, row]}
+        stream = RecordingStream()
+        cli._write(doc, stream)
+        assert "".join(stream.writes) == json.dumps(doc, indent=2)
+        # row sits at depth 2 and is written piece by piece, each time; its
+        # leaves at depth 4 are whole writes.
+        row_text = json.dumps(row, indent=2).replace("\n", "\n" + "  " * 2)
+        assert not any(row_text in w for w in stream.writes)
+        leaf_text = json.dumps(leaf, indent=2).replace("\n", "\n" + "  " * 4)
+        assert stream.writes.count(leaf_text) == 4

@@ -277,19 +277,24 @@ class TestSerialization:
         assert doc == {"order": 4, "coeffs": [[1, 1], [1, 2]], "display_only": "1.0+0.5i"}
 
     def test_coeffs_in_lowest_terms(self):
-        # Zero coordinates take a shortcut; all must read as Fraction(n, den).
+        # Zero, negative and denominator-1 coordinates all read as Fraction(n, den).
         values = [
             CycloNum(12, [0, Fraction(3, 4), 0, Fraction(-6, 8)]),
             CycloNum(7, [Fraction(5, 6), 0, 0, Fraction(1, 3), 0, -2]),
             root_of_unity(30, 7) * Fraction(-5, 6) + Fraction(2, 3),
             CycloNum.zero(9),
             CycloNum.rational(5, Fraction(-4, 10)),
+            CycloNum(9, [0, -4, 7, 0, 0, 1]),
+            root_of_unity(12, 5),
+            CycloNum.rational(7, -3),
         ]
         for a in values:
             nums, den = a.integer_coeffs()
             expected = [[f.numerator, f.denominator] for f in (Fraction(n, den) for n in nums)]
             assert a.to_json()["coeffs"] == expected
             assert any(n == 0 for n in nums)
+        assert any(n < 0 for a in values for n in a.integer_coeffs()[0])
+        assert sum(a.integer_coeffs()[1] == 1 for a in values) >= 3
 
     def test_round_trip(self):
         a = root_of_unity(12, 7) * Fraction(-5, 6) + Fraction(2, 3)
