@@ -1,10 +1,10 @@
 """Exact analysis of projective class rings over finite abelian structure groups.
 
-The pipeline: build the pair ring from a structure group and a canonical
-element, transform the canonical element to find its support, derive the
-block decomposition C^(2r) x C[eps]^(s-r) with explicit idempotents and a
-nilradical basis, and cross-check everything against an independent
-structure-constants table.
+The pipeline: build the pair ring from a canonical element, which names its
+structure group, transform the canonical element to find its support,
+derive the block decomposition C^(2r) x C[eps]^(s-r) with explicit
+idempotents and a nilradical basis, and cross-check everything against an
+independent structure-constants table.
 
 Only that cross-check needs numpy.  ``oracle``, ``linalg`` and the oracle's
 public names are imported on first access, so an analysis without it never

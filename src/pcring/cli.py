@@ -4,12 +4,13 @@ Subcommands:
 
     analyze <file.json> [--no-verify] [--idempotents] [--nilradical] [-o out]
     example uq-sl2 --n <n> [same flags]
-    example dual-group --orders n1,n2,...
+    example dual-group --orders n1,n2,... [-o out]
     batch <dir> [same flags]
 
 The input schema is ``{"group": [n1, ...], "c": [{"exp": [...], "coeff": k},
 ...]}`` with an optional ``"name"``; any other member, or a member repeated
-within one object, is rejected at its JSON pointer.  Reports are
+within one object, is rejected at its JSON pointer.  Input files are
+decoded as UTF-8 whatever the locale, as ``-o`` is written.  Reports are
 byte-identical across runs on the same input: term ordering is canonical,
 rationals are reduced with positive denominators, and the decimal
 renderings of cyclotomic values are tagged display_only and never feed
@@ -368,8 +369,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="include the idempotent system in the report")
     parser.add_argument("--nilradical", action="store_true",
                         help="include the nilradical basis in the report")
-    parser.add_argument("-o", "--output", default=None,
-                        help="write the report to a file instead of stdout")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -400,11 +399,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_uq)
     p_dual = ex_sub.add_parser("dual-group", help="function algebra on an abelian group")
     p_dual.add_argument("--orders", required=True, help="comma-separated cyclic orders")
-    _add_common_flags(p_dual)
 
     p_batch = sub.add_parser("batch", help="analyze every .json file in a directory")
     p_batch.add_argument("directory")
     _add_common_flags(p_batch)
+    for p in (p_analyze, p_uq, p_dual, p_batch):
+        p.add_argument("-o", "--output", default=None,
+                       help="write the report to a file instead of stdout")
     return parser
 
 
@@ -443,7 +444,7 @@ def _dispatch(args: argparse.Namespace, stream, text: str | Exception | None) ->
 def _read(path: Path) -> str | Exception:
     """The text of an instance file, or the error that reading it raised."""
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         return exc
 
@@ -458,6 +459,8 @@ def _analyze(args: argparse.Namespace, text: str | Exception | None) -> tuple[di
         return _error_document(str(text)), EXIT_VALIDATION
     try:
         request = parse_input(text) if text is not None else AnalysisRequest(_example(args))
+        if request.instance.semisimple:  # dual-group: reads no flag and takes none
+            return run(request)
         return run(replace(request, verify=not args.no_verify,
                            emit_idempotents=args.idempotents,
                            emit_nilradical=args.nilradical))
@@ -470,7 +473,10 @@ def _analyze(args: argparse.Namespace, text: str | Exception | None) -> tuple[di
 def _example(args: argparse.Namespace) -> InstanceDescriptor:
     if args.name == "uq-sl2":
         _check_group_size(args.n, "/n")
-        return instances.uq_sl2(args.n)
+        try:
+            return instances.uq_sl2(args.n)
+        except ValueError as exc:
+            raise InputError("/n", str(exc)) from exc
     return instances.dual_group_algebra(_parse_orders(args.orders))
 
 

@@ -17,7 +17,7 @@ is the pairing-exponent table cached on the group; the inverse transform
 reads the row of -a, since <-a, b> = -<a, b>.  Folding each histogram row
 modulo Phi_N (``cyclotomics._fold``) gives every character value in the
 power basis, so vanishing is an exact integer test.  ``character_value`` evaluates a single
-character directly.
+character directly; it and ``fourier`` read the group from the element.
 
 Group ring elements are sparse coefficient maps with no stored zeros, so
 structural equality coincides with mathematical equality.  Inside, a map is
@@ -371,10 +371,9 @@ def pairing(group: AbelianGroup, a: GroupElement, b: GroupElement) -> CycloNum:
     return root_of_unity(group.conductor, group.pairing_exponent(a, b))
 
 
-def character_value(group: AbelianGroup, label: GroupElement, x: GroupRingElement) -> CycloNum:
-    """Evaluate the character labelled ``label`` on a group ring element."""
-    if x.group != group:
-        raise ValueError("mixed-group operands")
+def character_value(label: GroupElement, x: GroupRingElement) -> CycloNum:
+    """Evaluate the character labelled ``label`` of ``x``'s group on ``x``."""
+    group = x.group
     label = group.element(label)
     n = group.conductor
     acc = CycloNum.zero(n)
@@ -409,15 +408,14 @@ def exponent_transform(group: AbelianGroup, rows: Sequence[int], coeffs: Sequenc
     return [CycloNum._raw(order, _fold(order, cells), den) for cells in hist]
 
 
-def fourier(group: AbelianGroup, x: GroupRingElement) -> list[CycloNum]:
-    """All character values of ``x`` in canonical label order.
+def fourier(x: GroupRingElement) -> list[CycloNum]:
+    """All character values of ``x`` in canonical label order, the labels
+    being the elements of ``x``'s group.
 
     This is the ring isomorphism onto functions: convolution goes to
     pointwise product, the Dirac mass at the identity to the all-ones vector.
     """
-    if x.group != group:
-        raise ValueError("mixed-group operands")
-    return exponent_transform(group, list(x._coeffs), list(x._coeffs.values()))
+    return exponent_transform(x.group, list(x._coeffs), list(x._coeffs.values()))
 
 
 def inverse_fourier(group: AbelianGroup, values: Sequence[object]) -> GroupRingElement:

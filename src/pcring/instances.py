@@ -44,7 +44,7 @@ def uq_sl2(n: int) -> InstanceDescriptor:
     return InstanceDescriptor(
         name=f"uq-sl2({n})",
         group=group,
-        ring=ProjectiveClassRing(group, trace_element(group)),
+        ring=ProjectiveClassRing(trace_element(group)),
         expected_support_size=1,
     )
 
@@ -66,5 +66,5 @@ def custom(orders: tuple[int, ...], coeffs: dict[tuple[int, ...], int],
     """A user-supplied instance; building its ring validates the canonical
     element."""
     group = AbelianGroup(orders)
-    ring = ProjectiveClassRing(group, GroupRingElement(group, coeffs))
+    ring = ProjectiveClassRing(GroupRingElement(group, coeffs))
     return InstanceDescriptor(name=name, group=group, ring=ring)

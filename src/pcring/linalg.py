@@ -135,9 +135,9 @@ def _unity_root_mod(p: int, order: int) -> int:
     return next(w for w in powers if all(pow(w, d, p) != 1 for d in divisors))
 
 
-def modular_primes(order: int, attempts: int) -> Iterator[tuple[int, int]]:
-    """The first ``attempts`` primes p == 1 (mod order) above 10**6, each with
-    an element w of multiplicative order exactly ``order`` in GF(p).
+def modular_primes(order: int) -> Iterator[tuple[int, int]]:
+    """The first ``PRIME_ATTEMPTS`` primes p == 1 (mod order) above 10**6,
+    each with an element w of multiplicative order exactly ``order`` in GF(p).
 
     zeta_order |-> w defines a ring homomorphism Z[zeta_order] -> GF(p).
     For every order up to 256 (the largest conductor the CLI accepts) the
@@ -146,7 +146,7 @@ def modular_primes(order: int, attempts: int) -> Iterator[tuple[int, int]]:
     """
     p = 1_000_003
     p += (-(p - 1)) % order  # first candidate with p == 1 mod order
-    for _ in range(attempts):
+    for _ in range(PRIME_ATTEMPTS):
         while not _is_prime(p):
             p += order
         yield p, _unity_root_mod(p, order)

@@ -317,7 +317,7 @@ def certify_radical(table: StructureTable, nilpotents: list[PairElement]) -> tup
         slices = linalg.integer_slices([n.coefficient_vector() for n in nilpotents], order)
         products = linalg.exact_matmul(gram, slices.reshape(-1, table.dim).T)
         if not products.any():
-            for p, w in linalg.modular_primes(order, linalg.PRIME_ATTEMPTS):
+            for p, w in linalg.modular_primes(order):
                 lower = linalg.rank_mod_p(linalg.image_mod_p(slices, p, w), p)
                 upper = table.dim - linalg.rank_mod_p(gram, p)
                 if lower == m == upper:

@@ -92,28 +92,29 @@ class PairElement:
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveClassRing:
-    """The pair ring attached to a structure group and canonical element.
+    """The pair ring attached to a canonical element, over its group.
 
-    Constructing it is the one check of the canonical element: it must
-    live over ``group``, with nonnegative integer multiplicities, the
-    trivial factor present and augmentation other than 1.  Equality is
-    identity.
+    The canonical element names the structure group, so it is the ring's
+    one datum.  Constructing the ring is the one check of it: nonnegative
+    integer multiplicities, the trivial factor present and augmentation
+    other than 1.  Equality is identity.
     """
 
-    group: AbelianGroup
     canonical: GroupRingElement
 
     def __post_init__(self):
-        group, element = self.group, self.canonical
-        if element.group != group:
-            raise ValueError("mixed-group operands")
+        element = self.canonical
         for _, coeff in element.items():
             if not isinstance(coeff, int) or coeff < 0:
                 raise CanonicalElementError("invalid multiplicity")
-        if element.coefficient(group.identity) < 1:
+        if element.coefficient(element.group.identity) < 1:
             raise CanonicalElementError("missing trivial factor")
         if element.augmentation() == 1:
             raise CanonicalElementError("semisimple input")
+
+    @property
+    def group(self) -> AbelianGroup:
+        return self.canonical.group
 
     def one(self) -> PairElement:
         return self.simple_class(self.group.identity)
@@ -147,6 +148,3 @@ class ProjectiveClassRing:
         its label.
         """
         return x.s_part + x.t_part * self.canonical
-
-    def __repr__(self) -> str:
-        return f"ProjectiveClassRing({self.group!r}, c={self.canonical!r})"

@@ -190,7 +190,7 @@ def spectral_report(ring: ProjectiveClassRing) -> SpectralReport:
     The support is never empty: the trivial character evaluates to the
     augmentation, which is at least 2 for a valid canonical element.
     """
-    report = SpectralReport(ring, tuple(fourier(ring.group, ring.canonical)))
+    report = SpectralReport(ring, tuple(fourier(ring.canonical)))
     if not report.support:
         raise AssertionError("transform of a valid canonical element cannot vanish everywhere")
     return report

@@ -66,7 +66,7 @@ def certify_full_row_rank(rows, order: int) -> bool:
     if m > len(rows[0]):
         return False
     slices = linalg.integer_slices(rows, order)
-    for p, w in linalg.modular_primes(order, linalg.PRIME_ATTEMPTS):
+    for p, w in linalg.modular_primes(order):
         if linalg.rank_mod_p(linalg.image_mod_p(slices, p, w), p) == m:
             return True
     embedded = [
@@ -125,11 +125,11 @@ def _pinned_instances() -> list[CorpusInstance]:
     def inst(name, orders, coeffs):
         group = AbelianGroup(orders)
         elem = GroupRingElement(group, coeffs)
-        return CorpusInstance(name, ProjectiveClassRing(group, elem))
+        return CorpusInstance(name, ProjectiveClassRing(elem))
 
     def trace_inst(name, orders):
         group = AbelianGroup(orders)
-        return CorpusInstance(name, ProjectiveClassRing(group, trace_element(group)))
+        return CorpusInstance(name, ProjectiveClassRing(trace_element(group)))
 
     return [
         inst("trivial-group", (1,), {(0,): 2}),
@@ -160,7 +160,7 @@ def build_corpus() -> list[CorpusInstance]:
         canonical = _draw_canonical(rng, group)
         counter += 1
         corpus.append(
-            CorpusInstance(f"random-{counter:03d}", ProjectiveClassRing(group, canonical))
+            CorpusInstance(f"random-{counter:03d}", ProjectiveClassRing(canonical))
         )
     return corpus
 

@@ -1,5 +1,6 @@
 """Tests for the command-line front end and its JSON contract."""
 
+import hashlib
 import io
 import json
 import os
@@ -361,11 +362,16 @@ class TestMain:
         assert code == 0
         assert doc["decomposition"] == "C^2 x C[eps]^3"
 
-    def test_example_uq_sl2_rejects_bad_order(self, capsys):
-        code = cli.main(["example", "uq-sl2", "--n", "1"])
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_example_uq_sl2_rejects_bad_order(self, capsys, n):
+        code = cli.main(["example", "uq-sl2", "--n", str(n)])
         doc = json.loads(capsys.readouterr().out)
         assert code == 1
-        assert doc["error"]["type"] == "validation"
+        assert doc["error"] == {
+            "type": "validation",
+            "message": f"root-of-unity order must be at least 2, got {n}",
+            "path": "/n",
+        }
 
     def test_example_uq_sl2_rejects_oversized_order(self, capsys):
         code = cli.main(["example", "uq-sl2", "--n", "100000"])
@@ -385,6 +391,13 @@ class TestMain:
         doc = json.loads(capsys.readouterr().out)
         assert code == cli.EXIT_OK
         assert doc["semisimple"] is True and doc["s"] == 10**10
+
+    def test_example_dual_group_output_file(self, tmp_path):
+        # The stdout digest of the same call, pinned in test_report_bytes.
+        out = tmp_path / "dual.json"
+        assert cli.main(["example", "dual-group", "--orders", "2,3", "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "150eda69f9799d88a619a9b7105bf08d4660177b9fe73b5119e500cdfa672d31")
 
     def test_example_dual_group_bad_orders(self, capsys):
         code = cli.main(["example", "dual-group", "--orders", "2,x"])
@@ -609,7 +622,12 @@ class TestMain:
         ["analyze"],
         ["analyze", "x.json", "--bogus"],
         [],
-    ], ids=["bad-int", "missing-file", "unknown-flag", "no-command"])
+        # A semisimple report reads no analysis flag, so dual-group takes none.
+        ["example", "dual-group", "--orders", "2,3", "--no-verify"],
+        ["example", "dual-group", "--orders", "2,3", "--idempotents"],
+        ["example", "dual-group", "--orders", "2,3", "--nilradical"],
+    ], ids=["bad-int", "missing-file", "unknown-flag", "no-command", "dual-no-verify",
+            "dual-idempotents", "dual-nilradical"])
     def test_usage_error_exits_one(self, capsys, argv):
         # 2 is the code of a verification failure, so argparse's default
         # would read as a report that failed its check.
@@ -666,13 +684,17 @@ class TestStdoutWriteFailure:
 _NUMPY_PROBE = ("import sys; from pcring.cli import main; code = main(sys.argv[1:]); "
                 "sys.stderr.write(str('numpy' in sys.modules)); sys.exit(code)")
 
+# Runs main on argv.
+_MAIN = "import sys; from pcring.cli import main; sys.exit(main(sys.argv[1:]))"
+
 # Runs main on argv with every import of numpy failing.
 _WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; from pcring.cli import main; "
                   "sys.exit(main(sys.argv[1:]))")
 
 
-def _run_python(code: str, argv: list[str]) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(Path(pcring.__file__).resolve().parents[1]))
+def _run_python(code: str, argv: list[str], **env_vars: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(pcring.__file__).resolve().parents[1]),
+               **env_vars)
     return subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -680,6 +702,30 @@ def _run_python(code: str, argv: list[str]) -> subprocess.CompletedProcess:
 _SPARSE_5X7 = {"group": [5, 7], "c": [
     {"exp": [0, 0], "coeff": 3}, {"exp": [1, 2], "coeff": 2},
     {"exp": [2, 6], "coeff": 1}, {"exp": [4, 3], "coeff": 1}]}
+
+
+class TestStrictEncoding:
+    """Input files are read as UTF-8 whatever the locale: with a warning
+    raised as an error wherever a text file is opened without an encoding,
+    the CLI still exits 0 and writes nothing to stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{dir}/in.json"],
+        ["analyze", "{dir}/in.json", "--no-verify"],
+        ["batch", "{dir}"],
+    ], ids=["analyze", "analyze-unverified", "batch"])
+    def test_utf8_input_without_encoding_warnings(self, tmp_path, argv):
+        doc = dict(_SPARSE_5X7, name="café")
+        (tmp_path / "in.json").write_text(json.dumps(doc, ensure_ascii=False),
+                                          encoding="utf-8")
+        proc = _run_python(_MAIN, [arg.format(dir=tmp_path) for arg in argv],
+                           PYTHONWARNDEFAULTENCODING="1",
+                           PYTHONWARNINGS="error::EncodingWarning")
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+        report = json.loads(proc.stdout)
+        if argv[0] == "batch":
+            report = report["batch"][0]["report"]
+        assert report["instance"]["name"] == "café"
 
 
 class TestNumpyOnlyForVerification:

@@ -201,16 +201,16 @@ class TestCharacters:
         rng = random.Random(3)
         for _ in range(20):
             x = random_element(rng, g)
-            assert character_value(g, g.identity, x) == x.augmentation()
+            assert character_value(g.identity, x) == x.augmentation()
 
     def test_trace_vanishes_at_nontrivial_character(self):
         g = AbelianGroup((3,))
-        assert character_value(g, (1,), trace_element(g)).is_zero()
+        assert character_value((1,), trace_element(g)).is_zero()
 
     def test_order_two(self):
         g = AbelianGroup((2,))
         x = GroupRingElement(g, {(0,): 1, (1,): 1})
-        assert character_value(g, (1,), x).is_zero()
+        assert character_value((1,), x).is_zero()
 
     def test_character_is_root_of_unity_power(self):
         g = AbelianGroup((4, 6))
@@ -224,12 +224,12 @@ class TestCharacters:
 class TestFourier:
     def test_dirac_identity_maps_to_ones(self):
         g = AbelianGroup((2, 2))
-        values = fourier(g, GroupRingElement.delta(g, (0, 0)))
+        values = fourier(GroupRingElement.delta(g, (0, 0)))
         assert all(v == 1 for v in values)
 
     def test_trace_spectrum(self):
         g = AbelianGroup((3,))
-        assert fourier(g, trace_element(g)) == [
+        assert fourier(trace_element(g)) == [
             CycloNum.rational(3, 3),
             CycloNum.zero(3),
             CycloNum.zero(3),
@@ -238,7 +238,7 @@ class TestFourier:
     def test_order_two_spectrum(self):
         g = AbelianGroup((2,))
         x = GroupRingElement(g, {(0,): 1, (1,): 1})
-        assert fourier(g, x) == [CycloNum.rational(2, 2), CycloNum.zero(2)]
+        assert fourier(x) == [CycloNum.rational(2, 2), CycloNum.zero(2)]
 
     def test_inverse_of_ones_is_identity_dirac(self):
         g = AbelianGroup((2, 3))
@@ -265,9 +265,9 @@ class TestFourier:
             for _ in range(8):
                 x = random_element(rng, g)
                 y = random_element(rng, g)
-                fx, fy, fxy = fourier(g, x), fourier(g, y), fourier(g, x * y)
+                fx, fy, fxy = fourier(x), fourier(y), fourier(x * y)
                 assert fxy == [a * b for a, b in zip(fx, fy)]
-                assert fourier(g, x + y) == [a + b for a, b in zip(fx, fy)]
+                assert fourier(x + y) == [a + b for a, b in zip(fx, fy)]
 
     def test_round_trip(self):
         rng = random.Random(29)
@@ -277,7 +277,7 @@ class TestFourier:
             for _ in range(6):
                 base = random_element(rng, g)
                 x = embed_element(base, n) * root_of_unity(n, rng.randrange(n))
-                assert inverse_fourier(g, fourier(g, x)) == x
+                assert inverse_fourier(g, fourier(x)) == x
 
     def test_round_trip_on_all_dirac_masses(self):
         # Invertibility of the character table, checked constructively.
@@ -285,7 +285,7 @@ class TestFourier:
             g = AbelianGroup(orders)
             for a in g.elements():
                 d = GroupRingElement.delta(g, a)
-                assert elements_equal(inverse_fourier(g, fourier(g, d)), d)
+                assert elements_equal(inverse_fourier(g, fourier(d)), d)
 
     def test_pairing_gram_matrix_has_full_rank(self):
         for orders in ((2,), (3,), (2, 2), (2, 3), (6,)):
@@ -306,7 +306,7 @@ class TestFourier:
                 a = g.elements()[rng.randrange(g.size)]
                 coeffs[a] = coeffs.get(a, 0) + rng.randint(-4, 4)
             x = GroupRingElement(g, coeffs)
-            for b, val in zip(g.elements(), fourier(g, x)):
+            for b, val in zip(g.elements(), fourier(x)):
                 naive = sum(
                     c
                     * cmath.exp(
@@ -349,8 +349,8 @@ class TestTransformKernel:
                 k = rng.choice(("int", "fraction", "cyclo")) if kind == "mixed" else kind
                 coeffs[a] = _random_coefficient(rng, k, n)
             x = GroupRingElement(g, coeffs)
-            values = fourier(g, x)
-            assert values == [character_value(g, b, x) for b in elems]
+            values = fourier(x)
+            assert values == [character_value(b, x) for b in elems]
             assert inverse_fourier(g, values) == embed_element(x)
 
     def test_sums_past_int64_stay_exact(self):
@@ -358,13 +358,13 @@ class TestTransformKernel:
         # does not.
         g = AbelianGroup((12,))
         x = GroupRingElement(g, {(0,): 2**62, (6,): 2**62, (3,): 2**63 - 1})
-        values = fourier(g, x)
+        values = fourier(x)
         assert values[0] == 2**64 - 1
-        assert values == [character_value(g, b, x) for b in g.elements()]
+        assert values == [character_value(b, x) for b in g.elements()]
 
     def test_zero_element(self):
         g = AbelianGroup((2, 6))
-        values = fourier(g, GroupRingElement.zero(g))
+        values = fourier(GroupRingElement.zero(g))
         assert values == [CycloNum.zero(6)] * g.size
         assert inverse_fourier(g, values).is_zero()
 
@@ -378,15 +378,10 @@ class TestTransformKernel:
         for a, row in zip(elems, exps):
             assert row == tuple(g.pairing_exponent(a, b) for b in elems)
 
-    def test_mixed_group_operands_rejected(self):
-        g, h = AbelianGroup((2, 3)), AbelianGroup((6,))
-        with pytest.raises(ValueError, match="mixed-group"):
-            fourier(g, trace_element(h))
-
     def test_foreign_cyclotomic_order_rejected(self):
         g = AbelianGroup((4,))
         with pytest.raises(ValueError, match="order mismatch"):
-            fourier(g, GroupRingElement.delta(g, (1,), root_of_unity(3, 1)))
+            fourier(GroupRingElement.delta(g, (1,), root_of_unity(3, 1)))
         with pytest.raises(ValueError, match="order mismatch"):
             inverse_fourier(g, [root_of_unity(3, 1)] * 4)
 

@@ -10,6 +10,7 @@ from conftest import certify_full_row_rank
 from pcring import CycloNum, root_of_unity
 from pcring.cyclotomics import common_numerators
 from pcring.linalg import (
+    PRIME_ATTEMPTS,
     exact_dtype,
     exact_matmul,
     image_mod_p,
@@ -107,7 +108,7 @@ class TestRankCertificate:
 class TestModularRank:
     def test_matches_rational_rank(self):
         rng = random.Random(7)
-        (p, _), = modular_primes(1, 1)
+        p, _ = next(modular_primes(1))
         for _ in range(30):
             rows, cols = rng.randint(1, 6), rng.randint(1, 6)
             base = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rng.randint(1, 4))]
@@ -127,8 +128,8 @@ class TestModularRank:
         # Every conductor the CLI accepts; the order of w is found by brute
         # force, as the first k >= 1 with w**k == 1.
         for order in range(1, 257):
-            found = list(modular_primes(order, 3))
-            assert len(found) == 3
+            found = list(modular_primes(order))
+            assert len(found) == PRIME_ATTEMPTS
             for p, w in found:
                 assert p > 10**6 and (p - 1) % order == 0
                 k, power = 1, w % p
@@ -151,7 +152,7 @@ class TestIntegerSlices:
             assert rebuilt == [scale * v for v in row]
 
     def test_image_is_a_homomorphic_image(self):
-        (p, w), = modular_primes(6, 1)
+        p, w = next(modular_primes(6))
         z = root_of_unity(6, 1)
         image = image_mod_p(integer_slices([[z, z * z]], 6), p, w)
         assert image.tolist() == [[w % p, w * w % p]]

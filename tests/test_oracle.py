@@ -22,12 +22,12 @@ from pcring import (
 
 def make_ring(orders, coeffs) -> ProjectiveClassRing:
     g = AbelianGroup(orders)
-    return ProjectiveClassRing(g, GroupRingElement(g, coeffs))
+    return ProjectiveClassRing(GroupRingElement(g, coeffs))
 
 
 def trace_ring(n) -> ProjectiveClassRing:
     g = AbelianGroup((n,))
-    return ProjectiveClassRing(g, trace_element(g))
+    return ProjectiveClassRing(trace_element(g))
 
 
 RINGS = [

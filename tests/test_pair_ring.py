@@ -1,5 +1,6 @@
 """Tests for the pair ring: validation, the multiplication law, dimension vectors."""
 
+import dataclasses
 import random
 
 import pytest
@@ -17,14 +18,21 @@ from pcring import (
 
 def sweedler_like_ring() -> ProjectiveClassRing:
     g = AbelianGroup((2,))
-    return ProjectiveClassRing(g, GroupRingElement(g, {(0,): 1, (1,): 1}))
+    return ProjectiveClassRing(GroupRingElement(g, {(0,): 1, (1,): 1}))
 
 
 class TestValidation:
     def test_trace_element_instance(self):
         g = AbelianGroup((3,))
-        ring = ProjectiveClassRing(g, trace_element(g))
+        ring = ProjectiveClassRing(trace_element(g))
         assert ring.canonical.augmentation() == 3
+
+    def test_canonical_element_is_the_only_field(self):
+        g = AbelianGroup((3,))
+        c = trace_element(g)
+        ring = ProjectiveClassRing(c)
+        assert [f.name for f in dataclasses.fields(ProjectiveClassRing)] == ["canonical"]
+        assert ring.canonical is c and ring.group is c.group
 
     def test_smallest_instance(self):
         ring = sweedler_like_ring()
@@ -33,25 +41,25 @@ class TestValidation:
     def test_missing_trivial_factor(self):
         g = AbelianGroup((2,))
         with pytest.raises(CanonicalElementError, match="missing trivial factor") as info:
-            ProjectiveClassRing(g, GroupRingElement.delta(g, (1,)))
+            ProjectiveClassRing(GroupRingElement.delta(g, (1,)))
         assert info.value.invariant == "missing trivial factor"
 
     def test_semisimple_input(self):
         g = AbelianGroup((2,))
         with pytest.raises(CanonicalElementError, match="semisimple input"):
-            ProjectiveClassRing(g, GroupRingElement.delta(g, (0,)))
+            ProjectiveClassRing(GroupRingElement.delta(g, (0,)))
 
     def test_negative_multiplicity(self):
         g = AbelianGroup((2,))
         with pytest.raises(CanonicalElementError, match="invalid multiplicity"):
-            ProjectiveClassRing(g, GroupRingElement(g, {(0,): 2, (1,): -1}))
+            ProjectiveClassRing(GroupRingElement(g, {(0,): 2, (1,): -1}))
 
     def test_non_integer_multiplicity(self):
         from fractions import Fraction
 
         g = AbelianGroup((2,))
         with pytest.raises(CanonicalElementError, match="invalid multiplicity"):
-            ProjectiveClassRing(g, GroupRingElement(g, {(0,): Fraction(3, 2)}))
+            ProjectiveClassRing(GroupRingElement(g, {(0,): Fraction(3, 2)}))
 
 
 class TestMultiplicationLaw:
@@ -96,9 +104,9 @@ def sample_rings():
     g22 = AbelianGroup((2, 2))
     return [
         sweedler_like_ring(),
-        ProjectiveClassRing(AbelianGroup((3,)), trace_element(AbelianGroup((3,)))),
-        ProjectiveClassRing(g22, trace_element(g22)),
-        ProjectiveClassRing(g4, GroupRingElement(g4, {(0,): 1, (2,): 2, (3,): 1})),
+        ProjectiveClassRing(trace_element(AbelianGroup((3,)))),
+        ProjectiveClassRing(trace_element(g22)),
+        ProjectiveClassRing(GroupRingElement(g4, {(0,): 1, (2,): 2, (3,): 1})),
     ]
 
 
@@ -164,7 +172,7 @@ class TestDimensionVector:
 
     def test_projective_maps_to_translated_canonical(self):
         g = AbelianGroup((3,))
-        ring = ProjectiveClassRing(g, trace_element(g))
+        ring = ProjectiveClassRing(trace_element(g))
         for a in g.elements():
             expected = GroupRingElement.delta(g, a) * ring.canonical
             assert ring.dimension_vector(ring.projective_class(a)) == expected

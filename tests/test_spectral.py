@@ -32,12 +32,12 @@ from pcring import groups, linalg, spectral
 
 def make_ring(orders, coeffs) -> ProjectiveClassRing:
     g = AbelianGroup(orders)
-    return ProjectiveClassRing(g, GroupRingElement(g, coeffs))
+    return ProjectiveClassRing(GroupRingElement(g, coeffs))
 
 
 def trace_ring(orders) -> ProjectiveClassRing:
     g = AbelianGroup(orders)
-    return ProjectiveClassRing(g, trace_element(g))
+    return ProjectiveClassRing(trace_element(g))
 
 
 AUDIT_RINGS = [
@@ -190,11 +190,10 @@ class TestNilradical:
         # every x in the support.
         from pcring import character_value
 
-        g = ring.group
         report = spectral_report(ring)
         for nil in report.nilpotents:
             for x in report.support:
-                assert character_value(g, x, nil.t_part).is_zero()
+                assert character_value(x, nil.t_part).is_zero()
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_half_quantum_span_is_augmentation_ideal(self, n):
@@ -264,7 +263,7 @@ class TestNormalization:
     def test_normalized_element_transforms_to_indicator(self):
         ring = trace_ring((2,))  # canonical element transforms to (2, 0)
         report = spectral_report(ring)
-        assert fourier(ring.group, report.element) == [
+        assert fourier(report.element) == [
             CycloNum.one(2),
             CycloNum.zero(2),
         ]
@@ -291,10 +290,9 @@ class TestNormalization:
         report = spectral_report(ring)
         assert elements_equal(report.unit * report.element, ring.canonical)
         # the same identity pointwise in transform coordinates
-        g = ring.group
-        lhs = fourier(g, ring.canonical)
-        unit_values = fourier(g, report.unit)
-        rhs = [u * v for u, v in zip(unit_values, fourier(g, report.element))]
+        lhs = fourier(ring.canonical)
+        unit_values = fourier(report.unit)
+        rhs = [u * v for u, v in zip(unit_values, fourier(report.element))]
         assert lhs == rhs
         assert tuple(unit_values) == report.unit_values
 
@@ -308,7 +306,7 @@ class TestNormalization:
             expected = embed_element(inst.ring.canonical) + one - report.element
             assert report.unit == expected, inst.name
             assert all(isinstance(v, CycloNum) for _, v in report.unit.items()), inst.name
-            assert tuple(fourier(g, report.unit)) == report.unit_values, inst.name
+            assert tuple(fourier(report.unit)) == report.unit_values, inst.name
             assert report.unit_values == tuple(
                 lam if lam else CycloNum.one(g.conductor) for lam in report.values)
 
@@ -316,8 +314,8 @@ class TestNormalization:
     def test_unit_is_invertible_and_support_is_preserved(self, ring):
         report = spectral_report(ring)
         g = ring.group
-        assert all(v for v in fourier(g, report.unit))
-        normalized_values = fourier(g, report.element)
+        assert all(v for v in fourier(report.unit))
+        normalized_values = fourier(report.element)
         support = tuple(b for b, v in zip(g.elements(), normalized_values) if v)
         assert support == report.support
         one = CycloNum.one(g.conductor)
@@ -346,7 +344,7 @@ class TestRecord:
         ring = make_ring((2, 3), {(0, 0): 2, (1, 1): 3, (0, 2): 1})
         report = spectral_report(ring)
         assert calls == ["fourier"]
-        assert report.values == tuple(fourier(ring.group, ring.canonical))
+        assert report.values == tuple(fourier(ring.canonical))
         report.to_json()
         report.to_json()
         assert calls == ["fourier", "inverse_fourier"]
