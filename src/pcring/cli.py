@@ -406,11 +406,16 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (p_analyze, p_uq, p_dual, p_batch):
         p.add_argument("-o", "--output", default=None,
                        help="write the report to a file instead of stdout")
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    # argparse hands a subcommand's unknown arguments back to the top-level
+    # parser; the chosen subcommand reports them, with its own usage.
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     # The input is read first, since opening -o truncates: `analyze F -o F`
     # reads F.  -o is opened before any analysis; batch files are read under
     # their own handlers, so an OSError out of _dispatch comes from writing.

@@ -191,11 +191,12 @@ def integer_slices(rows: Sequence[Sequence[object]], order: int) -> np.ndarray:
 
 def image_mod_p(slices: np.ndarray, p: int, w: int) -> np.ndarray:
     """Image mod p (a prime below 2**31) of the rows ``integer_slices``
-    describes, under zeta |-> w."""
-    residues = (slices % p).astype(np.int64)
+    describes, under zeta |-> w.  One power-basis slice is reduced at a
+    time, so no residue copy of the whole array is made."""
     image = np.zeros((slices.shape[0], slices.shape[2]), dtype=np.int64)
     for k in range(slices.shape[1]):
-        image = (image + residues[:, k, :] * pow(w, k, p)) % p
+        residues = (slices[:, k, :] % p).astype(np.int64, copy=False)
+        image = (image + residues * pow(w, k, p)) % p
     return image
 
 

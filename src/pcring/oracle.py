@@ -40,11 +40,16 @@ holds the largest multiplicity (int8 for every c_u below 128: 134 MB at the
 size bound s = 256), and in Python integers (object dtype) from 2**63 on.
 Every product widens: Light's test runs on the generators S_(e_i) and P_0
 (S_a is a word in the S_(e_i), and P_a = S_a P_0) once the table itself
-shows that they generate, and on the whole basis otherwise.  It casts the
-table once to the narrowest exact tier ``linalg.exact_dtype`` allows
-(float32, float64 or Python integers) and compares the two products block
-by block of rows.  The trace form reads the diagonals and makes one product
-that casts the table in buffered pieces.
+shows that they generate, and on the whole basis otherwise.  Left
+multiplication by a basis element g that permutes the basis and lies in the
+left nucleus, (g x) y = g (x y), maps each associator row f_a(x, .) =
+(x a) . - x (a .) to f_a(g x, .) = g f_a(x, .), so the test takes one row x
+per orbit of those S_(e_i) that the table shows to qualify: S_0 and P_0 for
+every table ``build_table`` makes, at 2 (2s)^3 multiply-adds per generator
+and row, where all 2s rows cost 2 (2s)^4 per generator.  It casts the table to the narrowest exact
+tier ``linalg.exact_dtype`` allows (float32, float64 or Python integers) one
+chunk of rows at a time, never as a whole.  The trace form reads the
+diagonals and makes one product that casts the table in buffered pieces.
 
 This module and ``linalg`` are the only ones that import numpy.  The
 package imports them on first access, and the CLI only when it verifies, so
@@ -77,8 +82,11 @@ __all__ = [
 # Signed integer dtypes a table may use, narrowest first; object past int64.
 _TABLE_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
-# Rows x per block of Light's test: two float32 blocks of 32 x (2s)^2 are
-# 64 MB at s = 256, against 537 MB for the cast table.
+# Rows per block: in Light's test, table rows u per left-nucleus gather,
+# table rows m per cast chunk and (generator, row) pairs per product; in
+# ``certify_radical``, nilpotents per product with T.  A float32 chunk of
+# 32 x (2s)^2 is 32 MB at s = 256, against 537 MB for the whole table cast
+# at once.
 _BLOCK_ROWS = 32
 
 
@@ -126,37 +134,112 @@ class StructureTable:
         return gens if len(reached) == self.dim else list(range(self.dim))
 
     def is_associative(self) -> bool:
-        """Light's associativity test: (x a) y == x (a y) for all basis x, y
-        and every a in ``generators()``.
+        """Light's associativity test: (x a) y == x (a y) for every basis y,
+        every a in ``generators()`` and one row x per orbit of
+        ``_orbit_representatives``.
 
-        The elements a satisfying this identity form a subalgebra, so a
-        generating set suffices; with the whole basis as G it is the check
-        over all 8 s^3 basis triples.  The table is cast once to
-        ``linalg.exact_dtype`` for inner dimension 2s and max|c| on both
-        sides: float32 when 2s max|c|^2 < 2**24 (every table with
-        multiplicities below 128 at the size bound), float64 below 2**53,
-        Python integers otherwise.  For each a and each block X of
-        ``_BLOCK_ROWS`` rows x it forms (x a) y = c[X, a, :] @ c viewed as
-        m -> (y, l), and x (a y) = c[a] @ c[x] stacked over x in X, and
-        stops at the first block where they differ.  Every entry is an
-        integer the cast represents exactly, so float equality is integer
-        equality.  The result is cached; constants are treated as frozen
-        once any check has run.
+        The elements a satisfying the identity for all x, y form a
+        subalgebra (the middle nucleus), so a generating set suffices.  For
+        fixed a, write f(x, y) = (x a) y - x (a y).  A basis element g in
+        the left nucleus, (g u) v = g (u v) for all u, v, gives
+        f(g x, y) = g f(x, y); when left multiplication by g permutes the
+        basis, f(x, .) vanishes iff f(g x, .) does, so one row x per orbit
+        of such permutations suffices.  With the whole basis as G, every
+        row is checked: that is the check over all 8 s^3 basis triples.
+
+        The products run in ``linalg.exact_dtype`` for inner dimension 2s
+        and max|c| on both sides: float32 when 2s max|c|^2 < 2**24 (every
+        table with multiplicities below 128 at the size bound), float64
+        below 2**53, Python integers otherwise.  Every entry and partial
+        sum is an integer the dtype represents exactly, so float equality
+        is integer equality.  The table is never cast whole:
+        ``_associates`` casts it one chunk of ``_BLOCK_ROWS`` rows at a
+        time.  The result is cached; constants are treated as frozen once
+        any check has run.
         """
         if self._associative is None:
-            d = self.dim
+            gens = self.generators()
+            rows = self._orbit_representatives(gens)
+            pairs = [(a, x) for a in gens for x in rows]
             bound = linalg.max_abs(self.constants)
-            c = self.constants.astype(linalg.exact_dtype(d, bound, bound), copy=False)
-            by_left = c.reshape(d, d * d)  # m -> (y, l)
+            dtype = linalg.exact_dtype(self.dim, bound, bound)
             self._associative = all(
-                np.array_equal(
-                    c[x:x + _BLOCK_ROWS, a, :] @ by_left,
-                    (c[a] @ c[x:x + _BLOCK_ROWS]).reshape(-1, d * d),
-                )
-                for a in self.generators()
-                for x in range(0, d, _BLOCK_ROWS)
+                self._associates(pairs[i:i + _BLOCK_ROWS], dtype)
+                for i in range(0, len(pairs), _BLOCK_ROWS)
             )
         return self._associative
+
+    def _associates(self, pairs: list[tuple[int, int]], dtype: np.dtype) -> bool:
+        """(x a) y == x (a y) for every (a, x) in ``pairs`` and basis y.
+
+        x (a y) = c[a] @ c[x] per pair, (y, m) times (m, l).  (x a) y is the
+        stack of rows c[x, a, :] times c viewed as m -> (y, l), summed over
+        the rows m where some c[x, a, m] is nonzero, in chunks of
+        ``_BLOCK_ROWS`` rows each cast to ``dtype`` on its own: the table is
+        read at most once per call and never cast whole.
+        """
+        d = self.dim
+        c = self.constants
+        gens, rows = (list(v) for v in zip(*pairs))
+        right = (c[gens].astype(dtype) @ c[rows].astype(dtype)).reshape(len(pairs), d * d)
+        heads = c[rows, gens, :]
+        support = np.flatnonzero(heads.any(axis=0))
+        heads = heads[:, support].astype(dtype)
+        left = np.zeros_like(right)
+        for i in range(0, len(support), _BLOCK_ROWS):
+            chunk = c[support[i:i + _BLOCK_ROWS]].astype(dtype).reshape(-1, d * d)
+            left += heads[:, i:i + _BLOCK_ROWS] @ chunk
+        return np.array_equal(left, right)
+
+    def _orbit_representatives(self, gens: list[int]) -> list[int]:
+        """The least basis index of each orbit of the permutations
+        ``_nucleus_permutation`` finds among the S_(e_i) in ``gens``.
+
+        A generator that does not qualify merges no orbits.  When ``gens``
+        is the whole basis, generation was not shown, and every index is
+        its own representative without a scan of candidates.
+        """
+        d = self.dim
+        if len(gens) == d:
+            return list(range(d))
+        perms = [perm.tolist() for g in gens if g < self.group.size
+                 if (perm := self._nucleus_permutation(g)) is not None]
+        seen = [False] * d
+        reps = []
+        for x in range(d):
+            if seen[x]:
+                continue
+            reps.append(x)
+            seen[x] = True
+            frontier = [x]
+            while frontier:
+                u = frontier.pop()
+                for perm in perms:
+                    v = perm[u]
+                    if not seen[v]:
+                        seen[v] = True
+                        frontier.append(v)
+        return reps
+
+    def _nucleus_permutation(self, g: int) -> np.ndarray | None:
+        """pi with g e_u = e_pi(u), when c[g] is a permutation matrix with
+        unit entries and g lies in the left nucleus; None otherwise.
+
+        (g e_u) e_v = e_pi(u) e_v and g (e_u e_v) = sum_l c[u, v, l] e_pi(l)
+        agree for all u, v iff c[pi(u), v, pi(l)] == c[u, v, l], which is
+        checked as a gather over ``_BLOCK_ROWS`` rows u at a time.
+        """
+        c = self.constants
+        unit = c[g] == 1
+        if not ((unit | (c[g] == 0)).all() and (unit.sum(axis=0) == 1).all()
+                and (unit.sum(axis=1) == 1).all()):
+            return None
+        pi = unit.argmax(axis=1)
+        for u in range(0, self.dim, _BLOCK_ROWS):
+            if not np.array_equal(np.take(c[pi[u:u + _BLOCK_ROWS]], pi, axis=2),
+                                  c[u:u + _BLOCK_ROWS]):
+                return None
+        return pi
 
     def trace_form(self) -> np.ndarray:
         """Gram matrix T[i,j] = trace of left multiplication by e_i * e_j =
@@ -315,8 +398,10 @@ def certify_radical(table: StructureTable, nilpotents: list[PairElement]) -> tup
     if all(n.s_part.is_zero() for n in nilpotents):
         order = table.group.conductor
         slices = linalg.integer_slices([n.coefficient_vector() for n in nilpotents], order)
-        products = linalg.exact_matmul(gram, slices.reshape(-1, table.dim).T)
-        if not products.any():
+        # T n as rows n T^T, one block of nilpotents at a time, each block in
+        # its own exact dtype; the first nonzero block ends the certificate.
+        if not any(linalg.exact_matmul(slices[i:i + _BLOCK_ROWS], gram.T).any()
+                   for i in range(0, m, _BLOCK_ROWS)):
             for p, w in linalg.modular_primes(order):
                 lower = linalg.rank_mod_p(linalg.image_mod_p(slices, p, w), p)
                 upper = table.dim - linalg.rank_mod_p(gram, p)

@@ -638,6 +638,22 @@ class TestMain:
         assert captured.out == ""
         assert "usage: pcring" in captured.err
 
+    @pytest.mark.parametrize("argv, usage, unknown", [
+        (["example", "dual-group", "--orders", "2,3", "--no-verify"],
+         "usage: pcring example dual-group [-h] --orders ORDERS", "--no-verify"),
+        (["example", "uq-sl2", "--n", "3", "--orders", "2"],
+         "usage: pcring example uq-sl2 [-h] --n N", "--orders 2"),
+        (["analyze", "doc.json", "--bogus"], "usage: pcring analyze [-h]", "--bogus"),
+    ], ids=["dual-group", "uq-sl2", "analyze"])
+    def test_unknown_argument_shows_the_subcommand_usage(self, capsys, argv, usage, unknown):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == cli.EXIT_VALIDATION
+        assert captured.out == ""
+        assert captured.err.startswith(usage)
+        assert f"unrecognized arguments: {unknown}\n" in captured.err
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["example", "--help"])

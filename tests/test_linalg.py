@@ -157,6 +157,18 @@ class TestIntegerSlices:
         image = image_mod_p(integer_slices([[z, z * z]], 6), p, w)
         assert image.tolist() == [[w % p, w * w % p]]
 
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_image_matches_a_python_reference(self, dtype):
+        # Negative and (object) past-int64 power-basis coefficients.
+        p, w = next(modular_primes(5))
+        rng = np.random.default_rng(7)
+        slices = rng.integers(-10**9, 10**9, size=(3, 4, 5)).astype(dtype)
+        if dtype is object:
+            slices[1, 2, 3] = -(2**80) - 7
+        expected = [[sum(int(slices[i, k, j]) * w**k for k in range(4)) % p for j in range(5)]
+                    for i in range(3)]
+        assert image_mod_p(slices, p, w).tolist() == expected
+
     def test_repeated_entries_match_the_per_row_numerators(self):
         # Equal values in different rows scale by different row denominators.
         z = root_of_unity(12, 1)

@@ -172,10 +172,16 @@ class TestAgreementWithPairRing:
 
 
 def non_associative_rows(constants: np.ndarray) -> set[int]:
-    """The i of every basis triple with (e_i e_j) e_k != e_i (e_j e_k)."""
-    left = np.einsum("ijm,mkl->ijkl", constants, constants)
-    right = np.einsum("jkm,iml->ijkl", constants, constants)
-    return set(np.flatnonzero((left != right).any(axis=(1, 2, 3))).tolist())
+    """The i of every basis triple with (e_i e_j) e_k != e_i (e_j e_k), one
+    row i at a time: (e_i e_j) e_k = sum_m c_ijm c_mkl over all j, k, l and
+    e_i (e_j e_k) = sum_m c_jkm c_iml.  In float64 when d max|c|^2 < 2**53,
+    so that every sum is exact, and in Python integers otherwise."""
+    d = len(constants)
+    top = int(np.abs(constants).max())
+    c = constants.astype(np.float64 if d * top * top < 2**53 else object)
+    return {i for i in range(d)
+            if not np.array_equal(c[i] @ c.reshape(d, d * d),
+                                  (c.reshape(d * d, d) @ c[i]).reshape(d, d * d))}
 
 
 def brute_force_associative(constants: np.ndarray) -> bool:
@@ -245,13 +251,13 @@ class TestLightAssociativity:
         assert table.generators() == list(range(table.dim))
         assert table.is_associative() == brute_force_associative(constants) is False
 
-    @pytest.mark.parametrize("value", [300, 2**20, 2**40],
-                             ids=["float32", "float64", "python-int"])
+    @pytest.mark.parametrize("value", [300, 2**20, 2**40, 2**63],
+                             ids=["float32", "float64", "python-int", "object-table"])
     @pytest.mark.parametrize("ring", RINGS, ids=IDS)
     def test_perturbation_that_needs_a_wider_dtype(self, ring, value):
         # A widened copy of the int8 table with one constant too large for
         # int8; the value picks the tier Light's test casts the table to.
-        constants = build_table(ring).constants.astype(np.int64)
+        constants = build_table(ring).constants.astype(np.int64 if value < 2**63 else object)
         d = len(constants)
         constants[d - 1, d - 1, d - 1] = value
         table = StructureTable(ring.group, constants)
@@ -280,6 +286,80 @@ class TestLightAssociativity:
         constants[d - 1, 0, d - 1] = 1
         assert non_associative_rows(constants) == {d - 1}
         assert StructureTable(group, constants).is_associative() is False
+
+    def test_agrees_with_brute_force_on_the_corpus(self, corpus):
+        # Each valid table and one seeded +1 change to it.
+        rng = random.Random(0xC0)
+        for inst in corpus:
+            constants = build_table(inst.ring).constants
+            assert StructureTable(inst.group, constants).is_associative()
+            assert brute_force_associative(constants)
+            broken = constants.copy()
+            broken[tuple(rng.randrange(len(constants)) for _ in range(3))] += 1
+            expected = brute_force_associative(broken)
+            assert StructureTable(inst.group, broken).is_associative() == expected, inst.name
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_agrees_with_brute_force_on_uq_sl2(self, n):
+        # d = 2n runs past one block of 32 rows from n = 17 on.
+        table = build_table(trace_ring(n))
+        assert table._orbit_representatives(table.generators()) == [0, n]
+        assert table.is_associative() and brute_force_associative(table.constants)
+
+    @pytest.mark.parametrize("ring", RINGS, ids=IDS)
+    def test_mutant_generator_row_drops_out(self, ring):
+        # Every one-entry change to the row of each S_(e_i): 0 -> 1, 1 -> 0
+        # and 1 -> 2.  Left multiplication by it is then no unit
+        # permutation, so its orbits are not merged.
+        valid = build_table(ring)
+        base = valid.constants
+        verdicts = []
+        for g in unit_generators(ring.group)[:-1]:
+            assert valid._nucleus_permutation(g) is not None
+            for (u, l), entry in np.ndenumerate(base[g]):
+                for value in ((1,) if entry == 0 else (0, 2)):
+                    constants = base.copy()
+                    constants[g, u, l] = value
+                    table = StructureTable(ring.group, constants)
+                    assert table._nucleus_permutation(g) is None
+                    expected = brute_force_associative(constants)
+                    assert table.is_associative() == expected
+                    verdicts.append(expected)
+        assert not any(verdicts)
+
+    def test_permutation_outside_the_left_nucleus_merges_no_orbits(self):
+        # Z3 trace ring with S_2 S_0 = S_2 + P_0 - P_1.  S_1 still permutes
+        # the basis with unit entries, but (S_1 S_1) S_0 != S_1 (S_1 S_0), so
+        # S_1 is not in the left nucleus.  Only rows S_1 and S_2 fail: the
+        # orbit of S_0 under S_1, which one row per orbit would skip.
+        ring = trace_ring(3)
+        base = build_table(ring).constants
+        constants = base.copy()
+        constants[2, 0, 3] += 1
+        constants[2, 0, 4] -= 1
+        table = StructureTable(ring.group, constants)
+        assert table.generators() == [1, 3]
+        assert np.array_equal(constants[1], base[1])
+        assert non_associative_rows(constants) == {1, 2}
+        assert table._nucleus_permutation(1) is None
+        assert table._orbit_representatives([1, 3]) == list(range(6))
+        assert table.is_associative() is False
+
+    @pytest.mark.parametrize("value", [2**20, 2**40, 2**63],
+                             ids=["float64", "python-int", "object-table"])
+    def test_wide_tiers_over_orbit_representatives(self, value):
+        # Multiplicities near `value` on Z2 x Z3 (two S_(e_i), rows S_0 and
+        # P_0); float32 rounding makes the valid table at 2**20 fail.  Then
+        # +1 on P_1 P_2, a product in no representative row.
+        ring = make_ring((2, 3), {(0, 0): value + 3, (0, 1): 2 * value + 5, (0, 2): 1,
+                                  (1, 0): 3, (1, 1): 3, (1, 2): 2 * value + 5})
+        table = build_table(ring)
+        assert table._orbit_representatives(table.generators()) == [0, 6]
+        assert table.is_associative() and brute_force_associative(table.constants)
+        constants = table.constants.copy()
+        constants[7, 8, 9] += 1
+        broken = StructureTable(ring.group, constants)
+        assert broken.is_associative() == brute_force_associative(constants) is False
 
     def test_object_constants_with_huge_multiplicity(self):
         ring = make_ring((4,), {(0,): 2**63, (2,): 1})
@@ -350,6 +430,15 @@ class TestRadicalCertificate:
         nils = list(spectral_report(ring).nilpotents)
         with_simple = [ring.simple_class((1,))] + nils[1:]
         assert certify_radical(build_table(ring), with_simple) == (3, False)
+
+    def test_nilpotent_outside_the_kernel_in_a_later_block(self):
+        # 39 nilpotents make two blocks of T n products; the last one is
+        # replaced by P_0, and T P_0 != 0 (row S_0 holds the trace of P_0).
+        ring = trace_ring(40)
+        nils = list(spectral_report(ring).nilpotents)
+        impostor = nils[:-1] + [ring.projective_class((0,))]
+        assert len(impostor) > oracle._BLOCK_ROWS
+        assert certify_radical(build_table(ring), impostor) == (39, False)
 
     def test_requires_associative_table(self):
         ring = trace_ring(3)
