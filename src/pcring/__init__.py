@@ -23,7 +23,7 @@ from .groups import (
     pairing,
     trace_element,
 )
-from .instances import InstanceDescriptor, custom, dual_group_algebra, uq_sl2
+from .instances import InstanceDescriptor, custom, uq_sl2
 from .pair_ring import CanonicalElementError, PairElement, ProjectiveClassRing
 from .spectral import SpectralReport, spectral_report
 
@@ -44,7 +44,6 @@ __all__ = [
     "character_value",
     "custom",
     "cyclotomic_polynomial",
-    "dual_group_algebra",
     "euler_phi",
     "fourier",
     "inverse_fourier",

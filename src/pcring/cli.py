@@ -53,12 +53,13 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 
-# The oracle keeps a dense (2s)^3 table of structure constants (int8 for
-# multiplicities below 128: 134 MB at s = 256) and Light's test multiplies
-# (2s) x (2s)^2 slices of a float32 cast of it (537 MB at s = 256; float64 or
-# Python integers when the constants are too large for float32 to stay
-# exact), so analysis is meant for desk-scale groups; refuse anything larger
-# up front.
+# The oracle keeps a dense (2s)^3 table of structure constants, int8 for
+# multiplicities below 128: 134 MB at s = 256, eight times that at s = 512.
+# The verified checks grow with it: Light's test casts the table 32 rows at a
+# time, and matches_pair_ring compares 4 s^2 pair-ring products with its
+# rows. Verified uq-sl2(256) takes about 10-13 s at about 274 MB on a 2-vCPU
+# host, so analysis is meant for desk-scale groups; refuse anything larger up
+# front.
 MAX_GROUP_SIZE = 256
 
 
@@ -168,9 +169,6 @@ def parse_input(document: str) -> AnalysisRequest:
 def run(request: AnalysisRequest) -> tuple[dict, int]:
     """Execute the pipeline; returns (report document, exit code)."""
     inst = request.instance
-    if inst.semisimple:
-        return _semisimple_report(inst), EXIT_OK
-
     report_data = spectral.spectral_report(inst.ring)
     doc: dict = {"instance": _instance_json(inst)}
     doc.update(
@@ -206,23 +204,21 @@ def run(request: AnalysisRequest) -> tuple[dict, int]:
 
 
 def _instance_json(inst: InstanceDescriptor) -> dict:
-    doc: dict = {"name": inst.name, "group": list(inst.group.orders)}
-    if inst.ring is not None:
-        doc["c"] = inst.ring.canonical.to_json()["terms"]
-    doc["semisimple"] = inst.semisimple
-    return doc
+    return {"name": inst.name, "group": list(inst.group.orders),
+            "c": inst.ring.canonical.to_json()["terms"], "semisimple": False}
 
 
-def _semisimple_report(inst: InstanceDescriptor) -> dict:
-    if inst.group.size == 1:
-        ring_name = "Z"
-    else:
-        ring_name = "Z[" + " x ".join(f"Z{n}" for n in inst.group.orders) + "]"
+def _semisimple_report(orders: tuple[int, ...]) -> dict:
+    """The report of ``example dual-group``: the function algebra on the
+    group of these orders is semisimple, so its class ring is the integral
+    group ring and there is no pair ring to analyze."""
+    s = math.prod(orders)
     return {
-        "instance": _instance_json(inst),
+        "instance": {"name": f"dual-group({','.join(map(str, orders))})",
+                     "group": list(orders), "semisimple": True},
         "semisimple": True,
-        "K0p": ring_name,
-        "s": inst.group.size,
+        "K0p": "Z" if s == 1 else "Z[" + " x ".join(f"Z{n}" for n in orders) + "]",
+        "s": s,
     }
 
 
@@ -457,15 +453,16 @@ def _read(path: Path) -> str | Exception:
 def _analyze(args: argparse.Namespace, text: str | Exception | None) -> tuple[dict, int]:
     """Run one analysis with the flags of ``args``: of the instance document
     ``text``, or for ``example`` (``text`` None) of the built-in instance
-    that ``args`` names.  Returns (document, exit code); the document is a
-    validation error when ``text`` is the error that reading it raised or
+    that ``args`` names; ``example dual-group`` is reported from its orders
+    alone and reads no flag.  Returns (document, exit code); the document is
+    a validation error when ``text`` is the error that reading it raised or
     when the input is invalid."""
     if isinstance(text, Exception):
         return _error_document(str(text)), EXIT_VALIDATION
     try:
+        if text is None and args.name == "dual-group":
+            return _semisimple_report(_parse_orders(args.orders)), EXIT_OK
         request = parse_input(text) if text is not None else AnalysisRequest(_example(args))
-        if request.instance.semisimple:  # dual-group: reads no flag and takes none
-            return run(request)
         return run(replace(request, verify=not args.no_verify,
                            emit_idempotents=args.idempotents,
                            emit_nilradical=args.nilradical))
@@ -476,13 +473,11 @@ def _analyze(args: argparse.Namespace, text: str | Exception | None) -> tuple[di
 
 
 def _example(args: argparse.Namespace) -> InstanceDescriptor:
-    if args.name == "uq-sl2":
-        _check_group_size(args.n, "/n")
-        try:
-            return instances.uq_sl2(args.n)
-        except ValueError as exc:
-            raise InputError("/n", str(exc)) from exc
-    return instances.dual_group_algebra(_parse_orders(args.orders))
+    _check_group_size(args.n, "/n")
+    try:
+        return instances.uq_sl2(args.n)
+    except ValueError as exc:
+        raise InputError("/n", str(exc)) from exc
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:

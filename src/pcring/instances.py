@@ -1,9 +1,9 @@
 """Generators for named ring instances and the validated custom entry point.
 
 A descriptor stores what defines an instance and nothing that follows from
-it: a missing ring marks the semisimple case, and the golden
-decomposition of ``uq_sl2`` is rendered from its golden support size r and
-the group order by ``spectral.render_decomposition``.
+it: the ring names its own group, and the golden decomposition of
+``uq_sl2`` is rendered from its golden support size r and the group order
+by ``spectral.render_decomposition``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .pair_ring import ProjectiveClassRing
 __all__ = [
     "InstanceDescriptor",
     "custom",
-    "dual_group_algebra",
     "uq_sl2",
 ]
 
@@ -26,13 +25,12 @@ class InstanceDescriptor:
     """A ready-to-analyze instance, optionally with a golden support size."""
 
     name: str
-    group: AbelianGroup
-    ring: ProjectiveClassRing | None
+    ring: ProjectiveClassRing
     expected_support_size: int | None = None
 
     @property
-    def semisimple(self) -> bool:
-        return self.ring is None
+    def group(self) -> AbelianGroup:
+        return self.ring.group
 
 
 def uq_sl2(n: int) -> InstanceDescriptor:
@@ -40,24 +38,10 @@ def uq_sl2(n: int) -> InstanceDescriptor:
     structure group of order n, canonical element the trace element."""
     if n < 2:
         raise ValueError(f"root-of-unity order must be at least 2, got {n}")
-    group = AbelianGroup((n,))
     return InstanceDescriptor(
         name=f"uq-sl2({n})",
-        group=group,
-        ring=ProjectiveClassRing(trace_element(group)),
+        ring=ProjectiveClassRing(trace_element(AbelianGroup((n,)))),
         expected_support_size=1,
-    )
-
-
-def dual_group_algebra(orders: tuple[int, ...]) -> InstanceDescriptor:
-    """The algebra of functions on a finite abelian group: semisimple, so
-    the class ring is just the integral group ring and there is no pair
-    structure to analyze."""
-    group = AbelianGroup(orders)
-    return InstanceDescriptor(
-        name=f"dual-group({','.join(str(n) for n in orders)})",
-        group=group,
-        ring=None,
     )
 
 
@@ -65,6 +49,5 @@ def custom(orders: tuple[int, ...], coeffs: dict[tuple[int, ...], int],
            name: str = "custom") -> InstanceDescriptor:
     """A user-supplied instance; building its ring validates the canonical
     element."""
-    group = AbelianGroup(orders)
-    ring = ProjectiveClassRing(GroupRingElement(group, coeffs))
-    return InstanceDescriptor(name=name, group=group, ring=ring)
+    ring = ProjectiveClassRing(GroupRingElement(AbelianGroup(orders), coeffs))
+    return InstanceDescriptor(name=name, ring=ring)

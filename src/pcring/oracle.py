@@ -396,11 +396,12 @@ def certify_radical(table: StructureTable, nilpotents: list[PairElement]) -> tup
     gram = table.trace_form()
     m = len(nilpotents)
     if all(n.s_part.is_zero() for n in nilpotents):
-        order = table.group.conductor
-        slices = linalg.integer_slices([n.coefficient_vector() for n in nilpotents], order)
+        order, s = table.group.conductor, table.group.size
+        # Only the s projective coordinates: the simple ones are all zero.
+        slices = linalg.integer_slices([n.coefficient_vector()[s:] for n in nilpotents], order)
         # T n as rows n T^T, one block of nilpotents at a time, each block in
         # its own exact dtype; the first nonzero block ends the certificate.
-        if not any(linalg.exact_matmul(slices[i:i + _BLOCK_ROWS], gram.T).any()
+        if not any(linalg.exact_matmul(slices[i:i + _BLOCK_ROWS], gram[:, s:].T).any()
                    for i in range(0, m, _BLOCK_ROWS)):
             for p, w in linalg.modular_primes(order):
                 lower = linalg.rank_mod_p(linalg.image_mod_p(slices, p, w), p)

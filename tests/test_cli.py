@@ -2,7 +2,9 @@
 
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,13 +14,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pcring
 from pcring import CycloNum, ProjectiveClassRing, cli, spectral, trace_element
 from pcring.cli import AnalysisRequest, InputError, parse_input, run
-from pcring.instances import InstanceDescriptor, dual_group_algebra, uq_sl2
+from pcring.instances import InstanceDescriptor, uq_sl2
 
 
 def make_request(descriptor, **kwargs) -> AnalysisRequest:
@@ -210,16 +212,20 @@ class TestRun:
         assert code == cli.EXIT_OK
         assert "oracle" not in doc
 
-    def test_semisimple_report(self):
-        doc, code = run(make_request(dual_group_algebra((2, 3))))
+    def test_semisimple_report(self, capsys):
+        code = cli.main(["example", "dual-group", "--orders", "2,3"])
+        doc = json.loads(capsys.readouterr().out)
         assert code == cli.EXIT_OK
         assert doc["semisimple"] is True
         assert doc["K0p"] == "Z[Z2 x Z3]"
         assert "r" not in doc and "decomposition" not in doc
 
-    def test_trivial_dual_group_is_plain_integers(self):
-        doc, _ = run(make_request(dual_group_algebra((1,))))
+    def test_trivial_dual_group_is_plain_integers(self, capsys):
+        code = cli.main(["example", "dual-group", "--orders", "1"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_OK
         assert doc["K0p"] == "Z"
+        assert "r" not in doc and "decomposition" not in doc
 
     def test_full_support_custom_instance(self):
         request = parse_input(
@@ -298,6 +304,54 @@ class TestRun:
         doc, code = run(make_request(bad))
         assert code == cli.EXIT_VERIFICATION
         assert doc["golden"]["match"] is False
+
+
+@st.composite
+def _documents(draw) -> tuple[dict, dict]:
+    """An instance document over a group of order at most 24, with
+    multiplicities 0..3 and a trivial term of at least 1, and the same
+    instance with its cyclic factors permuted and a factor of order 1
+    appended.  Multiplicities are one fill value with up to three terms
+    changed, so that sparse and trace-like elements, which have nilpotents,
+    are drawn as often as dense ones."""
+    orders = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)
+                  .filter(lambda o: math.prod(o) <= 24))
+    elements = list(itertools.product(*map(range, orders)))
+    coeffs = [draw(st.integers(0, 3))] * len(elements)
+    changes = st.dictionaries(st.integers(0, len(elements) - 1), st.integers(0, 3), max_size=3)
+    for i, k in draw(changes).items():
+        coeffs[i] = k
+    coeffs[0] = max(coeffs[0], 1)
+    assume(sum(coeffs) != 1)  # augmentation 1 is semisimple input
+    perm = draw(st.permutations(range(len(orders))))
+
+    def document(orders, exps) -> dict:
+        return {"group": orders, "c": [{"exp": list(a), "coeff": k}
+                                       for a, k in zip(exps, coeffs) if k]}
+
+    return (document(orders, elements),
+            document([orders[i] for i in perm] + [1],
+                     [[a[i] for i in perm] + [0] for a in elements]))
+
+
+class TestGeneratedRelations:
+    """Relations between reports that hold for every valid document."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(_documents())
+    def test_verification_and_factor_order(self, documents):
+        doc, moved = (parse_input(json.dumps(d)) for d in documents)
+        verified, code = run(doc)
+        assert code == cli.EXIT_OK, verified.get("oracle")
+        unverified, code = run(replace(doc, verify=False))
+        assert code == cli.EXIT_OK
+        assert {k: v for k, v in verified.items() if k != "oracle"} == unverified
+        # Relabelling the factors, or adding a trivial one, is an isomorphism
+        # of the structure group: no invariant of the ring moves.
+        relabelled, code = run(moved)
+        assert code == cli.EXIT_OK
+        for key in ("s", "r", "decomposition", "oracle"):
+            assert relabelled[key] == verified[key], key
 
 
 class TestMain:
@@ -846,7 +900,7 @@ class TestWrite:
 
     def test_every_corpus_report(self, corpus):
         for inst in corpus:
-            descriptor = InstanceDescriptor(inst.name, inst.group, inst.ring)
+            descriptor = InstanceDescriptor(inst.name, inst.ring)
             doc, _ = run(AnalysisRequest(instance=descriptor, verify=False,
                                          emit_idempotents=True, emit_nilradical=True))
             assert written(doc) == json.dumps(doc, indent=2) + "\n", inst.name

@@ -1,6 +1,8 @@
 """Tests for named instance generators."""
 
 import cmath
+import dataclasses
+import json
 
 import pytest
 
@@ -8,8 +10,9 @@ from pcring import (
     AbelianGroup,
     CanonicalElementError,
     GroupRingElement,
+    InstanceDescriptor,
+    cli,
     custom,
-    dual_group_algebra,
     spectral_report,
     trace_element,
     uq_sl2,
@@ -27,7 +30,10 @@ class TestHalfQuantumGroup:
         inst = uq_sl2(2)
         assert inst.ring.canonical == GroupRingElement(inst.group, {(0,): 1, (1,): 1})
         assert inst.expected_support_size == 1
-        assert not inst.semisimple
+
+    def test_group_is_the_rings_group(self):
+        inst = uq_sl2(5)
+        assert inst.group is inst.ring.group
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_golden_values_hold(self, n):
@@ -43,19 +49,35 @@ class TestHalfQuantumGroup:
             uq_sl2(0)
 
 
+def test_descriptor_fields():
+    # The group is read from the ring, never stored beside it.
+    assert [f.name for f in dataclasses.fields(InstanceDescriptor)] == [
+        "name", "ring", "expected_support_size"]
+
+
+def dual_group(orders: str, capsys) -> dict:
+    assert cli.main(["example", "dual-group", "--orders", orders]) == cli.EXIT_OK
+    return json.loads(capsys.readouterr().out)
+
+
 class TestDualGroupAlgebra:
-    def test_semisimple_flag(self):
-        inst = dual_group_algebra((2,))
-        assert inst.semisimple
-        assert inst.ring is None
+    """The semisimple case has no pair ring: the CLI reports it from the
+    orders alone."""
 
-    def test_composite(self):
-        inst = dual_group_algebra((2, 3))
-        assert inst.group.size == 6
+    def test_semisimple_flag(self, capsys):
+        doc = dual_group("2", capsys)
+        assert doc["semisimple"] is True
+        assert doc["instance"] == {"name": "dual-group(2)", "group": [2], "semisimple": True}
 
-    def test_trivial_group(self):
-        inst = dual_group_algebra((1,))
-        assert inst.group.size == 1
+    def test_composite(self, capsys):
+        doc = dual_group("2,3", capsys)
+        assert doc["s"] == 6
+        assert doc["K0p"] == "Z[Z2 x Z3]"
+
+    def test_trivial_group(self, capsys):
+        doc = dual_group("1", capsys)
+        assert doc["s"] == 1
+        assert doc["K0p"] == "Z"
 
 
 class TestCustom:
