@@ -38,15 +38,15 @@ report (every check passes and the radical has dimension s - r).
 The table stores its constants in the smallest signed integer dtype that
 holds the largest multiplicity (int8 for every c_u below 128: 134 MB at the
 size bound s = 256), and in Python integers (object dtype) from 2**63 on.
-Every product widens: Light's test runs on the generators S_(e_i) and P_0
-(S_a is a word in the S_(e_i), and P_a = S_a P_0) once the table itself
-shows that they generate, and on the whole basis otherwise.  Left
-multiplication by a basis element g that permutes the basis and lies in the
-left nucleus, (g x) y = g (x y), maps each associator row f_a(x, .) =
-(x a) . - x (a .) to f_a(g x, .) = g f_a(x, .), so the test takes one row x
-per orbit of those S_(e_i) that the table shows to qualify: S_0 and P_0 for
-every table ``build_table`` makes, at 2 (2s)^3 multiply-adds per generator
-and row, where all 2s rows cost 2 (2s)^4 per generator.  It casts the table to the narrowest exact
+Every product widens: Light's test takes its generating set and its rows
+from the orbits of those S_(e_i) that the table shows to permute the basis
+and to lie in the left nucleus, (g x) y = g (x y).  Such a g maps each
+associator row f_a(x, .) = (x a) . - x (a .) to f_a(g x, .) = g f_a(x, .),
+so one row x per orbit suffices, and the qualifying S_(e_i) with one
+element of each orbit that holds none of them generate.  For every table
+``build_table`` makes that is the generators S_(e_i) and P_0 and the rows
+S_0 and P_0, at 2 (2s)^3 multiply-adds per generator and row, where all 2s
+rows cost 2 (2s)^4 per generator.  It casts the table to the narrowest exact
 tier ``linalg.exact_dtype`` allows (float32, float64 or Python integers) one
 chunk of rows at a time, never as a whole.  The trace form reads the
 diagonals and makes one product that casts the table in buffered pieces.
@@ -102,50 +102,15 @@ class StructureTable:
         self.dim = dim
         self._associative: bool | None = None
 
-    def generators(self) -> list[int]:
-        """Basis indices of a set G that generates the algebra.
-
-        G is {S_(e_i)} together with P_0, e_i the unit of cyclic factor i for
-        each factor of order above 1, when the table itself shows that words
-        in G reach every basis element: starting from G, index k is reached
-        once x g or g x is a nonzero multiple of e_k for a reached x and some
-        g in G.  Otherwise G is the whole basis; so it is for the trivial
-        group, where no word in P_0 reaches S_0.
-        """
-        group = self.group
-        t = len(group.orders)
-        units = (tuple(int(i == j) for j in range(t))
-                 for i, n in enumerate(group.orders) if n > 1)
-        gens = sorted({group.index(e) for e in units} | {group.size})
-        steps = []
-        for g in gens:
-            for products in (self.constants[:, g, :], self.constants[g]):
-                nonzero = products != 0
-                steps.append(np.where(nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1), -1))
-        reached = set(gens)
-        frontier = list(gens)
-        while frontier:
-            x = frontier.pop()
-            for step in steps:
-                k = int(step[x])
-                if k >= 0 and k not in reached:
-                    reached.add(k)
-                    frontier.append(k)
-        return gens if len(reached) == self.dim else list(range(self.dim))
-
     def is_associative(self) -> bool:
         """Light's associativity test: (x a) y == x (a y) for every basis y,
-        every a in ``generators()`` and one row x per orbit of
-        ``_orbit_representatives``.
+        every a in a generating set G and one row x per orbit, with both
+        sets from ``_light_sets``.
 
         The elements a satisfying the identity for all x, y form a
-        subalgebra (the middle nucleus), so a generating set suffices.  For
-        fixed a, write f(x, y) = (x a) y - x (a y).  A basis element g in
-        the left nucleus, (g u) v = g (u v) for all u, v, gives
-        f(g x, y) = g f(x, y); when left multiplication by g permutes the
-        basis, f(x, .) vanishes iff f(g x, .) does, so one row x per orbit
-        of such permutations suffices.  With the whole basis as G, every
-        row is checked: that is the check over all 8 s^3 basis triples.
+        subalgebra (the middle nucleus), so a generating set suffices.
+        When no S_(e_i) qualifies, G and the rows are both the whole basis:
+        that is the check over all 8 s^3 basis triples.
 
         The products run in ``linalg.exact_dtype`` for inner dimension 2s
         and max|c| on both sides: float32 when 2s max|c|^2 < 2**24 (every
@@ -158,8 +123,7 @@ class StructureTable:
         any check has run.
         """
         if self._associative is None:
-            gens = self.generators()
-            rows = self._orbit_representatives(gens)
+            gens, rows = self._light_sets()
             pairs = [(a, x) for a in gens for x in rows]
             bound = linalg.max_abs(self.constants)
             dtype = linalg.exact_dtype(self.dim, bound, bound)
@@ -168,6 +132,49 @@ class StructureTable:
                 for i in range(0, len(pairs), _BLOCK_ROWS)
             )
         return self._associative
+
+    def _light_sets(self) -> tuple[list[int], list[int]]:
+        """Light's test's generating set G and its rows, from the orbits of
+        the permutations ``_nucleus_permutation`` finds among the S_(e_i),
+        e_i the unit of each cyclic factor of order above 1.
+
+        The rows are the least index of each orbit.  G is the qualifying
+        S_(e_i) and the least index of each orbit that holds none of them:
+        S_(e_i) and P_0 with rows S_0 and P_0 for every table
+        ``build_table`` makes, and the whole basis for both when no S_(e_i)
+        qualifies (so for the trivial group).
+
+        G generates: a qualifying g sends e_u to exactly e_pi(u), so every
+        element of an orbit is g_1 (g_2 (... (h))) for qualifying g_j and
+        the orbit's element h of G.  One row per orbit suffices: write
+        f_a(x, y) = (x a) y - x (a y).  A g in the left nucleus,
+        (g u) v = g (u v) for all u, v, gives f_a(g x, y) = g f_a(x, y),
+        and as g permutes the basis, f_a(x, .) vanishes iff f_a(g x, .)
+        does.
+        """
+        group = self.group
+        t = len(group.orders)
+        units = sorted(group.index(tuple(int(i == j) for j in range(t)))
+                       for i, n in enumerate(group.orders) if n > 1)
+        perms = {g: perm.tolist() for g in units
+                 if (perm := self._nucleus_permutation(g)) is not None}
+        gens = list(perms)
+        seen = [False] * self.dim
+        rows = []
+        for x in range(self.dim):
+            if seen[x]:
+                continue
+            rows.append(x)
+            seen[x] = True
+            orbit = [x]
+            for u in orbit:
+                for perm in perms.values():
+                    if not seen[v := perm[u]]:
+                        seen[v] = True
+                        orbit.append(v)
+            if perms.keys().isdisjoint(orbit):
+                gens.append(x)
+        return sorted(gens), rows
 
     def _associates(self, pairs: list[tuple[int, int]], dtype: np.dtype) -> bool:
         """(x a) y == x (a y) for every (a, x) in ``pairs`` and basis y.
@@ -190,36 +197,6 @@ class StructureTable:
             chunk = c[support[i:i + _BLOCK_ROWS]].astype(dtype).reshape(-1, d * d)
             left += heads[:, i:i + _BLOCK_ROWS] @ chunk
         return np.array_equal(left, right)
-
-    def _orbit_representatives(self, gens: list[int]) -> list[int]:
-        """The least basis index of each orbit of the permutations
-        ``_nucleus_permutation`` finds among the S_(e_i) in ``gens``.
-
-        A generator that does not qualify merges no orbits.  When ``gens``
-        is the whole basis, generation was not shown, and every index is
-        its own representative without a scan of candidates.
-        """
-        d = self.dim
-        if len(gens) == d:
-            return list(range(d))
-        perms = [perm.tolist() for g in gens if g < self.group.size
-                 if (perm := self._nucleus_permutation(g)) is not None]
-        seen = [False] * d
-        reps = []
-        for x in range(d):
-            if seen[x]:
-                continue
-            reps.append(x)
-            seen[x] = True
-            frontier = [x]
-            while frontier:
-                u = frontier.pop()
-                for perm in perms:
-                    v = perm[u]
-                    if not seen[v]:
-                        seen[v] = True
-                        frontier.append(v)
-        return reps
 
     def _nucleus_permutation(self, g: int) -> np.ndarray | None:
         """pi with g e_u = e_pi(u), when c[g] is a permutation matrix with

@@ -56,6 +56,16 @@ def pairs_equal(a: PairElement, b: PairElement) -> bool:
     return elements_equal(a.s_part, b.s_part) and elements_equal(a.t_part, b.t_part)
 
 
+def unit_generators(group: AbelianGroup) -> list[int]:
+    """Basis indices of the S_(e_i), one per cyclic factor of order above 1,
+    then P_0: the generating set Light's test takes on every table
+    ``build_table`` makes.  S_0 stands in for the S_(e_i) of the trivial
+    group, where no S_(e_i) reaches it."""
+    units = [tuple(int(i == j) for j in range(len(group.orders)))
+             for i, n in enumerate(group.orders) if n > 1]
+    return (sorted(group.index(e) for e in units) or [0]) + [group.size]
+
+
 def certify_full_row_rank(rows, order: int) -> bool:
     """True iff the rows (entries in Q(zeta_order) or rational) are linearly
     independent.  Modular certificates first (full rank of the image mod p

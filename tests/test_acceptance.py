@@ -11,7 +11,8 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import certify_full_row_rank, embed_element, pairs_equal, random_pair
+from conftest import (certify_full_row_rank, embed_element, pairs_equal, random_pair,
+                      unit_generators)
 from pcring import (
     CycloNum,
     GroupRingElement,
@@ -142,8 +143,8 @@ def test_criterion_4_oracle_equivalence(corpus):
         if not matches_pair_ring(table, ring):
             failures.append(f"{inst.name}: table does not match the pair ring")
             continue
-        if len(table.generators()) > len(inst.group.orders) + 1:
-            failures.append(f"{inst.name}: generation by S_(e_i) and P_0 not shown")
+        if table._light_sets() != (unit_generators(inst.group), [0, inst.group.size]):
+            failures.append(f"{inst.name}: Light's test not on S_(e_i), P_0 and rows S_0, P_0")
         if not table.is_associative():
             failures.append(f"{inst.name}: table not associative")
             continue

@@ -1,5 +1,6 @@
 """Tests for the command-line front end and its JSON contract."""
 
+import contextlib
 import hashlib
 import io
 import itertools
@@ -9,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -334,6 +336,67 @@ def _documents(draw) -> tuple[dict, dict]:
                      [[a[i] for i in perm] + [0] for a in elements]))
 
 
+@st.composite
+def _malformed(draw) -> tuple[str, str]:
+    """The text of a drawn valid document with exactly one thing broken, and
+    the JSON pointer of the broken member: ``/c`` for the two ring
+    invariants, the trivial term and an augmentation other than 1."""
+    doc = draw(_documents())[0]
+    orders, terms = doc["group"], doc["c"]
+    i = draw(st.integers(0, len(orders) - 1))
+    j = draw(st.integers(0, len(terms) - 1))
+    term = terms[j]
+    kind = draw(st.sampled_from(["missing", "order", "exponent", "exp length", "coeff",
+                                 "unknown", "repeated", "trivial term", "augmentation"]))
+    if kind == "missing":
+        key = draw(st.sampled_from(["group", "c"]))
+        del doc[key]
+        return json.dumps(doc), f"/{key}"
+    if kind == "order":
+        orders[i] = draw(st.one_of(st.just(True), st.integers(-2, 0)))
+        return json.dumps(doc), f"/group/{i}"
+    if kind == "exponent":
+        term["exp"][i] = draw(st.one_of(st.integers(-3, -1),
+                                        st.integers(orders[i], orders[i] + 3)))
+        return json.dumps(doc), f"/c/{j}/exp"
+    if kind == "exp length":
+        term["exp"] = draw(st.sampled_from([term["exp"] + [0], term["exp"][:-1]]))
+        return json.dumps(doc), f"/c/{j}/exp"
+    if kind == "coeff":
+        term["coeff"] = draw(st.one_of(st.integers(-3, -1),
+                                       st.sampled_from([1.5, 2.0, "1", True, None])))
+        return json.dumps(doc), f"/c/{j}/coeff"
+    if kind == "unknown":
+        name = draw(st.sampled_from(["extra", "a/b", "~"]))
+        where = draw(st.sampled_from([doc, term]))
+        where[name] = 0
+        prefix = "" if where is doc else f"/c/{j}"
+        return json.dumps(doc), f"{prefix}/{name.replace('~', '~0').replace('/', '~1')}"
+    if kind == "repeated":
+        # json.dumps writes each key once, so the repeat is appended by hand.
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(["group", "c"]))
+            return json.dumps(doc)[:-1] + f', "{key}": {json.dumps(doc[key])}}}', f"/{key}"
+        key = draw(st.sampled_from(["exp", "coeff"]))
+        texts = [json.dumps(t) for t in terms]
+        texts[j] = texts[j][:-1] + f', "{key}": {json.dumps(term[key])}}}'
+        return (f'{{"group": {json.dumps(orders)}, "c": [{", ".join(texts)}]}}',
+                f"/c/{j}/{key}")
+    if kind == "trivial term":
+        doc["c"] = [t for t in terms if any(t["exp"])]
+    else:
+        doc["c"] = [{"exp": [0] * len(orders), "coeff": 1}]
+    return json.dumps(doc), "/c"
+
+
+def _main(argv: list[str]) -> tuple[int, str, str]:
+    """``cli.main(argv)`` with its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestGeneratedRelations:
     """Relations between reports that hold for every valid document."""
 
@@ -352,6 +415,39 @@ class TestGeneratedRelations:
         assert code == cli.EXIT_OK
         for key in ("s", "r", "decomposition", "oracle"):
             assert relabelled[key] == verified[key], key
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(_malformed())
+    def test_malformed_document_names_its_pointer(self, malformed):
+        text, pointer = malformed
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory, "instance.json")
+            path.write_text(text, encoding="utf-8")
+            code, out, err = _main(["analyze", str(path)])
+        # Exit 1, never 2: bad input is no verification failure.
+        assert code == cli.EXIT_VALIDATION, out
+        doc = json.loads(out)
+        assert list(doc) == ["error"] and doc["error"]["type"] == "validation"
+        assert doc["error"]["path"] == pointer, (text, doc)
+        assert err == ""
+
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(st.lists(st.one_of(_documents().map(lambda d: json.dumps(d[0])),
+                              _malformed().map(lambda m: m[0])), min_size=2, max_size=4))
+    def test_batch_entries_are_analyze_reports(self, texts):
+        flags = ["--idempotents", "--nilradical"]
+        severity = (cli.EXIT_OK, cli.EXIT_VERIFICATION, cli.EXIT_VALIDATION)
+        with tempfile.TemporaryDirectory() as directory:
+            entries, codes = [], []
+            for i, text in enumerate(texts):
+                path = Path(directory, f"{i:02d}.json")
+                path.write_text(text, encoding="utf-8")
+                code, out, _ = _main(["analyze", str(path), *flags])
+                entries.append({"file": path.name, "report": json.loads(out)})
+                codes.append(code)
+            code, out, _ = _main(["batch", directory, *flags])
+        assert json.loads(out) == {"batch": entries}
+        assert code == max(codes, key=severity.index)
 
 
 class TestMain:

@@ -1,10 +1,12 @@
 """Tests for the structure-constants oracle and its cross-checks."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from conftest import unit_generators
 from pcring import oracle
 from pcring import (
     AbelianGroup,
@@ -189,12 +191,6 @@ def brute_force_associative(constants: np.ndarray) -> bool:
     return not non_associative_rows(constants)
 
 
-def unit_generators(group: AbelianGroup) -> list[int]:
-    units = [tuple(int(i == j) for j in range(len(group.orders)))
-             for i in range(len(group.orders))]
-    return sorted(group.index(e) for e in units) + [group.size]
-
-
 def perturbed_tables():
     """Seeded +-1/+2 changes to one or two constants of each RINGS table; half
     of them hit a product with a generator, which can break generation."""
@@ -216,8 +212,8 @@ class TestLightAssociativity:
     @pytest.mark.parametrize("ring", RINGS, ids=IDS)
     def test_valid_tables_use_the_unit_generators(self, ring):
         table = build_table(ring)
-        assert table.generators() == unit_generators(ring.group)
-        assert len(table.generators()) == len(ring.group.orders) + 1
+        assert table._light_sets() == (unit_generators(ring.group), [0, ring.group.size])
+        assert len(table._light_sets()[0]) == len(ring.group.orders) + 1
         assert table.is_associative() and brute_force_associative(table.constants)
 
     def test_order_one_factors_add_no_generator(self):
@@ -225,13 +221,13 @@ class TestLightAssociativity:
         padded = build_table(make_ring((4, 1, 1), {(0, 0, 0): 1, (2, 0, 0): 2, (3, 0, 0): 1}))
         plain = build_table(RINGS[3])  # the same element on Z4
         assert np.array_equal(padded.constants, plain.constants)
-        assert padded.generators() == plain.generators() == [1, 4]
+        assert padded._light_sets()[0] == plain._light_sets()[0] == [1, 4]
         assert padded.is_associative()
 
     @pytest.mark.parametrize("orders", [(1,), (1, 1, 1)], ids=str)
     def test_trivial_group_checks_the_whole_basis(self, orders):
         table = build_table(make_ring(orders, {(0,) * len(orders): 2}))
-        assert table.generators() == [0, 1]
+        assert table._light_sets() == ([0, 1], [0, 1])
         assert table.is_associative() and brute_force_associative(table.constants)
 
     def test_agrees_with_brute_force_on_perturbed_tables(self):
@@ -244,11 +240,13 @@ class TestLightAssociativity:
         assert not all(verdicts)
 
     def test_broken_generation_checks_the_whole_basis(self):
-        ring = RINGS[3]  # Z4: S_1 * S_1 = S_2, the only way to reach S_2
+        # Z4 with S_1 S_1 = S_0 + S_2: the row of S_1 is no permutation, so
+        # no S_(e_i) qualifies and every index is its own orbit.
+        ring = RINGS[3]
         constants = build_table(ring).constants.copy()
         constants[1, 1, 0] += 1
         table = StructureTable(ring.group, constants)
-        assert table.generators() == list(range(table.dim))
+        assert table._light_sets() == (list(range(table.dim)), list(range(table.dim)))
         assert table.is_associative() == brute_force_associative(constants) is False
 
     @pytest.mark.parametrize("value", [300, 2**20, 2**40, 2**63],
@@ -291,8 +289,10 @@ class TestLightAssociativity:
         # Each valid table and one seeded +1 change to it.
         rng = random.Random(0xC0)
         for inst in corpus:
-            constants = build_table(inst.ring).constants
-            assert StructureTable(inst.group, constants).is_associative()
+            table = build_table(inst.ring)
+            constants = table.constants
+            assert table._light_sets() == (unit_generators(inst.group), [0, inst.group.size])
+            assert table.is_associative()
             assert brute_force_associative(constants)
             broken = constants.copy()
             broken[tuple(rng.randrange(len(constants)) for _ in range(3))] += 1
@@ -303,7 +303,7 @@ class TestLightAssociativity:
     def test_agrees_with_brute_force_on_uq_sl2(self, n):
         # d = 2n runs past one block of 32 rows from n = 17 on.
         table = build_table(trace_ring(n))
-        assert table._orbit_representatives(table.generators()) == [0, n]
+        assert table._light_sets() == ([1, n], [0, n])
         assert table.is_associative() and brute_force_associative(table.constants)
 
     @pytest.mark.parametrize("ring", RINGS, ids=IDS)
@@ -331,19 +331,49 @@ class TestLightAssociativity:
         # Z3 trace ring with S_2 S_0 = S_2 + P_0 - P_1.  S_1 still permutes
         # the basis with unit entries, but (S_1 S_1) S_0 != S_1 (S_1 S_0), so
         # S_1 is not in the left nucleus.  Only rows S_1 and S_2 fail: the
-        # orbit of S_0 under S_1, which one row per orbit would skip.
+        # orbit of S_0 under S_1, which one row per orbit would skip.  With
+        # no qualifying S_(e_i), G and the rows are the whole basis.
         ring = trace_ring(3)
         base = build_table(ring).constants
         constants = base.copy()
         constants[2, 0, 3] += 1
         constants[2, 0, 4] -= 1
         table = StructureTable(ring.group, constants)
-        assert table.generators() == [1, 3]
         assert np.array_equal(constants[1], base[1])
         assert non_associative_rows(constants) == {1, 2}
         assert table._nucleus_permutation(1) is None
-        assert table._orbit_representatives([1, 3]) == list(range(6))
+        assert table._light_sets() == (list(range(6)), list(range(6)))
         assert table.is_associative() is False
+
+    def test_only_some_unit_generators_qualify(self):
+        # Q[g, x, y]/(g^2 - 1, x^3, y^2) on the labels of Z2 x Z3, g^a x^b y^c
+        # at index 6c + 3a + b: S_(a,b) = g^a x^b and P_(a,b) = g^a x^b y.
+        # S_(1,0) = g permutes the basis in the left nucleus, with orbits
+        # {u, u + 3}; S_(0,1) = x is no permutation, as x x^2 = 0.  G is g and
+        # the least index of each orbit without g, the rows one per orbit.
+        group = AbelianGroup((2, 3))
+        constants = np.zeros((12, 12, 12), dtype=np.int8)
+        for a1, b1, c1, a2, b2, c2 in itertools.product(range(2), range(3), range(2), repeat=2):
+            if b1 + b2 < 3 and c1 + c2 < 2:
+                k = 6 * (c1 + c2) + 3 * ((a1 + a2) % 2) + b1 + b2
+                constants[6 * c1 + 3 * a1 + b1, 6 * c2 + 3 * a2 + b2, k] = 1
+        table = StructureTable(group, constants)
+        assert unit_generators(group) == [1, 3, 6]
+        assert table._nucleus_permutation(3) is not None
+        assert table._nucleus_permutation(1) is None
+        assert table._light_sets() == ([1, 2, 3, 6, 7, 8], [0, 1, 2, 6, 7, 8])
+        assert np.array_equal(constants, constants.transpose(1, 0, 2))
+        assert table.is_associative() and brute_force_associative(constants)
+        # Seeded one-entry changes, each against the check over all triples.
+        rng = random.Random(1)
+        verdicts = []
+        for _ in range(300):
+            mutant = constants.copy()
+            mutant[tuple(rng.randrange(12) for _ in range(3))] += rng.choice((-1, 1, 2))
+            expected = brute_force_associative(mutant)
+            assert StructureTable(group, mutant).is_associative() == expected
+            verdicts.append(expected)
+        assert not all(verdicts)
 
     @pytest.mark.parametrize("value", [2**20, 2**40, 2**63],
                              ids=["float64", "python-int", "object-table"])
@@ -354,7 +384,7 @@ class TestLightAssociativity:
         ring = make_ring((2, 3), {(0, 0): value + 3, (0, 1): 2 * value + 5, (0, 2): 1,
                                   (1, 0): 3, (1, 1): 3, (1, 2): 2 * value + 5})
         table = build_table(ring)
-        assert table._orbit_representatives(table.generators()) == [0, 6]
+        assert table._light_sets() == ([1, 3, 6], [0, 6])
         assert table.is_associative() and brute_force_associative(table.constants)
         constants = table.constants.copy()
         constants[7, 8, 9] += 1
@@ -365,7 +395,7 @@ class TestLightAssociativity:
         ring = make_ring((4,), {(0,): 2**63, (2,): 1})
         table = build_table(ring)
         assert table.constants.dtype == object
-        assert table.generators() == unit_generators(ring.group)
+        assert table._light_sets() == (unit_generators(ring.group), [0, 4])
         assert table.is_associative() and brute_force_associative(table.constants)
         constants = table.constants.copy()
         constants[5, 6, 4] += 1
