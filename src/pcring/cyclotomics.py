@@ -171,11 +171,6 @@ class CycloNum:
         d = self._den
         return tuple(Fraction(n, d) for n in self._nums)
 
-    def integer_coeffs(self) -> tuple[tuple[int, ...], int]:
-        """Integer numerators and the positive common denominator of the
-        power-basis coordinates: value = sum_k nums[k] zeta^k / den."""
-        return self._nums, self._den
-
     def is_zero(self) -> bool:
         return not any(self._nums)
 
@@ -454,22 +449,22 @@ def _sparse_residues(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                  for row in _power_residues(order))
 
 
-def _integer_coeffs(entry: object, order: int, phi: int) -> tuple[tuple[int, ...], int]:
-    if isinstance(entry, CycloNum):
-        if entry.order != order:
-            raise ValueError(f"cyclotomic order mismatch: {entry.order} vs {order}")
-        return entry.integer_coeffs()
-    if isinstance(entry, (int, Fraction)):
-        return (entry.numerator,) + (0,) * (phi - 1), entry.denominator
-    raise TypeError(f"unsupported entry type {type(entry).__name__}")
-
-
 def common_numerators(entries: Sequence[object], order: int) -> tuple[list[list[int]], int]:
     """Power-basis numerators of ``int``, ``Fraction`` or ``CycloNum``
     entries over their least common denominator D > 0: entry i equals
-    sum_k nums[i][k] zeta_order^k / D, with phi(order) numerators each."""
-    phi = euler_phi(order)
-    parts = [_integer_coeffs(entry, order, phi) for entry in entries]
+    sum_k nums[i][k] zeta_order^k / D, with phi(order) numerators each.
+    A single entry comes back in lowest terms."""
+    pad = (0,) * (euler_phi(order) - 1)
+    parts = []
+    for entry in entries:
+        if isinstance(entry, CycloNum):
+            if entry.order != order:
+                raise ValueError(f"cyclotomic order mismatch: {entry.order} vs {order}")
+            parts.append((entry._nums, entry._den))
+        elif isinstance(entry, (int, Fraction)):
+            parts.append(((entry.numerator,) + pad, entry.denominator))
+        else:
+            raise TypeError(f"unsupported entry type {type(entry).__name__}")
     common = math.lcm(*(den for _, den in parts))
     return [[n * (common // den) for n in nums] for nums, den in parts], common
 

@@ -7,13 +7,13 @@ a pivot is any nonzero entry.
 
 The modular routines map a cyclotomic matrix to GF(p) for a prime
 p == 1 (mod N), where zeta_N goes to an element of order N in GF(p)*.  The
-image is taken from integer power-basis slices (``integer_slices``), never
-from fractions.  Rank can only drop under a homomorphism, so full rank of the
-image certifies full rank exactly, and ``rank_mod_p`` bounds the rational
-rank of an integer matrix from below.  ``exact_matmul`` multiplies integer
-matrices exactly in the narrowest tier ``exact_dtype`` proves exact: float32
-BLAS when every partial sum is an integer below 2**24, float64 BLAS below
-2**53, Python integers otherwise.
+image is taken from the integer power-basis numerators of each distinct
+entry (``distinct_numerators``), never from fractions.  Rank can only drop
+under a homomorphism, so full rank of the image certifies full rank exactly,
+and ``rank_mod_p`` bounds the rational rank of an integer matrix from below.
+``exact_matmul`` multiplies integer matrices exactly in the narrowest tier
+``exact_dtype`` proves exact: float32 BLAS when every partial sum is an
+integer below 2**24, float64 BLAS below 2**53, Python integers otherwise.
 
 This module and ``oracle`` are the only ones that import numpy; the
 analysis itself runs on Python integers.
@@ -21,20 +21,19 @@ analysis itself runs on Python integers.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cyclotomics import _integer_coeffs, euler_phi
+from .cyclotomics import common_numerators, euler_phi
 
 __all__ = [
+    "distinct_numerators",
     "exact_dtype",
     "exact_matmul",
     "image_mod_p",
     "in_row_span",
-    "integer_slices",
     "kernel_basis",
     "max_abs",
     "modular_primes",
@@ -141,7 +140,7 @@ def modular_primes(order: int) -> Iterator[tuple[int, int]]:
 
     zeta_order |-> w defines a ring homomorphism Z[zeta_order] -> GF(p).
     For every order up to 256 (the largest conductor the CLI accepts) the
-    primes stay below 1.02 * 10**6, far inside the p < 2**31 that
+    primes stay below 1.02 * 10**6 < 2**20, inside the bounds
     ``image_mod_p`` and ``rank_mod_p`` require.
     """
     p = 1_000_003
@@ -153,51 +152,34 @@ def modular_primes(order: int) -> Iterator[tuple[int, int]]:
         p += order
 
 
-def integer_slices(rows: Sequence[Sequence[object]], order: int) -> np.ndarray:
-    """Power-basis slices of rows over Q(zeta_order), cleared of denominators.
+def distinct_numerators(rows: Sequence[Sequence[object]],
+                        order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of rows over Q(zeta_order), as integers.
 
-    Returns an integer array S of shape (m, phi(order), n) such that D_i times
-    row i equals sum_k S[i, k] zeta^k, where D_i > 0 is the lcm of the
-    denominators in row i.  Scaling a row by D_i changes neither its rank
-    nor whether it lies in a kernel.  int64 when every entry fits, Python
-    integers otherwise.
-
-    Each distinct entry value is converted to its numerators once; the
-    slices index those numerators and scale them by D_i / den in one
-    broadcast.
+    Returns (nums, index): nums is a (K, phi(order)) integer array of the K
+    distinct entries' power-basis numerators over one common denominator
+    D > 0 (``common_numerators``), and index an (m, n) array of each entry's
+    row in nums, so D times entry (i, j) is sum_k nums[index[i, j], k] zeta^k.
+    Scaling every row by D changes neither its rank nor whether it lies in
+    a kernel.  int64 when every numerator fits, Python integers otherwise.
     """
-    phi = euler_phi(order)
-    if not rows:
-        return np.zeros((0, phi, 0), dtype=np.int64)
     slots: dict[object, int] = {}
     positions = [[slots.setdefault(entry, len(slots)) for entry in row] for row in rows]
-    parts = [_integer_coeffs(entry, order, phi) for entry in slots]
-    dens = [den for _, den in parts]
-    sizes = [max(map(abs, nums)) for nums, _ in parts]
-    commons = []
-    top = 0  # bounds every row lcm and every output entry
-    for row in positions:
-        used = set(row)
-        common = math.lcm(*(dens[k] for k in used))
-        commons.append(common)
-        top = max(top, common, *(common // dens[k] * sizes[k] for k in used))
+    nums, _ = common_numerators(list(slots), order)
+    top = max((abs(n) for row in nums for n in row), default=0)
     dtype = np.int64 if top < 2**63 else object
-    index = np.array(positions, dtype=np.intp)
-    scale = np.array(commons, dtype=dtype)[:, None] // np.array(dens, dtype=dtype)[index]
-    slices = np.array([nums for nums, _ in parts], dtype=dtype).reshape(-1, phi)[index]
-    slices *= scale[:, :, None]
-    return slices.transpose(0, 2, 1)
+    index = np.array(positions, dtype=np.intp).reshape(len(rows), len(rows[0]) if rows else 0)
+    return np.array(nums, dtype=dtype).reshape(-1, euler_phi(order)), index
 
 
-def image_mod_p(slices: np.ndarray, p: int, w: int) -> np.ndarray:
-    """Image mod p (a prime below 2**31) of the rows ``integer_slices``
-    describes, under zeta |-> w.  One power-basis slice is reduced at a
-    time, so no residue copy of the whole array is made."""
-    image = np.zeros((slices.shape[0], slices.shape[2]), dtype=np.int64)
-    for k in range(slices.shape[1]):
-        residues = (slices[:, k, :] % p).astype(np.int64, copy=False)
-        image = (image + residues * pow(w, k, p)) % p
-    return image
+def image_mod_p(nums: np.ndarray, p: int, w: int) -> np.ndarray:
+    """Image mod p under zeta |-> w of the values whose power-basis
+    numerators are the rows of ``nums``, as ``distinct_numerators`` returns
+    them.  The residues are below p and each sum has phi terms below p**2:
+    exact in int64 for every prime ``modular_primes`` yields (p < 2**20,
+    phi < 256)."""
+    powers = np.array([pow(w, k, p) for k in range(nums.shape[1])], dtype=np.int64)
+    return (nums % p).astype(np.int64) @ powers % p
 
 
 def max_abs(a: np.ndarray) -> int:

@@ -21,9 +21,12 @@ kernel of the exact integer Gram matrix T[i, j] = trace of left
 multiplication by e_i * e_j).
 
 ``certify_radical`` checks the closed-form nilpotents against that kernel
-with a sandwich certificate: exact integer products show T n = 0 for every
-power-basis slice of every nilpotent, their rank modulo a prime
-p == 1 (mod N) shows dim ker T >= m, and rank_p(T) <= rank_Q(T) shows
+with a sandwich certificate.  Every nilpotent is scaled by one common
+denominator, and each distinct coordinate value is read once into integer
+power-basis numerators (``linalg.distinct_numerators``).  Exact integer
+products then show T n = 0 coordinate by coordinate, the image modulo a
+prime p == 1 (mod N) of each distinct value gives the nilpotents' rank
+mod p and so dim ker T >= m, and rank_p(T) <= rank_Q(T) shows
 dim ker T <= 2s - rank_p(T).  When the two bounds meet at m the nilpotents
 span the radical.  Otherwise the exact path decides: a rational basis of
 ker T (``StructureTable.radical``, a tuple of vectors), inclusion of the
@@ -359,10 +362,11 @@ def certify_radical(table: StructureTable, nilpotents: list[PairElement]) -> tup
 
     Sandwich certificate on the exact trace form T, in four steps:
 
-    1. ``T n = 0`` for every integer power-basis slice of every nilpotent
-       n, so span(nilpotents) lies in ker T;
-    2. the nilpotents have rank m mod a prime p == 1 (mod N), so they are
-       independent and dim ker T >= m;
+    1. ``T n = 0`` for every nilpotent n scaled by one common denominator
+       D > 0, power-basis coordinate by coordinate, so span(nilpotents)
+       lies in ker T;
+    2. the scaled nilpotents have rank m mod a prime p == 1 (mod N), so
+       they are independent and dim ker T >= m;
     3. rank_p(T) <= rank_Q(T), so dim ker T <= 2s - rank_p(T);
     4. if the bounds meet at m the spans are equal and the answer is
        ``(m, True)``; if no prime makes them meet, or a nilpotent has a
@@ -375,13 +379,15 @@ def certify_radical(table: StructureTable, nilpotents: list[PairElement]) -> tup
     if all(n.s_part.is_zero() for n in nilpotents):
         order, s = table.group.conductor, table.group.size
         # Only the s projective coordinates: the simple ones are all zero.
-        slices = linalg.integer_slices([n.coefficient_vector()[s:] for n in nilpotents], order)
-        # T n as rows n T^T, one block of nilpotents at a time, each block in
-        # its own exact dtype; the first nonzero block ends the certificate.
-        if not any(linalg.exact_matmul(slices[i:i + _BLOCK_ROWS], gram[:, s:].T).any()
+        nums, index = linalg.distinct_numerators(
+            [n.coefficient_vector()[s:] for n in nilpotents], order)
+        # T n for every numerator slice of one block of nilpotents at a time,
+        # each block gathered and multiplied in its own exact dtype; the first
+        # nonzero block ends the certificate.
+        if not any(linalg.exact_matmul(gram[:, s:], nums[index[i:i + _BLOCK_ROWS]]).any()
                    for i in range(0, m, _BLOCK_ROWS)):
             for p, w in linalg.modular_primes(order):
-                lower = linalg.rank_mod_p(linalg.image_mod_p(slices, p, w), p)
+                lower = linalg.rank_mod_p(linalg.image_mod_p(nums, p, w)[index], p)
                 upper = table.dim - linalg.rank_mod_p(gram, p)
                 if lower == m == upper:
                     return m, True

@@ -75,9 +75,9 @@ def certify_full_row_rank(rows, order: int) -> bool:
         return True
     if m > len(rows[0]):
         return False
-    slices = linalg.integer_slices(rows, order)
+    nums, index = linalg.distinct_numerators(rows, order)
     for p, w in linalg.modular_primes(order):
-        if linalg.rank_mod_p(linalg.image_mod_p(slices, p, w), p) == m:
+        if linalg.rank_mod_p(linalg.image_mod_p(nums, p, w)[index], p) == m:
             return True
     embedded = [
         [e if isinstance(e, CycloNum) else CycloNum.rational(order, e) for e in row]

@@ -337,6 +337,36 @@ def _documents(draw) -> tuple[dict, dict]:
 
 
 @st.composite
+def _crt_documents(draw) -> tuple[int, int, int, dict, dict, dict]:
+    """(m, n, k) and three documents of one canonical element: c on Z_mn,
+    its image on Z_m x Z_n under u -> (u mod m, u mod n) for coprime m, n,
+    and its image on Z_mn under u -> k u for a unit k.  c is the convolution
+    of a subgroup's indicator with a sparse x, so its transform vanishes off
+    the subgroup's annihilator: r < s unless the subgroup is trivial, and
+    about a third of the draws have r = s."""
+    m, n = draw(st.tuples(st.integers(2, 12), st.integers(2, 12))
+                .filter(lambda p: math.gcd(*p) == 1 and p[0] * p[1] <= 24))
+    size = m * n
+    k = draw(st.sampled_from([u for u in range(1, size) if math.gcd(u, size) == 1]))
+    step = draw(st.sampled_from([size] + [d for d in range(1, size) if size % d == 0]))
+    x = [0] * size
+    for u, v in draw(st.dictionaries(st.integers(0, size - 1), st.integers(1, 3),
+                                     min_size=1, max_size=3)).items():
+        x[u] = v
+    x[0] = max(x[0], 1)
+    c = [sum(x[(u - h) % size] for h in range(0, size, step)) for u in range(size)]
+    assume(sum(c) != 1)  # augmentation 1 is semisimple input
+
+    def document(orders, image) -> dict:
+        return {"group": orders, "c": [{"exp": image(u), "coeff": v}
+                                       for u, v in enumerate(c) if v]}
+
+    return (m, n, k, document([size], lambda u: [u]),
+            document([m, n], lambda u: [u % m, u % n]),
+            document([size], lambda u: [k * u % size]))
+
+
+@st.composite
 def _malformed(draw) -> tuple[str, str]:
     """The text of a drawn valid document with exactly one thing broken, and
     the JSON pointer of the broken member: ``/c`` for the two ring
@@ -415,6 +445,25 @@ class TestGeneratedRelations:
         assert code == cli.EXIT_OK
         for key in ("s", "r", "decomposition", "oracle"):
             assert relabelled[key] == verified[key], key
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(_crt_documents())
+    def test_crt_split_and_automorphisms(self, drawn):
+        # Z_mn = Z_m x Z_n for coprime m, n, and u -> k u is an automorphism:
+        # the invariants stay, and the support moves by the dual maps.
+        m, n, k, *documents = drawn
+        runs = [run(parse_input(json.dumps(d))) for d in documents]
+        assert [code for _, code in runs] == [cli.EXIT_OK] * 3, runs[0][0].get("oracle")
+        plain, split, moved = (report for report, _ in runs)
+        for report in (split, moved):
+            for key in ("r", "decomposition", "oracle"):
+                assert report[key] == plain[key], key
+        assert plain["oracle"]["radical_matches_spectral"] is True
+        support = [b for [b] in plain["support_F"]]
+        assert sorted(split["support_F"]) == sorted(
+            [b * pow(n, -1, m) % m, b * pow(m, -1, n) % n] for b in support)
+        assert sorted(moved["support_F"]) == sorted(
+            [b * pow(k, -1, m * n) % (m * n)] for b in support)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(_malformed())

@@ -11,11 +11,11 @@ from pcring import CycloNum, root_of_unity
 from pcring.cyclotomics import common_numerators
 from pcring.linalg import (
     PRIME_ATTEMPTS,
+    distinct_numerators,
     exact_dtype,
     exact_matmul,
     image_mod_p,
     in_row_span,
-    integer_slices,
     kernel_basis,
     modular_primes,
     rank_mod_p,
@@ -139,63 +139,81 @@ class TestModularRank:
                 assert k == order, (order, p, w)
 
 
-class TestIntegerSlices:
-    def test_slices_rebuild_the_scaled_rows(self):
+class TestDistinctNumerators:
+    def test_numerators_rebuild_the_rows_over_one_denominator(self):
         z = root_of_unity(5, 1)
         rows = [[z * Fraction(1, 3) + Fraction(1, 2), 2], [Fraction(-1, 4), z * z]]
-        slices = integer_slices(rows, 5)
-        assert slices.shape == (2, 4, 2)
-        for row, piece in zip(rows, slices):
-            rebuilt = [sum(int(piece[k][j]) * z**k for k in range(4)) for j in range(2)]
-            scale = rebuilt[0] / row[0]
-            assert scale.is_rational() and scale.as_fraction() > 0
-            assert rebuilt == [scale * v for v in row]
+        nums, index = distinct_numerators(rows, 5)
+        assert nums.shape == (4, 4) and index.shape == (2, 2)
+        for row, slots in zip(rows, index):
+            rebuilt = [sum(int(v) * z**k for k, v in enumerate(nums[j])) for j in slots]
+            # 12 is the lcm of the denominators 3, 2 and 4 across both rows.
+            assert rebuilt == [v * 12 for v in row]
+
+    def test_each_distinct_value_is_read_once(self):
+        z = root_of_unity(12, 1)
+        third = z * Fraction(1, 3) - 1
+        rows = [[third, 0, third, Fraction(1, 2)], [Fraction(1, 2), third, 0, 0]]
+        nums, index = distinct_numerators(rows, 12)
+        assert index.tolist() == [[0, 1, 0, 2], [2, 0, 1, 1]]
+        assert nums.tolist() == [[-6, 2, 0, 0], [0, 0, 0, 0], [3, 0, 0, 0]]
+
+    def test_no_rows(self):
+        nums, index = distinct_numerators([], 12)
+        assert nums.shape == (0, 4) and index.shape == (0, 0)
+        p, w = next(modular_primes(12))
+        image = image_mod_p(nums, p, w)[index]
+        assert image.shape == (0, 0) and rank_mod_p(image, p) == 0
 
     def test_image_is_a_homomorphic_image(self):
         p, w = next(modular_primes(6))
         z = root_of_unity(6, 1)
-        image = image_mod_p(integer_slices([[z, z * z]], 6), p, w)
-        assert image.tolist() == [[w % p, w * w % p]]
+        nums, index = distinct_numerators([[z, z * z]], 6)
+        assert image_mod_p(nums, p, w)[index].tolist() == [[w % p, w * w % p]]
 
     @pytest.mark.parametrize("dtype", [np.int64, object])
     def test_image_matches_a_python_reference(self, dtype):
-        # Negative and (object) past-int64 power-basis coefficients.
+        # Negative and (object) past-int64 power-basis numerators.
         p, w = next(modular_primes(5))
         rng = np.random.default_rng(7)
-        slices = rng.integers(-10**9, 10**9, size=(3, 4, 5)).astype(dtype)
+        nums = rng.integers(-10**9, 10**9, size=(3, 4)).astype(dtype)
         if dtype is object:
-            slices[1, 2, 3] = -(2**80) - 7
-        expected = [[sum(int(slices[i, k, j]) * w**k for k in range(4)) % p for j in range(5)]
-                    for i in range(3)]
-        assert image_mod_p(slices, p, w).tolist() == expected
+            nums[1, 2] = -(2**80) - 7
+        expected = [sum(int(nums[i, k]) * w**k for k in range(4)) % p for i in range(3)]
+        assert image_mod_p(nums, p, w).tolist() == expected
 
-    def test_repeated_entries_match_the_per_row_numerators(self):
-        # Equal values in different rows scale by different row denominators.
+    def test_repeated_entries_match_the_common_numerators(self):
+        # Every row is scaled by the one denominator of the whole matrix,
+        # 42 = lcm(3, 2, 7), also the rows that need less.
         z = root_of_unity(12, 1)
         third = z * Fraction(1, 3) - 1
         rows = [
             [third, third, Fraction(1, 2), 0, CycloNum.zero(12), 2],
             [third, Fraction(5, 7), 1, 1, Fraction(1, 2), z * z],
             [0, 0, 0, 0, 0, 0],
+            [1, 2, 3, 4, 5, 6],
         ]
-        slices = integer_slices(rows, 12)
-        assert slices.dtype == np.int64
-        for row, piece in zip(rows, slices):
-            nums, _ = common_numerators(row, 12)
-            assert piece.T.tolist() == nums
+        nums, index = distinct_numerators(rows, 12)
+        assert nums.dtype == np.int64
+        expected, common = common_numerators([v for row in rows for v in row], 12)
+        assert common == 42
+        assert nums[index].reshape(-1, 4).tolist() == expected
+        assert nums[index[3]].tolist() == [[42 * v, 0, 0, 0] for v in range(1, 7)]
 
-    def test_large_row_denominator_falls_back_to_python_integers(self):
-        # Each numerator fits int64 once scaled, but the row's lcm does not.
+    def test_large_common_denominator_falls_back_to_python_integers(self):
+        # Each entry's own numerators fit int64, but scaled to the common
+        # denominator 2**40 (2**40 - 1) the integer rows do not.
         rows = [[Fraction(1, 2**40), Fraction(1, 2**40 - 1)], [1, 2]]
-        slices = integer_slices(rows, 1)
-        assert slices.dtype == object
-        assert slices[0, 0].tolist() == [2**40 - 1, 2**40]
-        assert slices[1, 0].tolist() == [1, 2]
+        nums, index = distinct_numerators(rows, 1)
+        common = 2**40 * (2**40 - 1)
+        assert nums.dtype == object
+        assert nums[index[0], 0].tolist() == [2**40 - 1, 2**40]
+        assert nums[index[1], 0].tolist() == [common, 2 * common]
 
     def test_huge_numerators_stay_exact(self):
-        slices = integer_slices([[Fraction(2**70, 3), 1]], 1)
-        assert slices.dtype == object
-        assert slices[0, 0].tolist() == [2**70, 3]
+        nums, index = distinct_numerators([[Fraction(2**70, 3), 1]], 1)
+        assert nums.dtype == object
+        assert nums[index[0], 0].tolist() == [2**70, 3]
 
 
 class TestExactMatmul:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pcring import oracle
 from pcring import (
     AbelianGroup,
     GroupRingElement,
+    PairElement,
     ProjectiveClassRing,
     StructureTable,
     build_table,
@@ -469,6 +471,20 @@ class TestRadicalCertificate:
         impostor = nils[:-1] + [ring.projective_class((0,))]
         assert len(impostor) > oracle._BLOCK_ROWS
         assert certify_radical(build_table(ring), impostor) == (39, False)
+
+    def test_one_common_denominator_for_mixed_scales(self, monkeypatch):
+        # 39 nilpotents in two blocks: every odd one scaled by 1/3 and the
+        # fifth by 5, so the rows' own denominators differ and one integer D
+        # clears them all.
+        ring = trace_ring(40)
+        nils = list(spectral_report(ring).nilpotents)
+        scales = [Fraction(1, 3) if i % 2 else 1 for i in range(len(nils))]
+        scales[4] = 5
+        scaled = [PairElement(n.s_part, n.t_part.map_coefficients(lambda v, k=k: v * k))
+                  for n, k in zip(nils, scales)]
+        table = build_table(ring)
+        monkeypatch.setattr(StructureTable, "radical", lambda self: pytest.fail("exact path"))
+        assert certify_radical(table, scaled) == (39, True)
 
     def test_requires_associative_table(self):
         ring = trace_ring(3)
