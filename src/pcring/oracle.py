@@ -11,24 +11,24 @@ with c_u the composition multiplicities of the canonical element.  The table
 is built by index arithmetic: element indices are mixed-radix numbers of the
 exponent tuples, computed here from ``elements()`` and ``orders`` and never
 read from the group ring's cached sum table, so a fault there cannot hide.
-Nothing here touches the pair-ring multiplication or any cyclotomic
-arithmetic, so agreement between the two is a genuine cross-check: each of
-the 4 s^2 basis products ``ring.mul(x, y)`` is compared, by its nonzero
-coordinates, with the nonzero entries of table row (x, y), associativity is
-verified by Light's test on a generating set, and the radical is pinned down
-through the characteristic-zero trace form criterion (the radical is the
-kernel of the exact integer Gram matrix T[i, j] = trace of left
-multiplication by e_i * e_j).
+Nothing here touches the pair-ring multiplication, and only the exact
+fallback below does cyclotomic arithmetic, so agreement between the two is
+a genuine cross-check: each of the 4 s^2 basis products ``ring.mul(x, y)``
+is compared, by its nonzero coordinates, with the nonzero entries of table
+row (x, y), associativity is verified by Light's test on a generating set,
+and the radical is certified from the table.
 
-``certify_radical`` checks the closed-form nilpotents against that kernel
-with a sandwich certificate.  Every nilpotent is scaled by one common
-denominator, and each distinct coordinate value is read once into integer
-power-basis numerators (``linalg.distinct_numerators``).  Exact integer
-products then show T n = 0 coordinate by coordinate, the image modulo a
-prime p == 1 (mod N) of each distinct value gives the nilpotents' rank
-mod p and so dim ker T >= m, and rank_p(T) <= rank_Q(T) shows
-dim ker T <= 2s - rank_p(T).  When the two bounds meet at m the nilpotents
-span the radical.  Otherwise the exact path decides: a rational basis of
+``certify_radical`` checks the decomposition C^(2r) x C[eps]^(s-r) on the
+table itself.  A few rows show S_0, the S_(e_i) and P_0 to act as the
+product rules above say, and the row P_0 P_0 gives the transform lambda of
+c.  Then s + r characters of the table bound the radical's dimension by
+s - r from above, and the nilpotents, each an eigenvector n[x] =
+n[0] zeta^(-<x,b>) of a character b with lambda(b) = 0, bound it by their
+number m from below.  Every check compares integers; no prime, rank or
+trace form is involved.  When m = s - r the nilpotents are a basis of the
+radical.  Otherwise the exact path decides, by the characteristic-zero
+trace form criterion (the radical is the kernel of the integer Gram matrix
+T[i, j] = trace of left multiplication by e_i * e_j): a rational basis of
 ker T (``StructureTable.radical``, a tuple of vectors), inclusion of the
 nilpotents' span in it and the nilpotents' rank over Q(zeta_N)
 (``radical_matches_spectral``), which also serve as the reference the
@@ -68,7 +68,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .cyclotomics import CycloNum
+from .cyclotomics import CycloNum, cyclotomic_polynomial
 from .groups import AbelianGroup
 from .pair_ring import PairElement, ProjectiveClassRing
 
@@ -87,7 +87,7 @@ _TABLE_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
 # Rows per block: in Light's test, table rows u per left-nucleus gather,
 # table rows m per cast chunk and (generator, row) pairs per product; in
-# ``certify_radical``, nilpotents per product with T.  A float32 chunk of
+# ``certify_radical``, nilpotents per eigenvector check.  A float32 chunk of
 # 32 x (2s)^2 is 32 MB at s = 256, against 537 MB for the whole table cast
 # at once.
 _BLOCK_ROWS = 32
@@ -249,6 +249,17 @@ class StructureTable:
         return tuple(tuple(v) for v in linalg.kernel_basis(matrix))
 
 
+def _mixed_radix(group: AbelianGroup) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The cyclic factors of order above 1, with their orders and place
+    values as int64 arrays: the index of a in ``elements()`` is
+    sum_k a[factors[k]] radix[k], the last factor varying fastest.  A factor
+    of order 1 moves no index, so its column is left out."""
+    factors = [i for i, n in enumerate(group.orders) if n > 1]
+    orders = [group.orders[i] for i in factors]
+    radix = [math.prod(orders[k + 1:]) for k in range(len(orders))]
+    return factors, np.array(orders, dtype=np.int64), np.array(radix, dtype=np.int64)
+
+
 def build_table(ring: ProjectiveClassRing) -> StructureTable:
     """Assemble the structure constants from the module product rules, one
     vectorised assignment per rule and per canonical term u.  For fixed a
@@ -257,16 +268,12 @@ def build_table(ring: ProjectiveClassRing) -> StructureTable:
     and object (Python integers) for a multiplicity of 2**63 or more.
     """
     group = ring.group
-    # A factor of order 1 moves no index: the columns of the others suffice.
-    factors = [i for i, n in enumerate(group.orders) if n > 1]
-    orders = [group.orders[i] for i in factors]
-    radix = [math.prod(orders[k + 1:]) for k in range(len(orders))]
+    factors, orders, radix = _mixed_radix(group)
     elements = np.array(group.elements(), dtype=np.int64)[:, factors]
     s = len(elements)
     d = 2 * s
-    # Index of a + b; the last factor varies fastest in elements().
-    plus = ((elements[:, None, :] + elements[None, :, :]) % np.array(orders, dtype=np.int64)
-            @ np.array(radix, dtype=np.int64))
+    # Index of a + b.
+    plus = (elements[:, None, :] + elements[None, :, :]) % orders @ radix
     # The canonical terms, each by the index of its element u.
     canonical = [(sum(u[i] * r for i, r in zip(factors, radix)), cu)
                  for u, cu in ring.canonical.items()]
@@ -360,39 +367,117 @@ def certify_radical(table: StructureTable, nilpotents: list[PairElement]) -> tup
     """Radical dimension of an associative table and whether the nilpotents
     span the radical: ``(len(radical()), radical_matches_spectral(...))``.
 
-    Sandwich certificate on the exact trace form T, in four steps:
-
-    1. ``T n = 0`` for every nilpotent n scaled by one common denominator
-       D > 0, power-basis coordinate by coordinate, so span(nilpotents)
-       lies in ker T;
-    2. the scaled nilpotents have rank m mod a prime p == 1 (mod N), so
-       they are independent and dim ker T >= m;
-    3. rank_p(T) <= rank_Q(T), so dim ker T <= 2s - rank_p(T);
-    4. if the bounds meet at m the spans are equal and the answer is
-       ``(m, True)``; if no prime makes them meet, or a nilpotent has a
-       simple component or leaves ker T, the exact path decides.
+    ``(m, True)`` for m nilpotents when the table shows the paper's
+    decomposition with them (``_decomposition_holds``); otherwise the exact
+    path decides.
     """
     if not table.is_associative():
         raise ValueError("table not associative")
-    gram = table.trace_form()
-    m = len(nilpotents)
-    if all(n.s_part.is_zero() for n in nilpotents):
-        order, s = table.group.conductor, table.group.size
-        # Only the s projective coordinates: the simple ones are all zero.
-        nums, index = linalg.distinct_numerators(
-            [n.coefficient_vector()[s:] for n in nilpotents], order)
-        # T n for every numerator slice of one block of nilpotents at a time,
-        # each block gathered and multiplied in its own exact dtype; the first
-        # nonzero block ends the certificate.
-        if not any(linalg.exact_matmul(gram[:, s:], nums[index[i:i + _BLOCK_ROWS]]).any()
-                   for i in range(0, m, _BLOCK_ROWS)):
-            for p, w in linalg.modular_primes(order):
-                lower = linalg.rank_mod_p(linalg.image_mod_p(nums, p, w)[index], p)
-                upper = table.dim - linalg.rank_mod_p(gram, p)
-                if lower == m == upper:
-                    return m, True
+    if _decomposition_holds(table, nilpotents):
+        return len(nilpotents), True
     radical = table.radical()
     return len(radical), radical_matches_spectral(radical, nilpotents)
+
+
+def _decomposition_holds(table: StructureTable, nilpotents: list[PairElement]) -> bool:
+    """True when the associative table A shows the nilpotents to be a basis
+    of its radical, by the decomposition C^(2r) x C[eps]^(s-r):
+
+    1. Structure rows: S_0 is a left unit; each S_(e_i), for a factor of
+       order above 1, sends S_a to S_(a+e_i) and P_a to P_(a+e_i);
+       S_a P_0 = P_a = P_0 S_a for every a; and P_0 P_0 = sum_u c_u P_u
+       has no simple part.  With associativity, S_a is a product of
+       S_(e_i) and S_0 and P_a = S_a P_0, so S_(e_i) and P_0 generate A.
+       S_0 is then a right unit too: x S_0 = x holds for x = S_0, S_(e_i)
+       and P_0 by these rows, and so for their products.
+    2. lambda(b) = sum_u c_u zeta^<u,b> for every b, from A's own row
+       P_0 P_0: an s x N histogram of the c_u by pairing exponent times the
+       N x phi table of x^k mod Phi_N.  r counts the b with lambda(b) != 0.
+    3. chi_b on simples and 0 on projectives, for every b, and chi_b on
+       simples and lambda(b) chi_b on projectives, for every b with
+       lambda(b) != 0, are s + r distinct linear maps A -> C.  By step 1
+       and associativity (P_0 P_a = S_a (P_0 P_0)) each is multiplicative
+       on a generator times any basis element, so each is an algebra
+       homomorphism.  They vanish on the
+       radical and are independent: dim rad <= s - r.
+    4. The j-th nilpotent n_j, paired with the j-th b_j with
+       lambda(b_j) = 0 (the order of ``SpectralReport.nilpotents``), has no
+       simple part, n_j[0] != 0 and n_j[x] = n_j[0] zeta^(-<x,b_j>) for
+       every x.  Then S_a n_j = chi_(b_j)(a) n_j and P_0 n_j =
+       lambda(b_j) n_j = 0, so A n_j is a square-zero left ideal, inside
+       the radical.  Eigenvectors of distinct characters are independent:
+       dim rad >= m.
+
+    Both bounds meet when m = s - r.  Every check compares integers: the
+    nilpotents' values are read once each, over one common denominator
+    (``linalg.distinct_numerators``), and each n_j[0] is rotated through
+    all N powers of zeta (``_rotations``), ``_BLOCK_ROWS`` nilpotents at a
+    time.
+    """
+    group = table.group
+    s, order = group.size, group.conductor
+    c = table.constants
+    factors, orders, radix = _mixed_radix(group)
+    elements = np.array(group.elements(), dtype=np.int64)[:, factors]
+    eye = np.eye(table.dim, dtype=np.int8)
+    shifts = ((elements + unit) % orders @ radix for unit in np.eye(len(factors), dtype=np.int64))
+    if not (np.array_equal(c[0], eye)
+            and all(np.array_equal(c[g], eye[np.concatenate([step, s + step])])
+                    for g, step in zip(radix, shifts))
+            and np.array_equal(c[:s, s], eye[s:]) and np.array_equal(c[s, :s], eye[s:])
+            and not c[s, s, :s].any()):
+        return False
+
+    # <u, b> as in ``AbelianGroup.pairing_exponent``: symmetric in u and b.
+    pairing = (elements * (order // orders)) @ elements.T % order
+    # A cell sums at most s multiplicities.
+    multiplicities = c[s, s, s:]
+    dtype = np.int64 if s * linalg.max_abs(multiplicities) < 2**63 else object
+    hist = np.zeros((s, order), dtype=dtype)
+    rows = np.arange(s)
+    for u, cu in enumerate(multiplicities.tolist()):
+        if cu:
+            hist[rows, pairing[u]] += cu
+    residues = _rotations(np.eye(1, len(cyclotomic_polynomial(order)) - 1, dtype=object),
+                          order)[:, 0]
+    values = linalg.exact_matmul(hist, residues)
+    vanishing = np.flatnonzero(~(values != 0).any(axis=1))
+    m = len(nilpotents)
+    if m != len(vanishing) or not all(n.s_part.is_zero() for n in nilpotents):
+        return False
+
+    nums, index = linalg.distinct_numerators([n.coefficient_vector()[s:] for n in nilpotents],
+                                             order)
+    # An entry of n zeta^k sums phi products of an entry of n with one of
+    # x^k mod Phi_N, each at most R in size, and a fold step adds such an
+    # entry times a coefficient of Phi_N = x^phi - (x^phi mod Phi_N), also at
+    # most R.  So int64 holds every partial result while
+    # phi max|nums| R (R + 1) < 2**63.
+    bound = linalg.max_abs(residues)
+    reach = linalg.max_abs(nums) * residues.shape[1] * bound * (bound + 1)
+    dtype = np.int64 if reach < 2**63 else object
+    for i in range(0, m, _BLOCK_ROWS):
+        block = index[i:i + _BLOCK_ROWS]
+        heads = nums[block[:, 0]].astype(dtype)
+        powers = -pairing[vanishing[i:i + _BLOCK_ROWS]] % order
+        turns = _rotations(heads, order)[powers, np.arange(len(block))[:, None]]
+        if not ((heads != 0).any(axis=1).all() and np.array_equal(turns, nums[block])):
+            return False
+    return True
+
+
+def _rotations(nums: np.ndarray, order: int) -> np.ndarray:
+    """nums zeta^k for every k < order, stacked on a new first axis, for
+    rows of power-basis numerators: each step shifts by x and folds the
+    coefficient of x^phi back, as x^phi - Phi_order, of degree below phi.
+    Exact in the dtype of nums while no partial result overflows it."""
+    fold = -np.array(cyclotomic_polynomial(order)[:-1], dtype=np.int64)
+    out = np.zeros((order,) + nums.shape, dtype=nums.dtype)
+    out[0] = nums
+    for k in range(1, order):
+        out[k, ..., 1:] = out[k - 1, ..., :-1]
+        out[k] += out[k - 1, ..., -1:] * fold
+    return out
 
 
 def verify(report) -> tuple[dict, bool]:

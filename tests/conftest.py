@@ -1,12 +1,14 @@
 """Shared fixtures: deterministic random corpus, comparison helpers and
-the full-rank checker."""
+the full-rank checker with its modular rank routines."""
 
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
+import numpy as np
 import pytest
 
 from pcring import (
@@ -66,6 +68,89 @@ def unit_generators(group: AbelianGroup) -> list[int]:
     return (sorted(group.index(e) for e in units) or [0]) + [group.size]
 
 
+# Primes a modular certificate tries before exact elimination decides.
+PRIME_ATTEMPTS = 3
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def _unity_root_mod(p: int, order: int) -> int:
+    # An element of multiplicative order exactly `order` in GF(p), p == 1 mod order:
+    # w**order == 1, and w**d != 1 for every proper divisor d of order.  GF(p)* is
+    # cyclic, so a primitive root lies below p and its power qualifies.
+    exponent = (p - 1) // order
+    divisors = [d for d in range(1, order) if order % d == 0]
+    powers = (pow(candidate, exponent, p) for candidate in range(2, p))
+    return next(w for w in powers if all(pow(w, d, p) != 1 for d in divisors))
+
+
+def modular_primes(order: int) -> Iterator[tuple[int, int]]:
+    """The first ``PRIME_ATTEMPTS`` primes p == 1 (mod order) above 10**6,
+    each with an element w of multiplicative order exactly ``order`` in GF(p).
+
+    zeta_order |-> w defines a ring homomorphism Z[zeta_order] -> GF(p).
+    For every order up to 256 (the largest conductor the CLI accepts) the
+    primes stay below 1.02 * 10**6 < 2**20, inside the bounds
+    ``image_mod_p`` and ``rank_mod_p`` require.
+    """
+    p = 1_000_003
+    p += (-(p - 1)) % order  # first candidate with p == 1 mod order
+    for _ in range(PRIME_ATTEMPTS):
+        while not _is_prime(p):
+            p += order
+        yield p, _unity_root_mod(p, order)
+        p += order
+
+
+def image_mod_p(nums: np.ndarray, p: int, w: int) -> np.ndarray:
+    """Image mod p under zeta |-> w of the values whose power-basis
+    numerators are the rows of ``nums``, as ``distinct_numerators`` returns
+    them.  The residues are below p and each sum has phi terms below p**2:
+    exact in int64 for every prime ``modular_primes`` yields (p < 2**20,
+    phi < 256)."""
+    powers = np.array([pow(w, k, p) for k in range(nums.shape[1])], dtype=np.int64)
+    return (nums % p).astype(np.int64) @ powers % p
+
+
+def rank_mod_p(matrix: np.ndarray, p: int) -> int:
+    """Rank over GF(p) of an integer matrix, for a prime p < 2**31.
+
+    Row reduction on int64 residues in [0, p): every product stays below
+    p**2 < 2**62.  Rank mod p never exceeds the rank over Q.
+    """
+    work = (matrix % p).astype(np.int64)
+    nrows, ncols = work.shape
+    rk = 0
+    for col in range(ncols):
+        if rk == nrows:
+            break
+        candidates = np.flatnonzero(work[rk:, col])
+        if not candidates.size:
+            continue
+        pivot = rk + int(candidates[0])
+        if pivot != rk:
+            work[[rk, pivot]] = work[[pivot, rk]]
+        inv = pow(int(work[rk, col]), -1, p)
+        work[rk, col:] = work[rk, col:] * inv % p
+        below = rk + 1 + np.flatnonzero(work[rk + 1:, col])
+        if below.size:
+            factors = work[below, col]
+            work[below, col:] = (work[below, col:] - np.outer(factors, work[rk, col:])) % p
+        rk += 1
+    return rk
+
+
 def certify_full_row_rank(rows, order: int) -> bool:
     """True iff the rows (entries in Q(zeta_order) or rational) are linearly
     independent.  Modular certificates first (full rank of the image mod p
@@ -76,8 +161,8 @@ def certify_full_row_rank(rows, order: int) -> bool:
     if m > len(rows[0]):
         return False
     nums, index = linalg.distinct_numerators(rows, order)
-    for p, w in linalg.modular_primes(order):
-        if linalg.rank_mod_p(linalg.image_mod_p(nums, p, w)[index], p) == m:
+    for p, w in modular_primes(order):
+        if rank_mod_p(image_mod_p(nums, p, w)[index], p) == m:
             return True
     embedded = [
         [e if isinstance(e, CycloNum) else CycloNum.rational(order, e) for e in row]

@@ -20,7 +20,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pcring
-from pcring import CycloNum, ProjectiveClassRing, cli, spectral, trace_element
+from pcring import (CycloNum, ProjectiveClassRing, cli, oracle, root_of_unity, spectral,
+                    spectral_report, trace_element)
 from pcring.cli import AnalysisRequest, InputError, parse_input, run
 from pcring.instances import InstanceDescriptor, uq_sl2
 
@@ -499,6 +500,88 @@ class TestGeneratedRelations:
         assert code == max(codes, key=severity.index)
 
 
+@st.composite
+def _faulty(draw, report: spectral.SpectralReport) -> spectral.SpectralReport:
+    """``report`` with one fault: a nonzero transform value set to 0, a zero
+    one set to a root of unity, or one nilpotent dropped, replaced by a copy
+    of another or replaced by P_0.  The ring stays as it is."""
+    values = list(report.values)
+    nonzero = [b for b, v in enumerate(values) if v]
+    vanishing = [b for b, v in enumerate(values) if not v]
+    nils = list(report.nilpotents)
+    order = report.group.conductor
+    kind = draw(st.sampled_from(["zeroed", "root of unity", "dropped", "duplicated", "P_0"]))
+    assume(kind == "zeroed" or len(nils) >= 1 + (kind == "duplicated"))
+    if kind == "zeroed":
+        values[draw(st.sampled_from(nonzero))] = CycloNum.zero(order)
+    elif kind == "root of unity":
+        k = draw(st.integers(0, order - 1))
+        values[draw(st.sampled_from(vanishing))] = root_of_unity(order, k)
+    faulty = spectral.SpectralReport(report.ring, tuple(values))
+    if kind in ("dropped", "duplicated", "P_0"):
+        j = draw(st.integers(0, len(nils) - 1))
+        if kind == "dropped":
+            del nils[j]
+        else:
+            nils[j] = nils[j - 1] if kind == "duplicated" else report.ring.projective_class(
+                report.group.identity)
+        # A cached property: the instance's own entry is what it returns.
+        vars(faulty)["nilpotents"] = tuple(nils)
+    return faulty
+
+
+def _zero_first_value(ring: ProjectiveClassRing) -> spectral.SpectralReport:
+    values = list(spectral_report(ring).values)
+    values[next(b for b, v in enumerate(values) if v)] = CycloNum.zero(ring.group.conductor)
+    return spectral.SpectralReport(ring, tuple(values))
+
+
+class TestGeneratedFaults:
+    """A report with one fault exits 2, whichever path of the oracle decides."""
+
+    # 40 examples draw every kind of fault at least twice.
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(_documents(), st.data())
+    def test_report_fault_exits_two(self, documents, data):
+        request = parse_input(json.dumps(documents[0]))
+        honest, _ = run(request)
+        faulty = data.draw(_faulty(spectral_report(request.instance.ring)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "spectral_report", lambda ring: faulty)
+            unverified, code = run(replace(request, verify=False))
+            assert code == cli.EXIT_OK
+            for exact in (False, True):
+                if exact:
+                    # The certificate fails, so the exact path decides.
+                    patch.setattr(oracle, "_decomposition_holds", lambda *args: False)
+                doc, code = run(request)
+                assert code == cli.EXIT_VERIFICATION, (exact, doc["oracle"])
+                block = doc["oracle"]
+                assert list(block) == list(honest["oracle"])
+                assert block["associative"] is block["matches_pair_ring"] is True
+                assert (block["radical_matches_spectral"] is False
+                        or block["radical_dim"] != doc["s"] - doc["r"])
+                assert {k: v for k, v in doc.items() if k != "oracle"} == unverified
+
+    @settings(derandomize=True, deadline=None, max_examples=8)
+    @given(st.lists(_documents().map(lambda d: json.dumps(d[0])), min_size=1, max_size=3),
+           st.lists(_malformed().map(lambda m: m[0]), min_size=1, max_size=2), st.data())
+    def test_batch_of_faulty_and_malformed_documents_exits_one(self, valid, malformed, data):
+        texts = data.draw(st.permutations(valid + malformed))
+        with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "spectral_report", _zero_first_value)
+            codes = []
+            for i, text in enumerate(texts):
+                path = Path(directory, f"{i:02d}.json")
+                path.write_text(text, encoding="utf-8")
+                codes.append(_main(["analyze", str(path)])[0])
+            code, out, _ = _main(["batch", directory])
+        assert sorted(codes) == sorted([cli.EXIT_VERIFICATION] * len(valid)
+                                       + [cli.EXIT_VALIDATION] * len(malformed))
+        assert code == cli.EXIT_VALIDATION
+        assert len(json.loads(out)["batch"]) == len(texts)
+
+
 class TestMain:
     def test_analyze_file(self, tmp_path, capsys):
         path = tmp_path / "instance.json"
@@ -531,6 +614,23 @@ class TestMain:
             "associative": True,
             "matches_pair_ring": True,
             "radical_dim": 0,
+            "radical_matches_spectral": True,
+        }
+
+    def test_analyze_huge_multiplicity_with_radical(self, tmp_path, capsys):
+        # An object table whose transform 2**63 (1 + (-1)^b) vanishes at two
+        # characters.
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"group": [4], "c": [{"exp": [0], "coeff": 2**63},
+                                                        {"exp": [2], "coeff": 2**63}]}))
+        code = cli.main(["analyze", str(path)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["r"] == 2
+        assert doc["oracle"] == {
+            "associative": True,
+            "matches_pair_ring": True,
+            "radical_dim": 2,
             "radical_matches_spectral": True,
         }
 

@@ -1,4 +1,5 @@
-"""Tests for the exact elimination helpers and the modular rank certificate."""
+"""Tests for the exact elimination helpers, the integer forms of cyclotomic
+entries and the modular rank certificate of the tests' full-rank checker."""
 
 import random
 from fractions import Fraction
@@ -6,19 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import certify_full_row_rank
+from conftest import (PRIME_ATTEMPTS, certify_full_row_rank, image_mod_p, modular_primes,
+                      rank_mod_p)
 from pcring import CycloNum, root_of_unity
 from pcring.cyclotomics import common_numerators
 from pcring.linalg import (
-    PRIME_ATTEMPTS,
     distinct_numerators,
     exact_dtype,
     exact_matmul,
-    image_mod_p,
     in_row_span,
     kernel_basis,
-    modular_primes,
-    rank_mod_p,
     rref,
 )
 

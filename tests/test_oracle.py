@@ -11,6 +11,7 @@ from conftest import unit_generators
 from pcring import oracle
 from pcring import (
     AbelianGroup,
+    CycloNum,
     GroupRingElement,
     PairElement,
     ProjectiveClassRing,
@@ -449,13 +450,95 @@ class TestRadical:
         assert not radical_matches_spectral(radical, impostor)
 
 
+# Rings the certificate decides alone: RINGS, the object tables of
+# HUGE_RINGS, uq-sl2(40) in two blocks of nilpotents, a histogram of the c_u
+# whose cell at b = 0 (4 * 2**62) passes int64, and an object table with a
+# radical of dimension 2.
+CERTIFIED_RINGS = RINGS + HUGE_RINGS + [
+    trace_ring(40),
+    make_ring((4,), {(k,): 2**62 for k in range(4)}),
+    make_ring((4,), {(0,): 2**63, (2,): 2**63}),
+]
+CERTIFIED_IDS = IDS + ["huge-Z4", "huge-Z2xZ3", "uq-sl2(40)", "Z4-all-2**62", "Z4-2**63-pair"]
+
+
+def exact_path(table: StructureTable, nilpotents) -> tuple[int, bool]:
+    radical = table.radical()
+    return len(radical), radical_matches_spectral(radical, nilpotents)
+
+
+@pytest.fixture
+def exact_calls(monkeypatch) -> list[StructureTable]:
+    """The tables whose exact path has run, in order."""
+    calls = []
+    radical = StructureTable.radical
+    monkeypatch.setattr(StructureTable, "radical", lambda self: calls.append(self) or radical(self))
+    return calls
+
+
 class TestRadicalCertificate:
-    @pytest.mark.parametrize("ring", RINGS, ids=IDS)
+    @pytest.mark.parametrize("ring", CERTIFIED_RINGS, ids=CERTIFIED_IDS)
     def test_certified_without_exact_path(self, ring, monkeypatch):
         table = build_table(ring)
         expected = len(table.radical())
         monkeypatch.setattr(StructureTable, "radical", lambda self: pytest.fail("exact path"))
+        monkeypatch.setattr(StructureTable, "trace_form", lambda self: pytest.fail("trace form"))
         assert certify_radical(table, spectral_report(ring).nilpotents) == (expected, True)
+
+    def test_relabelled_table_takes_the_exact_path(self, exact_calls):
+        # The Z4 trace ring with S_1 and S_2 swapped is isomorphic, so still
+        # associative, but S_1 S_1 = S_0 is no shift.
+        ring = trace_ring(4)
+        perm = [0, 2, 1, 3, 4, 5, 6, 7]
+        constants = build_table(ring).constants[perm][:, perm][:, :, perm]
+        table = StructureTable(ring.group, constants)
+        assert table.is_associative()
+        nils = spectral_report(ring).nilpotents
+        got = certify_radical(table, nils)
+        assert exact_calls == [table]
+        assert got == exact_path(table, nils)
+
+    @pytest.mark.parametrize("ring", [trace_ring(3), trace_ring(6)], ids=["Z3", "Z6"])
+    def test_reversed_nilpotents_take_the_exact_path(self, ring, exact_calls):
+        # Each nilpotent is paired with a vanishing character in order.
+        table = build_table(ring)
+        nils = spectral_report(ring).nilpotents[::-1]
+        assert len(nils) >= 2
+        got = certify_radical(table, nils)
+        assert exact_calls == [table]
+        assert got == exact_path(table, nils) == (len(nils), True)
+
+    def test_projective_square_with_a_simple_part_takes_the_exact_path(self, exact_calls):
+        # C[Z2] x C[p]/(p^2 - 1) with P_a = S_a p is associative and
+        # semisimple.  Its row P_0 P_0 = S_0 has no projective part, so every
+        # lambda(b) vanishes, and P_0 + P_1, P_0 - P_1 are eigenvectors of
+        # the S_a; but they square to 2 (S_0 + S_1) and 2 (S_0 - S_1).
+        ring = make_ring((2,), {(0,): 2})
+        constants = build_table(ring).constants.copy()
+        constants[2:, 2:] = 0
+        for i, j in itertools.product(range(2), repeat=2):
+            constants[2 + i, 2 + j, (i + j) % 2] = 1
+        table = StructureTable(ring.group, constants)
+        assert table.is_associative()
+        zero = GroupRingElement.zero(ring.group)
+        nils = [PairElement(zero, GroupRingElement(ring.group, {(0,): 1, (1,): k}))
+                for k in (1, -1)]
+        assert certify_radical(table, nils) == (0, False)
+        assert exact_calls == [table]
+
+    def test_rotations_past_int64_are_exact(self):
+        # n[0] = a + b zeta on the Z3 trace ring with a - b = 2**63 + 2: the
+        # rotations n[0] zeta^k leave int64, and n[1], n[2] below hold what
+        # int64 shift-and-fold would wrap them to.  Every entry fits int64,
+        # but the vector is no eigenvector, and not in the radical.
+        ring = trace_ring(3)
+        a, b = 2**62 + 1, -(2**62) - 1
+        values = {(0,): (a, b), (1,): (2**63 - 2, b), (2,): (a, -(2**63) + 2)}
+        fake = PairElement(GroupRingElement.zero(ring.group), GroupRingElement(
+            ring.group, {x: CycloNum(3, v) for x, v in values.items()}))
+        honest = spectral_report(ring).nilpotents[1]
+        nils = [fake, PairElement(honest.s_part, honest.t_part * 3)]
+        assert certify_radical(build_table(ring), nils) == (2, False)
 
     def test_simple_component_falls_back(self):
         ring = trace_ring(4)
@@ -464,8 +547,8 @@ class TestRadicalCertificate:
         assert certify_radical(build_table(ring), with_simple) == (3, False)
 
     def test_nilpotent_outside_the_kernel_in_a_later_block(self):
-        # 39 nilpotents make two blocks of T n products; the last one is
-        # replaced by P_0, and T P_0 != 0 (row S_0 holds the trace of P_0).
+        # 39 nilpotents make two blocks of eigenvector checks; the last one
+        # is replaced by P_0, which is no eigenvector: P_0[x] = 0 for x != 0.
         ring = trace_ring(40)
         nils = list(spectral_report(ring).nilpotents)
         impostor = nils[:-1] + [ring.projective_class((0,))]
