@@ -7,10 +7,11 @@ a pivot is any nonzero entry.
 
 ``distinct_numerators`` reads each distinct entry of a cyclotomic matrix
 once, as integer power-basis numerators over one common denominator, so
-that a certificate compares integers.  ``exact_matmul`` multiplies integer
-matrices exactly in the narrowest tier ``exact_dtype`` proves exact: float32
-BLAS when every partial sum is an integer below 2**24, float64 BLAS below
-2**53, Python integers otherwise.
+that a certificate compares integers.  ``exact_matmul`` is the one product
+of integer arrays: it multiplies them exactly in the narrowest tier
+``exact_dtype`` proves exact (float32 BLAS when every partial sum is an
+integer below 2**24, float64 BLAS below 2**53, Python integers otherwise),
+and casts them ``BLOCK_ROWS`` inner indices at a time, never whole.
 
 This module and ``oracle`` are the only ones that import numpy; the
 analysis itself runs on Python integers.
@@ -26,6 +27,7 @@ import numpy as np
 from .cyclotomics import common_numerators, euler_phi
 
 __all__ = [
+    "BLOCK_ROWS",
     "distinct_numerators",
     "exact_dtype",
     "exact_matmul",
@@ -101,6 +103,11 @@ def kernel_basis(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 
 # -- exact integer products -----------------------------------------------------
 
+# Inner indices per cast block in ``exact_matmul``, and rows per block in the
+# oracle's gathers.  A float32 block of 32 rows of the (2s) x (2s)^2 table is
+# 32 MB at s = 256, against 537 MB for the whole table cast at once.
+BLOCK_ROWS = 32
+
 
 def distinct_numerators(rows: Sequence[Sequence[object]],
                         order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -147,11 +154,21 @@ def exact_dtype(inner: int, a_max: int, b_max: int) -> np.dtype:
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer product a @ b in the ``exact_dtype`` of the operands:
-    float32 or float64 BLAS, cast back to int64, or Python integers (object
-    dtype).  (numpy's int64 matmul does not use BLAS.)
+    """Exact integer product a @ b, for a and b of two or more dimensions, in
+    the ``exact_dtype`` of the operands: float32 or float64 BLAS, returned as
+    int64, or Python integers (object dtype).  (numpy's int64 matmul does not
+    use BLAS.)
+
+    Only the inner indices at which some entry of a is nonzero are read,
+    ``BLOCK_ROWS`` at a time: each block of a's columns and b's rows is cast
+    on its own and its product added, so no operand is cast whole.  Every
+    partial sum stays within the bound ``exact_dtype`` checks.
     """
     dtype = exact_dtype(a.shape[-1], max_abs(a), max_abs(b))
-    product = a.astype(dtype) @ b.astype(dtype)
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    product = np.zeros(shape, dtype=dtype)
+    support = np.flatnonzero(a.any(axis=tuple(range(a.ndim - 1))))
+    for i in range(0, len(support), BLOCK_ROWS):
+        block = support[i:i + BLOCK_ROWS]
+        product += a[..., block].astype(dtype) @ b[..., block, :].astype(dtype)
     return product if dtype == object else product.astype(np.int64)
-

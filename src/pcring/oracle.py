@@ -41,18 +41,18 @@ report (every check passes and the radical has dimension s - r).
 The table stores its constants in the smallest signed integer dtype that
 holds the largest multiplicity (int8 for every c_u below 128: 134 MB at the
 size bound s = 256), and in Python integers (object dtype) from 2**63 on.
-Every product widens: Light's test takes its generating set and its rows
-from the orbits of those S_(e_i) that the table shows to permute the basis
-and to lie in the left nucleus, (g x) y = g (x y).  Such a g maps each
-associator row f_a(x, .) = (x a) . - x (a .) to f_a(g x, .) = g f_a(x, .),
-so one row x per orbit suffices, and the qualifying S_(e_i) with one
-element of each orbit that holds none of them generate.  For every table
-``build_table`` makes that is the generators S_(e_i) and P_0 and the rows
-S_0 and P_0, at 2 (2s)^3 multiply-adds per generator and row, where all 2s
-rows cost 2 (2s)^4 per generator.  It casts the table to the narrowest exact
-tier ``linalg.exact_dtype`` allows (float32, float64 or Python integers) one
-chunk of rows at a time, never as a whole.  The trace form reads the
-diagonals and makes one product that casts the table in buffered pieces.
+Every product of table entries, in Light's test, the trace form and the
+certificate's transform, is one ``linalg.exact_matmul``, which picks the
+exact tier (float32, float64 or Python integers) and casts its operands a
+block at a time, never whole.  Light's test takes its generating set and
+its rows from the orbits of those S_(e_i) that the table shows to permute
+the basis and to lie in the left nucleus, (g x) y = g (x y).  Such a g maps
+each associator row f_a(x, .) = (x a) . - x (a .) to
+f_a(g x, .) = g f_a(x, .), so one row x per orbit suffices, and the
+qualifying S_(e_i) with one element of each orbit that holds none of them
+generate.  For every table ``build_table`` makes that is the generators
+S_(e_i) and P_0 and the rows S_0 and P_0, at 2 (2s)^3 multiply-adds per
+generator and row, where all 2s rows cost 2 (2s)^4 per generator.
 
 This module and ``linalg`` are the only ones that import numpy.  The
 package imports them on first access, and the CLI only when it verifies, so
@@ -85,12 +85,10 @@ __all__ = [
 # Signed integer dtypes a table may use, narrowest first; object past int64.
 _TABLE_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
-# Rows per block: in Light's test, table rows u per left-nucleus gather,
-# table rows m per cast chunk and (generator, row) pairs per product; in
-# ``certify_radical``, nilpotents per eigenvector check.  A float32 chunk of
-# 32 x (2s)^2 is 32 MB at s = 256, against 537 MB for the whole table cast
-# at once.
-_BLOCK_ROWS = 32
+# (generator, row) pairs per product in Light's test: a quarter of
+# ``linalg.BLOCK_ROWS``, since each product returns (2s)^2 int64 per pair,
+# so 8 pairs take 16.8 MB at s = 256 and 32 would take 67 MB.
+_LIGHT_PAIRS = linalg.BLOCK_ROWS // 4
 
 
 class StructureTable:
@@ -115,24 +113,16 @@ class StructureTable:
         When no S_(e_i) qualifies, G and the rows are both the whole basis:
         that is the check over all 8 s^3 basis triples.
 
-        The products run in ``linalg.exact_dtype`` for inner dimension 2s
-        and max|c| on both sides: float32 when 2s max|c|^2 < 2**24 (every
-        table with multiplicities below 128 at the size bound), float64
-        below 2**53, Python integers otherwise.  Every entry and partial
-        sum is an integer the dtype represents exactly, so float equality
-        is integer equality.  The table is never cast whole:
-        ``_associates`` casts it one chunk of ``_BLOCK_ROWS`` rows at a
-        time.  The result is cached; constants are treated as frozen once
-        any check has run.
+        The products are exact (``linalg.exact_matmul``), ``_LIGHT_PAIRS``
+        pairs at a time.  The result is cached; constants are treated as
+        frozen once any check has run.
         """
         if self._associative is None:
             gens, rows = self._light_sets()
             pairs = [(a, x) for a in gens for x in rows]
-            bound = linalg.max_abs(self.constants)
-            dtype = linalg.exact_dtype(self.dim, bound, bound)
             self._associative = all(
-                self._associates(pairs[i:i + _BLOCK_ROWS], dtype)
-                for i in range(0, len(pairs), _BLOCK_ROWS)
+                self._associates(pairs[i:i + _LIGHT_PAIRS])
+                for i in range(0, len(pairs), _LIGHT_PAIRS)
             )
         return self._associative
 
@@ -179,26 +169,18 @@ class StructureTable:
                 gens.append(x)
         return sorted(gens), rows
 
-    def _associates(self, pairs: list[tuple[int, int]], dtype: np.dtype) -> bool:
+    def _associates(self, pairs: list[tuple[int, int]]) -> bool:
         """(x a) y == x (a y) for every (a, x) in ``pairs`` and basis y.
 
         x (a y) = c[a] @ c[x] per pair, (y, m) times (m, l).  (x a) y is the
-        stack of rows c[x, a, :] times c viewed as m -> (y, l), summed over
-        the rows m where some c[x, a, m] is nonzero, in chunks of
-        ``_BLOCK_ROWS`` rows each cast to ``dtype`` on its own: the table is
-        read at most once per call and never cast whole.
+        stack of rows c[x, a, :] times c viewed as m -> (y, l), which reads
+        only the table rows m where some c[x, a, m] is nonzero.
         """
         d = self.dim
         c = self.constants
         gens, rows = (list(v) for v in zip(*pairs))
-        right = (c[gens].astype(dtype) @ c[rows].astype(dtype)).reshape(len(pairs), d * d)
-        heads = c[rows, gens, :]
-        support = np.flatnonzero(heads.any(axis=0))
-        heads = heads[:, support].astype(dtype)
-        left = np.zeros_like(right)
-        for i in range(0, len(support), _BLOCK_ROWS):
-            chunk = c[support[i:i + _BLOCK_ROWS]].astype(dtype).reshape(-1, d * d)
-            left += heads[:, i:i + _BLOCK_ROWS] @ chunk
+        right = linalg.exact_matmul(c[gens], c[rows]).reshape(len(pairs), d * d)
+        left = linalg.exact_matmul(c[rows, gens, :], c.reshape(d, d * d))
         return np.array_equal(left, right)
 
     def _nucleus_permutation(self, g: int) -> np.ndarray | None:
@@ -207,7 +189,7 @@ class StructureTable:
 
         (g e_u) e_v = e_pi(u) e_v and g (e_u e_v) = sum_l c[u, v, l] e_pi(l)
         agree for all u, v iff c[pi(u), v, pi(l)] == c[u, v, l], which is
-        checked as a gather over ``_BLOCK_ROWS`` rows u at a time.
+        checked as a gather over ``linalg.BLOCK_ROWS`` rows u at a time.
         """
         c = self.constants
         unit = c[g] == 1
@@ -215,9 +197,9 @@ class StructureTable:
                 and (unit.sum(axis=1) == 1).all()):
             return None
         pi = unit.argmax(axis=1)
-        for u in range(0, self.dim, _BLOCK_ROWS):
-            if not np.array_equal(np.take(c[pi[u:u + _BLOCK_ROWS]], pi, axis=2),
-                                  c[u:u + _BLOCK_ROWS]):
+        for u in range(0, self.dim, linalg.BLOCK_ROWS):
+            block = slice(u, u + linalg.BLOCK_ROWS)
+            if not np.array_equal(np.take(c[pi[block]], pi, axis=2), c[block]):
                 return None
         return pi
 
@@ -225,17 +207,13 @@ class StructureTable:
         """Gram matrix T[i,j] = trace of left multiplication by e_i * e_j =
         sum_k c_ijk t_k, with t_k the trace of left multiplication by e_k.
 
-        t is read off the diagonals with ``linalg.exact_matmul``; T is one
-        ``np.einsum`` in the ``linalg.exact_dtype`` of c and t, which casts
-        the table in buffered pieces rather than as a (2s)^2 x 2s copy.
-        int64 on the float tiers, Python integers otherwise.
+        Both are ``linalg.exact_matmul`` products: t from the diagonals, T
+        from the table and t.  int64 on the float tiers, Python integers
+        otherwise.
         """
-        d = self.dim
         c = self.constants
-        traces = linalg.exact_matmul(c.diagonal(axis1=1, axis2=2), np.ones(d, dtype=np.int64))
-        dtype = linalg.exact_dtype(d, linalg.max_abs(c), linalg.max_abs(traces))
-        gram = np.einsum("ijk,k->ij", c, traces.astype(dtype), dtype=dtype)
-        return gram if dtype == object else gram.astype(np.int64)
+        traces = linalg.exact_matmul(c.diagonal(axis1=1, axis2=2), np.ones((self.dim, 1), np.int8))
+        return linalg.exact_matmul(c, traces)[..., 0]
 
     def radical(self) -> tuple[tuple[Fraction, ...], ...]:
         """A basis of the exact rational kernel of the trace form, one vector
@@ -391,8 +369,9 @@ def _decomposition_holds(table: StructureTable, nilpotents: list[PairElement]) -
        S_0 is then a right unit too: x S_0 = x holds for x = S_0, S_(e_i)
        and P_0 by these rows, and so for their products.
     2. lambda(b) = sum_u c_u zeta^<u,b> for every b, from A's own row
-       P_0 P_0: an s x N histogram of the c_u by pairing exponent times the
-       N x phi table of x^k mod Phi_N.  r counts the b with lambda(b) != 0.
+       P_0 P_0: the c_u times a one-hot table of pairing exponents gives an
+       s x N histogram, and it times the N x phi table of x^k mod Phi_N
+       gives lambda.  r counts the b with lambda(b) != 0.
     3. chi_b on simples and 0 on projectives, for every b, and chi_b on
        simples and lambda(b) chi_b on projectives, for every b with
        lambda(b) != 0, are s + r distinct linear maps A -> C.  By step 1
@@ -411,8 +390,8 @@ def _decomposition_holds(table: StructureTable, nilpotents: list[PairElement]) -
     Both bounds meet when m = s - r.  Every check compares integers: the
     nilpotents' values are read once each, over one common denominator
     (``linalg.distinct_numerators``), and each n_j[0] is rotated through
-    all N powers of zeta (``_rotations``), ``_BLOCK_ROWS`` nilpotents at a
-    time.
+    all N powers of zeta (``_rotations``), ``linalg.BLOCK_ROWS`` nilpotents
+    at a time.
     """
     group = table.group
     s, order = group.size, group.conductor
@@ -430,14 +409,8 @@ def _decomposition_holds(table: StructureTable, nilpotents: list[PairElement]) -
 
     # <u, b> as in ``AbelianGroup.pairing_exponent``: symmetric in u and b.
     pairing = (elements * (order // orders)) @ elements.T % order
-    # A cell sums at most s multiplicities.
-    multiplicities = c[s, s, s:]
-    dtype = np.int64 if s * linalg.max_abs(multiplicities) < 2**63 else object
-    hist = np.zeros((s, order), dtype=dtype)
-    rows = np.arange(s)
-    for u, cu in enumerate(multiplicities.tolist()):
-        if cu:
-            hist[rows, pairing[u]] += cu
+    one_hot = np.eye(order, dtype=np.int8)[pairing].reshape(s, s * order)
+    hist = linalg.exact_matmul(c[s, s, s:][None, :], one_hot).reshape(s, order)
     residues = _rotations(np.eye(1, len(cyclotomic_polynomial(order)) - 1, dtype=object),
                           order)[:, 0]
     values = linalg.exact_matmul(hist, residues)
@@ -456,10 +429,10 @@ def _decomposition_holds(table: StructureTable, nilpotents: list[PairElement]) -
     bound = linalg.max_abs(residues)
     reach = linalg.max_abs(nums) * residues.shape[1] * bound * (bound + 1)
     dtype = np.int64 if reach < 2**63 else object
-    for i in range(0, m, _BLOCK_ROWS):
-        block = index[i:i + _BLOCK_ROWS]
+    for i in range(0, m, linalg.BLOCK_ROWS):
+        block = index[i:i + linalg.BLOCK_ROWS]
         heads = nums[block[:, 0]].astype(dtype)
-        powers = -pairing[vanishing[i:i + _BLOCK_ROWS]] % order
+        powers = -pairing[vanishing[i:i + linalg.BLOCK_ROWS]] % order
         turns = _rotations(heads, order)[powers, np.arange(len(block))[:, None]]
         if not ((heads != 0).any(axis=1).all() and np.array_equal(turns, nums[block])):
             return False

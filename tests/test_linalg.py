@@ -1,11 +1,15 @@
 """Tests for the exact elimination helpers, the integer forms of cyclotomic
-entries and the modular rank certificate of the tests' full-rank checker."""
+entries, the exact integer product and the modular rank certificate of the
+tests' full-rank checker."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (PRIME_ATTEMPTS, certify_full_row_rank, image_mod_p, modular_primes,
                       rank_mod_p)
@@ -214,7 +218,79 @@ class TestDistinctNumerators:
         assert nums[index[0], 0].tolist() == [2**70, 3]
 
 
+# Largest entries on both sides of 2**24, 2**53 and 2**63.
+_MAGNITUDES = [0, 1, 100, 2**11, 2**24 - 1, 2**24, 2**26, 2**53 - 1, 2**53, 2**63 - 1, 2**63,
+               2**70]
+
+
+def _array(shape, top, rng):
+    values = [rng.randint(-top, top) for _ in range(int(np.prod(shape)))]
+    dtype = np.int8 if top < 128 else np.int64 if top < 2**63 else object
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+@st.composite
+def _products(draw):
+    """Integer operands of exact_matmul: 2-D, batched, broadcast against a
+    2-D b, or (n, n, n) times (n, 1); some inner columns of a zeroed, up to
+    all of them."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n, m, g = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    k = draw(st.integers(1, 70))
+    a_shape, b_shape = draw(st.sampled_from([
+        ((n, k), (k, m)), ((g, n, k), (g, k, m)), ((g, n, k), (k, m)), ((n, n, n), (n, 1))]))
+    a = _array(a_shape, draw(st.sampled_from(_MAGNITUDES)), rng)
+    b = _array(b_shape, draw(st.sampled_from(_MAGNITUDES)), rng)
+    # Zeroed inner columns, chosen apart for each matrix of a batch.
+    mask = a.shape[:-2] + (1, a.shape[-1])
+    size = int(np.prod(mask))
+    zeroed = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    a[np.broadcast_to(np.array(zeroed).reshape(mask), a.shape)] = 0
+    return a, b
+
+
+def python_matmul(a: np.ndarray, b: np.ndarray) -> list:
+    """a @ b on Python integers, with the batch axes broadcast."""
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, batch + a.shape[-2:])
+    b = np.broadcast_to(b, batch + b.shape[-2:])
+    out = np.empty(batch, dtype=object)
+    for i in np.ndindex(batch):
+        rows, cols = a[i].tolist(), b[i].T.tolist()
+        out[i] = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows]
+    return out.tolist()
+
+
 class TestExactMatmul:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(_products())
+    # Inner columns that only a[1] of a batched a reaches.
+    @example((np.array([[[0, 0]], [[1, 2]]]), np.array([[3], [4]])))
+    # A zero a in each tier: only max|b| then decides it.
+    @example((np.zeros((2, 40), np.int8), np.full((40, 3), 100, np.int8)))
+    @example((np.zeros((2, 2, 3), np.int64), np.full((3, 2), 2**40, np.int64)))
+    @example((np.zeros((3, 3, 3), object), np.full((3, 1), 2**70, object)))
+    def test_equals_the_python_integer_product(self, operands):
+        a, b = operands
+        out = exact_matmul(a, b)
+        tops = [int(np.abs(x).max()) if x.size else 0 for x in (a, b)]
+        tier = max(*tops, a.shape[-1] * tops[0] * tops[1])
+        assert out.dtype == (object if tier >= 2**53 else np.int64)
+        assert out.tolist() == python_matmul(a, b)
+
+    def test_casts_a_block_at_a_time(self):
+        # Cast whole, b alone is 64 MiB of float32.
+        a = np.ones((2, 4096), np.int8)
+        b = np.ones((4096, 4096), np.int8)
+        tracemalloc.start()
+        try:
+            out = exact_matmul(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert (out == 4096).all() and out.shape == (2, 4096)
+
     def test_small_products_stay_int64(self):
         out = exact_matmul(np.array([[1, 2]]), np.array([[3], [4]]))
         assert out.dtype == np.int64 and out.tolist() == [[11]]

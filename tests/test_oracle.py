@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import unit_generators
-from pcring import oracle
+from pcring import linalg, oracle
 from pcring import (
     AbelianGroup,
     CycloNum,
@@ -288,6 +288,22 @@ class TestLightAssociativity:
         assert non_associative_rows(constants) == {d - 1}
         assert StructureTable(group, constants).is_associative() is False
 
+    def test_table_that_fails_only_at_the_last_pair(self):
+        # e_(d-1) e_(d-1) = e_1 and e_1 e_2 = e_3, every other product 0:
+        # (e_(d-1) e_(d-1)) e_2 = e_3 but e_(d-1) (e_(d-1) e_2) = 0, and no
+        # other triple fails.  No S_(e_i) qualifies, so Light's test takes
+        # all 36 pairs (a, x), and the one failing pair, a = x = d - 1, is
+        # the last, in a partial last block.
+        group = AbelianGroup((3,))
+        d = 2 * group.size
+        constants = np.zeros((d, d, d), dtype=np.int8)
+        constants[d - 1, d - 1, 1] = 1
+        constants[1, 2, 3] = 1
+        table = StructureTable(group, constants)
+        assert non_associative_rows(constants) == {d - 1}
+        assert table._light_sets() == (list(range(d)), list(range(d)))
+        assert table.is_associative() is False
+
     def test_agrees_with_brute_force_on_the_corpus(self, corpus):
         # Each valid table and one seeded +1 change to it.
         rng = random.Random(0xC0)
@@ -552,7 +568,7 @@ class TestRadicalCertificate:
         ring = trace_ring(40)
         nils = list(spectral_report(ring).nilpotents)
         impostor = nils[:-1] + [ring.projective_class((0,))]
-        assert len(impostor) > oracle._BLOCK_ROWS
+        assert len(impostor) > linalg.BLOCK_ROWS
         assert certify_radical(build_table(ring), impostor) == (39, False)
 
     def test_one_common_denominator_for_mixed_scales(self, monkeypatch):

@@ -1,5 +1,6 @@
 """Checks on the source tree: the pcring names the benchmark reaches into,
-and imports that no code in ``src/pcring`` uses."""
+imports that no code in ``src/pcring`` uses, and the one module that picks
+a product's dtype."""
 
 import ast
 import importlib.util
@@ -13,6 +14,7 @@ import pcring.cli
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 MODULES = sorted((ROOT / "src" / "pcring").glob("*.py"))
+NOT_LINALG = [p for p in MODULES if p.name != "linalg.py"]
 
 
 def load_tracing():
@@ -90,3 +92,25 @@ class TestImports:
     @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
     def test_no_unused_imports(self, path):
         assert unused_imports(path.read_text()) == []
+
+
+def references(source: str, name: str) -> bool:
+    """Whether code (not a string) in source names ``name``: as a name, an
+    attribute or an import."""
+    return any(isinstance(node, ast.Name) and node.id == name
+               or isinstance(node, ast.Attribute) and node.attr == name
+               or isinstance(node, ast.alias) and name in (node.name, node.asname)
+               for node in ast.walk(ast.parse(source)))
+
+
+class TestExactProducts:
+    def test_checker_finds_a_reference(self):
+        assert references("from .linalg import exact_dtype as pick\n", "exact_dtype")
+        assert references("x = linalg.exact_dtype(1, 2, 3)\n", "exact_dtype")
+        assert not references('"""linalg.exact_dtype picks it."""\n', "exact_dtype")
+
+    @pytest.mark.parametrize("path", NOT_LINALG, ids=[p.name for p in NOT_LINALG])
+    def test_only_linalg_picks_a_product_dtype(self, path):
+        # Every integer product goes through linalg.exact_matmul, which
+        # alone chooses its tier.
+        assert not references(path.read_text(), "exact_dtype")
