@@ -68,7 +68,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .cyclotomics import CycloNum, cyclotomic_polynomial
+from .cyclotomics import CycloNum, cyclotomic_polynomial, euler_phi
 from .groups import AbelianGroup
 from .pair_ring import PairElement, ProjectiveClassRing
 
@@ -145,11 +145,8 @@ class StructureTable:
         and as g permutes the basis, f_a(x, .) vanishes iff f_a(g x, .)
         does.
         """
-        group = self.group
-        t = len(group.orders)
-        units = sorted(group.index(tuple(int(i == j) for j in range(t)))
-                       for i, n in enumerate(group.orders) if n > 1)
-        perms = {g: perm.tolist() for g in units
+        # The place value of each factor is the index of its unit.
+        perms = {g: perm.tolist() for g in _mixed_radix(self.group)[2].tolist()
                  if (perm := self._nucleus_permutation(g)) is not None}
         gens = list(perms)
         seen = [False] * self.dim
@@ -369,9 +366,10 @@ def _decomposition_holds(table: StructureTable, nilpotents: list[PairElement]) -
        S_0 is then a right unit too: x S_0 = x holds for x = S_0, S_(e_i)
        and P_0 by these rows, and so for their products.
     2. lambda(b) = sum_u c_u zeta^<u,b> for every b, from A's own row
-       P_0 P_0: the c_u times a one-hot table of pairing exponents gives an
-       s x N histogram, and it times the N x phi table of x^k mod Phi_N
-       gives lambda.  r counts the b with lambda(b) != 0.
+       P_0 P_0: each nonzero c_u is scattered into an s x N histogram of
+       Python integers at (b, <u,b>), and the histogram times the N x phi
+       table of x^k mod Phi_N gives lambda.  r counts the b with
+       lambda(b) != 0.
     3. chi_b on simples and 0 on projectives, for every b, and chi_b on
        simples and lambda(b) chi_b on projectives, for every b with
        lambda(b) != 0, are s + r distinct linear maps A -> C.  By step 1
@@ -382,16 +380,20 @@ def _decomposition_holds(table: StructureTable, nilpotents: list[PairElement]) -
     4. The j-th nilpotent n_j, paired with the j-th b_j with
        lambda(b_j) = 0 (the order of ``SpectralReport.nilpotents``), has no
        simple part, n_j[0] != 0 and n_j[x] = n_j[0] zeta^(-<x,b_j>) for
-       every x.  Then S_a n_j = chi_(b_j)(a) n_j and P_0 n_j =
-       lambda(b_j) n_j = 0, so A n_j is a square-zero left ideal, inside
-       the radical.  Eigenvectors of distinct characters are independent:
-       dim rad >= m.
+       every x: each distinct n_j[0] is rotated once through all N powers
+       of zeta, each rotation is mapped to its row among the nilpotents'
+       distinct values (-1 where no entry has that value), and the row
+       reached by the power -<x,b_j> must be the row of n_j[x].  Then
+       S_a n_j = chi_(b_j)(a) n_j and P_0 n_j = lambda(b_j) n_j = 0, so
+       A n_j is a square-zero left ideal, inside the radical.
+       Eigenvectors of distinct characters are independent: dim rad >= m.
 
     Both bounds meet when m = s - r.  Every check compares integers: the
-    nilpotents' values are read once each, over one common denominator
-    (``linalg.distinct_numerators``), and each n_j[0] is rotated through
-    all N powers of zeta (``_rotations``), ``linalg.BLOCK_ROWS`` nilpotents
-    at a time.
+    nilpotents' values are read once each, as power-basis numerators over
+    one common denominator (``linalg.distinct_numerators``), and such
+    numerators are unique, so two values are equal iff their rows are, and
+    step 4 compares row indices.  The rotations (``_rotations``) are in
+    Python integers, so no bound is needed.
     """
     group = table.group
     s, order = group.size, group.conductor
@@ -409,10 +411,10 @@ def _decomposition_holds(table: StructureTable, nilpotents: list[PairElement]) -
 
     # <u, b> as in ``AbelianGroup.pairing_exponent``: symmetric in u and b.
     pairing = (elements * (order // orders)) @ elements.T % order
-    one_hot = np.eye(order, dtype=np.int8)[pairing].reshape(s, s * order)
-    hist = linalg.exact_matmul(c[s, s, s:][None, :], one_hot).reshape(s, order)
-    residues = _rotations(np.eye(1, len(cyclotomic_polynomial(order)) - 1, dtype=object),
-                          order)[:, 0]
+    hist = np.zeros((s, order), dtype=object)
+    terms = np.flatnonzero(c[s, s, s:])
+    np.add.at(hist, (np.arange(s), pairing[terms]), c[s, s, s + terms, None])
+    residues = np.array(_rotations([1] + [0] * (euler_phi(order) - 1), order), dtype=object)
     values = linalg.exact_matmul(hist, residues)
     vanishing = np.flatnonzero(~(values != 0).any(axis=1))
     m = len(nilpotents)
@@ -421,35 +423,27 @@ def _decomposition_holds(table: StructureTable, nilpotents: list[PairElement]) -
 
     nums, index = linalg.distinct_numerators([n.coefficient_vector()[s:] for n in nilpotents],
                                              order)
-    # An entry of n zeta^k sums phi products of an entry of n with one of
-    # x^k mod Phi_N, each at most R in size, and a fold step adds such an
-    # entry times a coefficient of Phi_N = x^phi - (x^phi mod Phi_N), also at
-    # most R.  So int64 holds every partial result while
-    # phi max|nums| R (R + 1) < 2**63.
-    bound = linalg.max_abs(residues)
-    reach = linalg.max_abs(nums) * residues.shape[1] * bound * (bound + 1)
-    dtype = np.int64 if reach < 2**63 else object
-    for i in range(0, m, linalg.BLOCK_ROWS):
-        block = index[i:i + linalg.BLOCK_ROWS]
-        heads = nums[block[:, 0]].astype(dtype)
-        powers = -pairing[vanishing[i:i + linalg.BLOCK_ROWS]] % order
-        turns = _rotations(heads, order)[powers, np.arange(len(block))[:, None]]
-        if not ((heads != 0).any(axis=1).all() and np.array_equal(turns, nums[block])):
-            return False
-    return True
+    rows = {v: i for i, v in enumerate(map(tuple, nums.tolist()))}
+    heads, head = np.unique(index[:, :1], return_inverse=True)
+    turned = np.array([[rows.get(v, -1) for v in _rotations(nums[h].tolist(), order)]
+                       for h in heads], dtype=np.intp).reshape(len(heads), order)
+    powers = -pairing[vanishing] % order
+    # Without nilpotents there is nothing to compare (``index`` is then 0 x 0).
+    return not m or (nums[heads].any(axis=1).all()
+                     and np.array_equal(turned[head.reshape(-1, 1), powers], index))
 
 
-def _rotations(nums: np.ndarray, order: int) -> np.ndarray:
-    """nums zeta^k for every k < order, stacked on a new first axis, for
-    rows of power-basis numerators: each step shifts by x and folds the
+def _rotations(row: list[int], order: int) -> list[tuple[int, ...]]:
+    """row zeta^k for every k < order, for one row of power-basis
+    numerators, in Python integers: each step shifts by x and folds the
     coefficient of x^phi back, as x^phi - Phi_order, of degree below phi.
-    Exact in the dtype of nums while no partial result overflows it."""
-    fold = -np.array(cyclotomic_polynomial(order)[:-1], dtype=np.int64)
-    out = np.zeros((order,) + nums.shape, dtype=nums.dtype)
-    out[0] = nums
-    for k in range(1, order):
-        out[k, ..., 1:] = out[k - 1, ..., :-1]
-        out[k] += out[k - 1, ..., -1:] * fold
+    ``cyclotomics`` rotates the same way for the spectral side; this copy
+    keeps the certificate's transform independent of it."""
+    fold = [-a for a in cyclotomic_polynomial(order)[:-1]]
+    out = [tuple(row)]
+    for _ in range(1, order):
+        *low, top = out[-1]
+        out.append(tuple(v + top * f for v, f in zip([0] + low, fold)))
     return out
 
 

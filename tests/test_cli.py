@@ -20,8 +20,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pcring
-from pcring import (CycloNum, ProjectiveClassRing, cli, oracle, root_of_unity, spectral,
-                    spectral_report, trace_element)
+from pcring import (CycloNum, GroupRingElement, PairElement, ProjectiveClassRing, cli, oracle,
+                    root_of_unity, spectral, spectral_report, trace_element)
 from pcring.cli import AnalysisRequest, InputError, parse_input, run
 from pcring.instances import InstanceDescriptor, uq_sl2
 
@@ -504,13 +504,15 @@ class TestGeneratedRelations:
 def _faulty(draw, report: spectral.SpectralReport) -> spectral.SpectralReport:
     """``report`` with one fault: a nonzero transform value set to 0, a zero
     one set to a root of unity, or one nilpotent dropped, replaced by a copy
-    of another or replaced by P_0.  The ring stays as it is."""
+    of another, replaced by P_0 or with two entries swapped (``_swaps``).
+    The ring stays as it is."""
     values = list(report.values)
     nonzero = [b for b, v in enumerate(values) if v]
     vanishing = [b for b, v in enumerate(values) if not v]
     nils = list(report.nilpotents)
     order = report.group.conductor
-    kind = draw(st.sampled_from(["zeroed", "root of unity", "dropped", "duplicated", "P_0"]))
+    kind = draw(st.sampled_from(["zeroed", "root of unity", "dropped", "duplicated", "P_0",
+                                 "swapped"]))
     assume(kind == "zeroed" or len(nils) >= 1 + (kind == "duplicated"))
     if kind == "zeroed":
         values[draw(st.sampled_from(nonzero))] = CycloNum.zero(order)
@@ -518,16 +520,62 @@ def _faulty(draw, report: spectral.SpectralReport) -> spectral.SpectralReport:
         k = draw(st.integers(0, order - 1))
         values[draw(st.sampled_from(vanishing))] = root_of_unity(order, k)
     faulty = spectral.SpectralReport(report.ring, tuple(values))
-    if kind in ("dropped", "duplicated", "P_0"):
+    if kind in ("dropped", "duplicated", "P_0", "swapped"):
         j = draw(st.integers(0, len(nils) - 1))
         if kind == "dropped":
             del nils[j]
+        elif kind == "swapped":
+            pairs = _swaps(nils[j], nonzero)
+            assume(pairs)
+            nils[j] = _swap(nils[j], *draw(st.sampled_from(pairs)))
         else:
             nils[j] = nils[j - 1] if kind == "duplicated" else report.ring.projective_class(
                 report.group.identity)
         # A cached property: the instance's own entry is what it returns.
         vars(faulty)["nilpotents"] = tuple(nils)
     return faulty
+
+
+def _swaps(nilpotent: PairElement, support: list[int]) -> list[tuple[int, int]]:
+    """The x < y at which ``nilpotent`` has unequal entries and that some b
+    in ``support`` (lambda(b) != 0) tells apart: swapping the two entries
+    takes the nilpotent out of the radical."""
+    group = nilpotent.group
+    entries = nilpotent.coefficient_vector()[group.size:]
+    exps = group.pairing_exponents()
+    return [(x, y) for x, y in itertools.combinations(range(group.size), 2)
+            if entries[x] != entries[y] and any(exps[x][b] != exps[y][b] for b in support)]
+
+
+def _swap(nilpotent: PairElement, x: int, y: int) -> PairElement:
+    group = nilpotent.group
+    entries = nilpotent.coefficient_vector()[group.size:]
+    entries[x], entries[y] = entries[y], entries[x]
+    return PairElement(nilpotent.s_part,
+                       GroupRingElement(group, dict(zip(group.elements(), entries))))
+
+
+def _assert_exits_two(request: AnalysisRequest, faulty: spectral.SpectralReport) -> None:
+    """Verifying ``faulty`` in place of the report of ``request`` exits 2,
+    whether the certificate or the exact path decides, and changes only the
+    oracle block."""
+    honest, _ = run(request)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "spectral_report", lambda ring: faulty)
+        unverified, code = run(replace(request, verify=False))
+        assert code == cli.EXIT_OK
+        for exact in (False, True):
+            if exact:
+                # The certificate fails, so the exact path decides.
+                patch.setattr(oracle, "_decomposition_holds", lambda *args: False)
+            doc, code = run(request)
+            assert code == cli.EXIT_VERIFICATION, (exact, doc["oracle"])
+            block = doc["oracle"]
+            assert list(block) == list(honest["oracle"])
+            assert block["associative"] is block["matches_pair_ring"] is True
+            assert (block["radical_matches_spectral"] is False
+                    or block["radical_dim"] != doc["s"] - doc["r"])
+            assert {k: v for k, v in doc.items() if k != "oracle"} == unverified
 
 
 def _zero_first_value(ring: ProjectiveClassRing) -> spectral.SpectralReport:
@@ -539,29 +587,27 @@ def _zero_first_value(ring: ProjectiveClassRing) -> spectral.SpectralReport:
 class TestGeneratedFaults:
     """A report with one fault exits 2, whichever path of the oracle decides."""
 
-    # 40 examples draw every kind of fault at least twice.
+    # 40 examples draw every kind of fault at least twice.  Few documents
+    # admit a swap, so fixed ones are tested below as well.
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(_documents(), st.data())
     def test_report_fault_exits_two(self, documents, data):
         request = parse_input(json.dumps(documents[0]))
-        honest, _ = run(request)
-        faulty = data.draw(_faulty(spectral_report(request.instance.ring)))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(spectral, "spectral_report", lambda ring: faulty)
-            unverified, code = run(replace(request, verify=False))
-            assert code == cli.EXIT_OK
-            for exact in (False, True):
-                if exact:
-                    # The certificate fails, so the exact path decides.
-                    patch.setattr(oracle, "_decomposition_holds", lambda *args: False)
-                doc, code = run(request)
-                assert code == cli.EXIT_VERIFICATION, (exact, doc["oracle"])
-                block = doc["oracle"]
-                assert list(block) == list(honest["oracle"])
-                assert block["associative"] is block["matches_pair_ring"] is True
-                assert (block["radical_matches_spectral"] is False
-                        or block["radical_dim"] != doc["s"] - doc["r"])
-                assert {k: v for k, v in doc.items() if k != "oracle"} == unverified
+        _assert_exits_two(request, data.draw(_faulty(spectral_report(request.instance.ring))))
+
+    @pytest.mark.parametrize("document", [
+        {"group": [4], "c": [{"exp": [0], "coeff": 1}, {"exp": [2], "coeff": 1}]},
+        {"group": [2, 3], "c": [{"exp": [0, 0], "coeff": 1}, {"exp": [0, 1], "coeff": 1},
+                                {"exp": [0, 2], "coeff": 1}]},
+    ], ids=["Z4", "Z2xZ3"])
+    def test_swapped_entries_exit_two(self, document):
+        request = parse_input(json.dumps(document))
+        report = spectral_report(request.instance.ring)
+        nils = list(report.nilpotents)
+        nils[0] = _swap(nils[0], *_swaps(nils[0], [b for b, v in enumerate(report.values) if v])[0])
+        faulty = spectral.SpectralReport(report.ring, report.values)
+        vars(faulty)["nilpotents"] = tuple(nils)
+        _assert_exits_two(request, faulty)
 
     @settings(derandomize=True, deadline=None, max_examples=8)
     @given(st.lists(_documents().map(lambda d: json.dumps(d[0])), min_size=1, max_size=3),
@@ -586,7 +632,8 @@ class TestMain:
     def test_analyze_file(self, tmp_path, capsys):
         path = tmp_path / "instance.json"
         path.write_text(
-            json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]})
+            json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]}),
+            encoding="utf-8"
         )
         code = cli.main(["analyze", str(path)])
         out = capsys.readouterr().out
@@ -597,7 +644,8 @@ class TestMain:
 
     def test_analyze_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}]}))
+        path.write_text(json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}]}),
+                        encoding="utf-8")
         code = cli.main(["analyze", str(path)])
         doc = json.loads(capsys.readouterr().out)
         assert code == 1
@@ -606,7 +654,8 @@ class TestMain:
     @pytest.mark.parametrize("coeff", [2**62, 2**63, 2**1100])
     def test_analyze_huge_multiplicity(self, tmp_path, capsys, coeff):
         path = tmp_path / "instance.json"
-        path.write_text(json.dumps({"group": [4], "c": [{"exp": [0], "coeff": coeff}]}))
+        path.write_text(json.dumps({"group": [4], "c": [{"exp": [0], "coeff": coeff}]}),
+                        encoding="utf-8")
         code = cli.main(["analyze", str(path)])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -622,7 +671,8 @@ class TestMain:
         # characters.
         path = tmp_path / "instance.json"
         path.write_text(json.dumps({"group": [4], "c": [{"exp": [0], "coeff": 2**63},
-                                                        {"exp": [2], "coeff": 2**63}]}))
+                                                        {"exp": [2], "coeff": 2**63}]}),
+                                                        encoding="utf-8")
         code = cli.main(["analyze", str(path)])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -636,7 +686,7 @@ class TestMain:
 
     def test_report_integers_past_the_digit_limit(self, tmp_path, capsys):
         path = tmp_path / "instance.json"
-        path.write_text(PAST_DIGIT_LIMIT)
+        path.write_text(PAST_DIGIT_LIMIT, encoding="utf-8")
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         code = cli.main(["analyze", str(path), "--idempotents", "--no-verify"])
         out = capsys.readouterr().out
@@ -707,17 +757,18 @@ class TestMain:
         out = tmp_path / "report.json"
         code = cli.main(["example", "uq-sl2", "--n", "3", "-o", str(out)])
         assert code == 0
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["r"] == 1
 
     def test_analyze_writes_over_its_own_input(self, tmp_path, capsys):
         # Opening -o truncates, so the input has to be read first.
         path = tmp_path / "instance.json"
-        path.write_text(json.dumps({"group": [3], "c": [{"exp": [0], "coeff": 2}]}))
+        path.write_text(json.dumps({"group": [3], "c": [{"exp": [0], "coeff": 2}]}),
+                        encoding="utf-8")
         assert cli.main(["analyze", str(path)]) == cli.EXIT_OK
         expected = capsys.readouterr().out
         assert cli.main(["analyze", str(path), "-o", str(path)]) == cli.EXIT_OK
-        assert path.read_text() == expected
+        assert path.read_text(encoding="utf-8") == expected
         assert capsys.readouterr().out == ""
 
     def test_missing_input_error_goes_to_the_output_file(self, tmp_path, capsys):
@@ -725,24 +776,25 @@ class TestMain:
         code = cli.main(["analyze", str(tmp_path / "missing.json"), "-o", str(out)])
         assert code == cli.EXIT_VALIDATION
         assert capsys.readouterr().out == ""
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["error"]["type"] == "validation"
         assert "missing.json" in doc["error"]["message"]
 
     @pytest.mark.parametrize("existing", [False, True], ids=["created", "existing"])
     def test_batch_never_reads_its_own_output(self, tmp_path, capsys, existing):
         good = json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]})
-        (tmp_path / "a.json").write_text(good)
-        (tmp_path / "b.json").write_text(json.dumps({"group": [3], "c": [{"exp": [0], "coeff": 2}]}))
+        (tmp_path / "a.json").write_text(good, encoding="utf-8")
+        (tmp_path / "b.json").write_text(json.dumps({"group": [3], "c": [{"exp": [0], "coeff": 2}]}),
+                                         encoding="utf-8")
         assert cli.main(["batch", str(tmp_path)]) == cli.EXIT_OK
         expected = capsys.readouterr().out
         out = tmp_path / "zz.json"
         if existing:
-            out.write_text(good)
+            out.write_text(good, encoding="utf-8")
         # Named through a different spelling of the same file.
         alias = tmp_path / ".." / tmp_path.name / "zz.json"
         assert cli.main(["batch", str(tmp_path), "-o", str(alias)]) == cli.EXIT_OK
-        assert out.read_text() == expected
+        assert out.read_text(encoding="utf-8") == expected
 
     def test_unwritable_output_is_a_validation_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "out.json"
@@ -763,10 +815,12 @@ class TestMain:
     def test_batch_reports_and_exit_code(self, tmp_path, capsys):
         good = tmp_path / "a_good.json"
         good.write_text(
-            json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]})
+            json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]}),
+            encoding="utf-8"
         )
         bad = tmp_path / "b_bad.json"
-        bad.write_text(json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}]}))
+        bad.write_text(json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}]}),
+                       encoding="utf-8")
         code = cli.main(["batch", str(tmp_path)])
         doc = json.loads(capsys.readouterr().out)
         assert code == 1
@@ -777,16 +831,16 @@ class TestMain:
     @pytest.mark.parametrize("kind", ["not-utf8", "unreadable", "deep-nesting", "long-integer"])
     def test_batch_isolates_unreadable_files(self, tmp_path, capsys, kind):
         good = json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]})
-        (tmp_path / "a_good.json").write_text(good)
+        (tmp_path / "a_good.json").write_text(good, encoding="utf-8")
         if kind == "not-utf8":
             (tmp_path / "b_bad.json").write_bytes(b"\xff\xfe{\x00}\x00")
         elif kind == "unreadable":
             (tmp_path / "b_bad.json").mkdir()
         elif kind == "deep-nesting":
-            (tmp_path / "b_bad.json").write_text("[" * 200000 + "]" * 200000)
+            (tmp_path / "b_bad.json").write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
         else:
-            (tmp_path / "b_bad.json").write_text(LONG_INTEGER)
-        (tmp_path / "c_good.json").write_text(good)
+            (tmp_path / "b_bad.json").write_text(LONG_INTEGER, encoding="utf-8")
+        (tmp_path / "c_good.json").write_text(good, encoding="utf-8")
         code = cli.main(["batch", str(tmp_path)])
         doc = json.loads(capsys.readouterr().out)
         assert code == 1
@@ -799,9 +853,9 @@ class TestMain:
 
     def test_batch_keeps_reports_past_the_digit_limit(self, tmp_path, capsys):
         good = json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]})
-        (tmp_path / "a_good.json").write_text(good)
-        (tmp_path / "b_huge.json").write_text(PAST_DIGIT_LIMIT)
-        (tmp_path / "c_good.json").write_text(good)
+        (tmp_path / "a_good.json").write_text(good, encoding="utf-8")
+        (tmp_path / "b_huge.json").write_text(PAST_DIGIT_LIMIT, encoding="utf-8")
+        (tmp_path / "c_good.json").write_text(good, encoding="utf-8")
         code = cli.main(["batch", str(tmp_path), "--idempotents", "--no-verify"])
         doc = load_without_digit_limit(capsys.readouterr().out)
         assert code == 0
@@ -814,8 +868,8 @@ class TestMain:
     def test_digit_limit_is_back_before_the_next_batch_file(self, tmp_path, capsys):
         # Entries are written as they finish: the limit lifted for a_huge's
         # entry must not let b_long's input integer through the parser.
-        (tmp_path / "a_huge.json").write_text(PAST_DIGIT_LIMIT)
-        (tmp_path / "b_long.json").write_text(LONG_INTEGER)
+        (tmp_path / "a_huge.json").write_text(PAST_DIGIT_LIMIT, encoding="utf-8")
+        (tmp_path / "b_long.json").write_text(LONG_INTEGER, encoding="utf-8")
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         code = cli.main(["batch", str(tmp_path), "--idempotents", "--no-verify"])
         doc = load_without_digit_limit(capsys.readouterr().out)
@@ -829,9 +883,9 @@ class TestMain:
 
     def test_batch_is_the_indented_dump_of_its_entries(self, tmp_path, capsys):
         good = json.dumps({"group": [2], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]})
-        (tmp_path / "a_good.json").write_text(good)
-        (tmp_path / "b_bad.json").write_text(json.dumps({"group": [2], "c": []}))
-        (tmp_path / "c_good.json").write_text(good)
+        (tmp_path / "a_good.json").write_text(good, encoding="utf-8")
+        (tmp_path / "b_bad.json").write_text(json.dumps({"group": [2], "c": []}), encoding="utf-8")
+        (tmp_path / "c_good.json").write_text(good, encoding="utf-8")
         code = cli.main(["batch", str(tmp_path), "--idempotents", "--nilradical"])
         report, _ = run(replace(parse_input(good), emit_idempotents=True, emit_nilradical=True))
         error = {"error": {"type": "validation", "message": "missing trivial factor", "path": "/c"}}
@@ -857,8 +911,9 @@ class TestMain:
 
         monkeypatch.setattr(cli, "run", failing)
         good = {"group": [2], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]}
-        (tmp_path / "a_good.json").write_text(json.dumps(good))
-        (tmp_path / "b_boom.json").write_text(json.dumps({**good, "name": "boom"}))
+        (tmp_path / "a_good.json").write_text(json.dumps(good), encoding="utf-8")
+        (tmp_path / "b_boom.json").write_text(json.dumps({**good, "name": "boom"}),
+                                              encoding="utf-8")
         error = {"error": {"type": "validation", "message": "analysis failed"}}
         assert cli.main(["analyze", str(tmp_path / "b_boom.json")]) == cli.EXIT_VALIDATION
         assert json.loads(capsys.readouterr().out) == error
@@ -876,7 +931,7 @@ class TestMain:
     def test_batch_all_good(self, tmp_path, capsys):
         path = tmp_path / "one.json"
         path.write_text(
-            json.dumps({"group": [3], "c": [{"exp": [0], "coeff": 2}]})
+            json.dumps({"group": [3], "c": [{"exp": [0], "coeff": 2}]}), encoding="utf-8"
         )
         code = cli.main(["batch", str(tmp_path)])
         doc = json.loads(capsys.readouterr().out)
@@ -904,7 +959,7 @@ class TestMain:
         split = tmp_path / "split.json"
         split.write_text(json.dumps(
             {"group": [2, 3], "c": [{"exp": [0, 0], "coeff": 2}, {"exp": [1, 1], "coeff": 1}]}
-        ))
+        ), encoding="utf-8")
         argv = [arg.format(split=split) for arg in argv]
 
         def refuse(value):
@@ -987,7 +1042,7 @@ class TestStdoutWriteFailure:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_device(self):
-        with open("/dev/full", "w") as full:
+        with open("/dev/full", "w", encoding="utf-8") as full:
             proc = _cli_process(["example", "uq-sl2", "--n", "4"], stdout=full)
             err = proc.communicate(timeout=120)[1].decode()
         assert proc.returncode == cli.EXIT_VALIDATION
@@ -1011,7 +1066,7 @@ def _run_python(code: str, argv: list[str], **env_vars: str) -> subprocess.Compl
     env = dict(os.environ, PYTHONPATH=str(Path(pcring.__file__).resolve().parents[1]),
                **env_vars)
     return subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, encoding="utf-8", timeout=120)
 
 
 _SPARSE_5X7 = {"group": [5, 7], "c": [
@@ -1054,7 +1109,7 @@ class TestNumpyOnlyForVerification:
     ], ids=["uq-sl2-256-unverified", "sparse-5x7-unverified", "sparse-5x7", "uq-sl2-4"])
     def test_numpy_is_imported_by_verification_alone(self, tmp_path, argv, loaded):
         doc = tmp_path / "in.json"
-        doc.write_text(json.dumps(_SPARSE_5X7))
+        doc.write_text(json.dumps(_SPARSE_5X7), encoding="utf-8")
         argv = [arg.format(doc=doc) for arg in argv] + ["-o", str(tmp_path / "out.json")]
         proc = _run_python(_NUMPY_PROBE, argv)
         assert proc.returncode == cli.EXIT_OK, proc.stderr
@@ -1064,7 +1119,7 @@ class TestNumpyOnlyForVerification:
                                              (["--no-verify"], cli.EXIT_OK)])
     def test_analyze_without_numpy(self, tmp_path, flags, code):
         doc = tmp_path / "in.json"
-        doc.write_text(json.dumps(_SPARSE_5X7))
+        doc.write_text(json.dumps(_SPARSE_5X7), encoding="utf-8")
         proc = _run_python(_WITHOUT_NUMPY, ["analyze", str(doc), *flags])
         assert (proc.returncode, proc.stderr) == (code, "")
         report = json.loads(proc.stdout)
@@ -1077,7 +1132,7 @@ class TestNumpyOnlyForVerification:
 
     def test_batch_without_numpy_goes_on(self, tmp_path):
         for name in ("a.json", "b.json"):
-            (tmp_path / name).write_text(json.dumps(_SPARSE_5X7))
+            (tmp_path / name).write_text(json.dumps(_SPARSE_5X7), encoding="utf-8")
         proc = _run_python(_WITHOUT_NUMPY, ["batch", str(tmp_path)])
         assert (proc.returncode, proc.stderr) == (cli.EXIT_VALIDATION, "")
         entries = json.loads(proc.stdout)["batch"]

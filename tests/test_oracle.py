@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import unit_generators
-from pcring import linalg, oracle
+from pcring import oracle
 from pcring import (
     AbelianGroup,
     CycloNum,
@@ -556,6 +557,29 @@ class TestRadicalCertificate:
         nils = [fake, PairElement(honest.s_part, honest.t_part * 3)]
         assert certify_radical(build_table(ring), nils) == (2, False)
 
+    def test_zero_nilpotent_takes_the_exact_path(self, exact_calls):
+        # 0 satisfies n[x] = 0 zeta^(-<x,b>) for every b but spans nothing:
+        # its head 0 must be refused.
+        ring = trace_ring(4)
+        table = build_table(ring)
+        nils = list(spectral_report(ring).nilpotents)
+        nils[1] = PairElement(nils[1].s_part, GroupRingElement.zero(ring.group))
+        assert certify_radical(table, nils) == (3, False)
+        assert exact_calls == [table]
+
+    @pytest.mark.parametrize("ring", [make_ring((2,), {(0,): 1, (1,): 1}), trace_ring(3)],
+                             ids=["Z2", "Z3"])
+    def test_rotation_that_is_no_entry_takes_the_exact_path(self, ring, exact_calls):
+        # The first nilpotent is replaced by the all-ones vector, whose value
+        # 1 comes first among the distinct values.  Its head rotates to
+        # zeta^k, which no entry holds, and must not match the entry 1.
+        table = build_table(ring)
+        nils = list(spectral_report(ring).nilpotents)
+        ones = GroupRingElement(ring.group, dict.fromkeys(ring.group.elements(), 1))
+        nils[0] = PairElement(nils[0].s_part, ones)
+        assert certify_radical(table, nils) == (len(nils), False)
+        assert exact_calls == [table]
+
     def test_simple_component_falls_back(self):
         ring = trace_ring(4)
         nils = list(spectral_report(ring).nilpotents)
@@ -563,27 +587,46 @@ class TestRadicalCertificate:
         assert certify_radical(build_table(ring), with_simple) == (3, False)
 
     def test_nilpotent_outside_the_kernel_in_a_later_block(self):
-        # 39 nilpotents make two blocks of eigenvector checks; the last one
-        # is replaced by P_0, which is no eigenvector: P_0[x] = 0 for x != 0.
+        # The last of 39 nilpotents is replaced by P_0, which is no
+        # eigenvector: P_0[x] = 0 for x != 0, where the rotations of its
+        # head 1, the one head that differs from the others, are roots of
+        # unity.
         ring = trace_ring(40)
         nils = list(spectral_report(ring).nilpotents)
         impostor = nils[:-1] + [ring.projective_class((0,))]
-        assert len(impostor) > linalg.BLOCK_ROWS
         assert certify_radical(build_table(ring), impostor) == (39, False)
 
-    def test_one_common_denominator_for_mixed_scales(self, monkeypatch):
-        # 39 nilpotents in two blocks: every odd one scaled by 1/3 and the
-        # fifth by 5, so the rows' own denominators differ and one integer D
-        # clears them all.
+    @pytest.mark.parametrize("scale, heads", [
+        (lambda i: 5 if i == 4 else Fraction(1, 3) if i % 2 else 1, 3),
+        (lambda i: Fraction(i + 1, 3), 39),
+    ], ids=["three scales", "one scale per nilpotent"])
+    def test_one_common_denominator_for_mixed_scales(self, monkeypatch, scale, heads):
+        # 39 nilpotents, the i-th scaled by scale(i), so the rows' own
+        # denominators differ and one integer D clears them all, and the
+        # certificate rotates one head n_j[0] per distinct scale.
         ring = trace_ring(40)
         nils = list(spectral_report(ring).nilpotents)
-        scales = [Fraction(1, 3) if i % 2 else 1 for i in range(len(nils))]
-        scales[4] = 5
-        scaled = [PairElement(n.s_part, n.t_part.map_coefficients(lambda v, k=k: v * k))
-                  for n, k in zip(nils, scales)]
+        scaled = [PairElement(n.s_part, n.t_part.map_coefficients(lambda v, k=scale(i): v * k))
+                  for i, n in enumerate(nils)]
+        assert len({n.coefficient_vector()[40] for n in scaled}) == heads
         table = build_table(ring)
         monkeypatch.setattr(StructureTable, "radical", lambda self: pytest.fail("exact path"))
         assert certify_radical(table, scaled) == (39, True)
+
+    def test_certificate_memory_at_uq_sl2_128(self):
+        # The nilpotents share one n_j[0], rotated once, and the histogram
+        # is s x N: no s x s x N array is formed.
+        ring = trace_ring(128)  # uq-sl2(128)
+        table = build_table(ring)
+        nils = list(spectral_report(ring).nilpotents)
+        tracemalloc.start()
+        try:
+            holds = oracle._decomposition_holds(table, nils)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert holds
+        assert peak < 4 * 2**20
 
     def test_requires_associative_table(self):
         ring = trace_ring(3)

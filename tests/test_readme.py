@@ -7,7 +7,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def library_block() -> str:
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     section = text[text.index("\n## Library\n"):]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 

@@ -36,25 +36,25 @@ def invocations(directory: Path) -> dict[str, list[str]]:
     calls = {f"uq-sl2-{n}": ["example", "uq-sl2", "--n", str(n), *FLAGS] for n in range(2, 13)}
     for instance in _pinned_instances():
         path = directory / f"{instance.name}.json"
-        path.write_text(json.dumps(_document(instance)))
+        path.write_text(json.dumps(_document(instance)), encoding="utf-8")
         calls[f"analyze-{instance.name}"] = ["analyze", str(path), *FLAGS]
     # r = s = 35: every character has an idempotent pair with 1/lambda
     # numerators of about 40 bits.
     sparse = directory / "sparse-5x7.json"
     sparse.write_text(json.dumps({"group": [5, 7], "c": [
         {"exp": [0, 0], "coeff": 3}, {"exp": [1, 2], "coeff": 2},
-        {"exp": [2, 6], "coeff": 1}, {"exp": [4, 3], "coeff": 1}]}))
+        {"exp": [2, 6], "coeff": 1}, {"exp": [4, 3], "coeff": 1}]}), encoding="utf-8")
     calls["analyze-sparse-5x7"] = ["analyze", str(sparse), *FLAGS]
     calls["dual-group-2,3"] = ["example", "dual-group", "--orders", "2,3"]
     semisimple = directory / "semisimple.json"
-    semisimple.write_text('{"group": [2], "c": [{"exp": [0], "coeff": 1}]}')
+    semisimple.write_text('{"group": [2], "c": [{"exp": [0], "coeff": 1}]}', encoding="utf-8")
     calls["validation-error"] = ["analyze", str(semisimple)]
     batch = directory / "batch"
     batch.mkdir()
     pinned = {instance.name: instance for instance in _pinned_instances()}
-    (batch / "a.json").write_text(json.dumps(_document(pinned["order-4-custom"])))
-    (batch / "b.json").write_text('{"group": [2], "c": [')
-    (batch / "c.json").write_text(json.dumps(_document(pinned["rank2-5x5"])))
+    (batch / "a.json").write_text(json.dumps(_document(pinned["order-4-custom"])), encoding="utf-8")
+    (batch / "b.json").write_text('{"group": [2], "c": [', encoding="utf-8")
+    (batch / "c.json").write_text(json.dumps(_document(pinned["rank2-5x5"])), encoding="utf-8")
     calls["batch"] = ["batch", str(batch), *FLAGS]
     return calls
 

@@ -44,7 +44,7 @@ class TestBenchmarkNames:
             assert callable(getattr(owner, attr, None)), span
 
     def test_runner_names_resolve(self):
-        tree = ast.parse((PERFBENCH / "run.py").read_text())
+        tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
         # The in-process pass reads pcring.cli as `cli`; the CLI command is a
         # program text that imports from pcring.cli.
         cli_names = {node.attr for node in ast.walk(tree)
@@ -91,7 +91,7 @@ class TestImports:
 
     @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
     def test_no_unused_imports(self, path):
-        assert unused_imports(path.read_text()) == []
+        assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def references(source: str, name: str) -> bool:
@@ -113,4 +113,9 @@ class TestExactProducts:
     def test_only_linalg_picks_a_product_dtype(self, path):
         # Every integer product goes through linalg.exact_matmul, which
         # alone chooses its tier.
-        assert not references(path.read_text(), "exact_dtype")
+        assert not references(path.read_text(encoding="utf-8"), "exact_dtype")
+
+    @pytest.mark.parametrize("path", NOT_LINALG, ids=[p.name for p in NOT_LINALG])
+    def test_only_linalg_bounds_an_integer_tier(self, path):
+        # Bounds on integer magnitudes pick a tier; only linalg takes them.
+        assert not references(path.read_text(encoding="utf-8"), "max_abs")
