@@ -55,11 +55,11 @@ EXIT_VERIFICATION = 2
 
 # The oracle keeps a dense (2s)^3 table of structure constants, int8 for
 # multiplicities below 128: 134 MB at s = 256, eight times that at s = 512.
-# The verified checks grow with it: every product of table entries casts the
-# table 32 rows at a time, and matches_pair_ring compares 4 s^2 pair-ring
-# products with its rows. Verified uq-sl2(256) takes about 8-9 s at about
-# 215 MB on a 2-vCPU host, so analysis is meant for desk-scale groups; refuse
-# anything larger up front.
+# The verified checks grow with it: every product of table entries reads and
+# casts only the table rows it multiplies, 32 at a time, and
+# matches_pair_ring compares 4 s^2 pair-ring products with its rows. Verified
+# uq-sl2(256) takes about 6-7 s at about 202 MB on a 2-vCPU host, so analysis
+# is meant for desk-scale groups; refuse anything larger up front.
 MAX_GROUP_SIZE = 256
 
 

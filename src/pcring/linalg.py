@@ -8,10 +8,10 @@ a pivot is any nonzero entry.
 ``distinct_numerators`` reads each distinct entry of a cyclotomic matrix
 once, as integer power-basis numerators over one common denominator, so
 that a certificate compares integers.  ``exact_matmul`` is the one product
-of integer arrays: it multiplies them exactly in the narrowest tier
-``exact_dtype`` proves exact (float32 BLAS when every partial sum is an
+of 2-D integer arrays, exact in the narrowest tier ``exact_dtype`` proves
+for the entries multiplied (float32 BLAS when every partial sum is an
 integer below 2**24, float64 BLAS below 2**53, Python integers otherwise),
-and casts them ``BLOCK_ROWS`` inner indices at a time, never whole.
+read and cast ``BLOCK_ROWS`` inner indices at a time, never whole.
 
 This module and ``oracle`` are the only ones that import numpy; the
 analysis itself runs on Python integers.
@@ -117,16 +117,14 @@ def distinct_numerators(rows: Sequence[Sequence[object]],
     distinct entries' power-basis numerators over one common denominator
     D > 0 (``common_numerators``), and index an (m, n) array of each entry's
     row in nums, so D times entry (i, j) is sum_k nums[index[i, j], k] zeta^k.
-    Scaling every entry by D keeps every linear relation among them.  int64
-    when every numerator fits, Python integers otherwise.
+    Scaling every entry by D keeps every linear relation among them.  nums
+    holds Python integers (object dtype).
     """
     slots: dict[object, int] = {}
     positions = [[slots.setdefault(entry, len(slots)) for entry in row] for row in rows]
     nums, _ = common_numerators(list(slots), order)
-    top = max((abs(n) for row in nums for n in row), default=0)
-    dtype = np.int64 if top < 2**63 else object
     index = np.array(positions, dtype=np.intp).reshape(len(rows), len(rows[0]) if rows else 0)
-    return np.array(nums, dtype=dtype).reshape(-1, euler_phi(order)), index
+    return np.array(nums, dtype=object).reshape(-1, euler_phi(order)), index
 
 
 def max_abs(a: np.ndarray) -> int:
@@ -154,21 +152,21 @@ def exact_dtype(inner: int, a_max: int, b_max: int) -> np.dtype:
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer product a @ b, for a and b of two or more dimensions, in
-    the ``exact_dtype`` of the operands: float32 or float64 BLAS, returned as
-    int64, or Python integers (object dtype).  (numpy's int64 matmul does not
-    use BLAS.)
+    """Exact integer product a @ b of 2-D arrays, in the ``exact_dtype`` of
+    the entries multiplied: float32 or float64 BLAS, returned as int64, or
+    Python integers (object dtype).  (numpy's int64 matmul does not use BLAS.)
 
-    Only the inner indices at which some entry of a is nonzero are read,
-    ``BLOCK_ROWS`` at a time: each block of a's columns and b's rows is cast
-    on its own and its product added, so no operand is cast whole.  Every
-    partial sum stays within the bound ``exact_dtype`` checks.
+    Only the inner indices where some entry of a is nonzero are read, so the
+    bound covers a, the rows of b at those indices and their count.  b is
+    read ``BLOCK_ROWS`` rows at a time, for the bound and for the product,
+    whose blocks are cast on their own and added, so no operand is cast
+    whole.
     """
-    dtype = exact_dtype(a.shape[-1], max_abs(a), max_abs(b))
-    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
-    product = np.zeros(shape, dtype=dtype)
-    support = np.flatnonzero(a.any(axis=tuple(range(a.ndim - 1))))
-    for i in range(0, len(support), BLOCK_ROWS):
-        block = support[i:i + BLOCK_ROWS]
-        product += a[..., block].astype(dtype) @ b[..., block, :].astype(dtype)
+    read = np.flatnonzero(a.any(axis=0))
+    blocks = [read[i:i + BLOCK_ROWS] for i in range(0, len(read), BLOCK_ROWS)]
+    b_max = max((max_abs(b[block]) for block in blocks), default=0)
+    dtype = exact_dtype(len(read), max_abs(a), b_max)
+    product = np.zeros((a.shape[0], b.shape[1]), dtype=dtype)
+    for block in blocks:
+        product += a[:, block].astype(dtype) @ b[block].astype(dtype)
     return product if dtype == object else product.astype(np.int64)

@@ -42,17 +42,19 @@ The table stores its constants in the smallest signed integer dtype that
 holds the largest multiplicity (int8 for every c_u below 128: 134 MB at the
 size bound s = 256), and in Python integers (object dtype) from 2**63 on.
 Every product of table entries, in Light's test, the trace form and the
-certificate's transform, is one ``linalg.exact_matmul``, which picks the
-exact tier (float32, float64 or Python integers) and casts its operands a
-block at a time, never whole.  Light's test takes its generating set and
-its rows from the orbits of those S_(e_i) that the table shows to permute
-the basis and to lie in the left nucleus, (g x) y = g (x y).  Such a g maps
-each associator row f_a(x, .) = (x a) . - x (a .) to
-f_a(g x, .) = g f_a(x, .), so one row x per orbit suffices, and the
-qualifying S_(e_i) with one element of each orbit that holds none of them
-generate.  For every table ``build_table`` makes that is the generators
-S_(e_i) and P_0 and the rows S_0 and P_0, at 2 (2s)^3 multiply-adds per
-generator and row, where all 2s rows cost 2 (2s)^4 per generator.
+certificate's transform, is one 2-D ``linalg.exact_matmul``, which picks the
+exact tier (float32, float64 or Python integers) from the entries it
+multiplies alone and casts them a block at a time, never whole.  Light's
+test checks one (generator, row) pair per two products, with its
+generating set and rows from the orbits of those S_(e_i) that the table
+shows to permute the basis and to lie in the left nucleus,
+(g x) y = g (x y).  Such a g maps each associator row
+f_a(x, .) = (x a) . - x (a .) to f_a(g x, .) = g f_a(x, .), so one row x
+per orbit suffices, and the qualifying S_(e_i) with one element of each
+orbit that holds none of them generate.  For every table ``build_table``
+makes that is the generators S_(e_i) and P_0 and the rows S_0 and P_0, at
+2 (2s)^3 multiply-adds per generator and row, where all 2s rows cost
+2 (2s)^4 per generator.
 
 This module and ``linalg`` are the only ones that import numpy.  The
 package imports them on first access, and the CLI only when it verifies, so
@@ -85,11 +87,6 @@ __all__ = [
 # Signed integer dtypes a table may use, narrowest first; object past int64.
 _TABLE_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
-# (generator, row) pairs per product in Light's test: a quarter of
-# ``linalg.BLOCK_ROWS``, since each product returns (2s)^2 int64 per pair,
-# so 8 pairs take 16.8 MB at s = 256 and 32 would take 67 MB.
-_LIGHT_PAIRS = linalg.BLOCK_ROWS // 4
-
 
 class StructureTable:
     """Dense integer structure constants c_ijk with e_i * e_j = sum_k c_ijk e_k."""
@@ -113,17 +110,13 @@ class StructureTable:
         When no S_(e_i) qualifies, G and the rows are both the whole basis:
         that is the check over all 8 s^3 basis triples.
 
-        The products are exact (``linalg.exact_matmul``), ``_LIGHT_PAIRS``
-        pairs at a time.  The result is cached; constants are treated as
-        frozen once any check has run.
+        The products are exact (``linalg.exact_matmul``), one (a, x) pair
+        at a time.  The result is cached; constants are treated as frozen
+        once any check has run.
         """
         if self._associative is None:
             gens, rows = self._light_sets()
-            pairs = [(a, x) for a in gens for x in rows]
-            self._associative = all(
-                self._associates(pairs[i:i + _LIGHT_PAIRS])
-                for i in range(0, len(pairs), _LIGHT_PAIRS)
-            )
+            self._associative = all(self._associates(a, x) for a in gens for x in rows)
         return self._associative
 
     def _light_sets(self) -> tuple[list[int], list[int]]:
@@ -166,19 +159,17 @@ class StructureTable:
                 gens.append(x)
         return sorted(gens), rows
 
-    def _associates(self, pairs: list[tuple[int, int]]) -> bool:
-        """(x a) y == x (a y) for every (a, x) in ``pairs`` and basis y.
+    def _associates(self, a: int, x: int) -> bool:
+        """(x a) y == x (a y) for every basis y.
 
-        x (a y) = c[a] @ c[x] per pair, (y, m) times (m, l).  (x a) y is the
-        stack of rows c[x, a, :] times c viewed as m -> (y, l), which reads
-        only the table rows m where some c[x, a, m] is nonzero.
+        x (a y) = c[a] @ c[x], (y, m) times (m, l).  (x a) y is the row
+        c[x, a, :] times c viewed as m -> (y, l), which reads only the table
+        rows m where c[x, a, m] is nonzero.
         """
         d = self.dim
         c = self.constants
-        gens, rows = (list(v) for v in zip(*pairs))
-        right = linalg.exact_matmul(c[gens], c[rows]).reshape(len(pairs), d * d)
-        left = linalg.exact_matmul(c[rows, gens, :], c.reshape(d, d * d))
-        return np.array_equal(left, right)
+        left = linalg.exact_matmul(c[x, a][None], c.reshape(d, d * d))
+        return np.array_equal(left.reshape(d, d), linalg.exact_matmul(c[a], c[x]))
 
     def _nucleus_permutation(self, g: int) -> np.ndarray | None:
         """pi with g e_u = e_pi(u), when c[g] is a permutation matrix with
@@ -205,12 +196,13 @@ class StructureTable:
         sum_k c_ijk t_k, with t_k the trace of left multiplication by e_k.
 
         Both are ``linalg.exact_matmul`` products: t from the diagonals, T
-        from the table and t.  int64 on the float tiers, Python integers
-        otherwise.
+        from the table viewed as (i, j) -> k and t.  int64 on the float
+        tiers, Python integers otherwise.
         """
+        d = self.dim
         c = self.constants
-        traces = linalg.exact_matmul(c.diagonal(axis1=1, axis2=2), np.ones((self.dim, 1), np.int8))
-        return linalg.exact_matmul(c, traces)[..., 0]
+        traces = linalg.exact_matmul(c.diagonal(axis1=1, axis2=2), np.ones((d, 1), np.int8))
+        return linalg.exact_matmul(c.reshape(d * d, d), traces).reshape(d, d)
 
     def radical(self) -> tuple[tuple[Fraction, ...], ...]:
         """A basis of the exact rational kernel of the trace form, one vector

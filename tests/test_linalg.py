@@ -196,7 +196,7 @@ class TestDistinctNumerators:
             [1, 2, 3, 4, 5, 6],
         ]
         nums, index = distinct_numerators(rows, 12)
-        assert nums.dtype == np.int64
+        assert nums.dtype == object
         expected, common = common_numerators([v for row in rows for v in row], 12)
         assert common == 42
         assert nums[index].reshape(-1, 4).tolist() == expected
@@ -231,52 +231,51 @@ def _array(shape, top, rng):
 
 @st.composite
 def _products(draw):
-    """Integer operands of exact_matmul: 2-D, batched, broadcast against a
-    2-D b, or (n, n, n) times (n, 1); some inner columns of a zeroed, up to
-    all of them."""
+    """2-D integer operands of exact_matmul, (n, k) times (k, m) with up to
+    9 rows (as many as the (n^2, n) view of an (n, n, n) table for n = 3),
+    some inner columns of a zeroed, up to all of them."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    n, m, g = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    k = draw(st.integers(1, 70))
-    a_shape, b_shape = draw(st.sampled_from([
-        ((n, k), (k, m)), ((g, n, k), (g, k, m)), ((g, n, k), (k, m)), ((n, n, n), (n, 1))]))
-    a = _array(a_shape, draw(st.sampled_from(_MAGNITUDES)), rng)
-    b = _array(b_shape, draw(st.sampled_from(_MAGNITUDES)), rng)
-    # Zeroed inner columns, chosen apart for each matrix of a batch.
-    mask = a.shape[:-2] + (1, a.shape[-1])
-    size = int(np.prod(mask))
-    zeroed = draw(st.lists(st.booleans(), min_size=size, max_size=size))
-    a[np.broadcast_to(np.array(zeroed).reshape(mask), a.shape)] = 0
+    n, m, k = draw(st.integers(1, 9)), draw(st.integers(1, 3)), draw(st.integers(1, 70))
+    a = _array((n, k), draw(st.sampled_from(_MAGNITUDES)), rng)
+    b = _array((k, m), draw(st.sampled_from(_MAGNITUDES)), rng)
+    a[:, np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))] = 0
     return a, b
 
 
 def python_matmul(a: np.ndarray, b: np.ndarray) -> list:
-    """a @ b on Python integers, with the batch axes broadcast."""
-    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    a = np.broadcast_to(a, batch + a.shape[-2:])
-    b = np.broadcast_to(b, batch + b.shape[-2:])
-    out = np.empty(batch, dtype=object)
-    for i in np.ndindex(batch):
-        rows, cols = a[i].tolist(), b[i].T.tolist()
-        out[i] = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows]
-    return out.tolist()
+    """a @ b on Python integers."""
+    cols = b.T.tolist()
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.tolist()]
 
 
 class TestExactMatmul:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(_products())
-    # Inner columns that only a[1] of a batched a reaches.
-    @example((np.array([[[0, 0]], [[1, 2]]]), np.array([[3], [4]])))
-    # A zero a in each tier: only max|b| then decides it.
+    # A zero a over b in each tier: no row of b is read.
     @example((np.zeros((2, 40), np.int8), np.full((40, 3), 100, np.int8)))
-    @example((np.zeros((2, 2, 3), np.int64), np.full((3, 2), 2**40, np.int64)))
-    @example((np.zeros((3, 3, 3), object), np.full((3, 1), 2**70, object)))
+    @example((np.zeros((4, 3), np.int64), np.full((3, 2), 2**40, np.int64)))
+    @example((np.zeros((9, 3), object), np.full((3, 1), 2**70, object)))
+    # 40 read indices, past one block of 32.  Counted as 32, the first would
+    # take float32, which rounds its odd sum, and the second float64, where
+    # 40 indices need Python integers.
+    @example((np.ones((1, 40), np.int8), np.array([[2**19 - 1]] * 39 + [[2**19 - 2]])))
+    @example((np.ones((1, 40), np.int8), np.full((40, 1), 2**48 - 1, np.int64)))
+    # b's largest entry in the last of two blocks of read rows.
+    @example((np.ones((1, 40), np.int8), np.array([[1]] * 39 + [[2**70]])))
     def test_equals_the_python_integer_product(self, operands):
+        # The tier is bounded over a and the rows of b that a reads.
         a, b = operands
         out = exact_matmul(a, b)
-        tops = [int(np.abs(x).max()) if x.size else 0 for x in (a, b)]
-        tier = max(*tops, a.shape[-1] * tops[0] * tops[1])
+        read = np.flatnonzero(a.any(axis=0))
+        tops = [int(np.abs(x).max()) if x.size else 0 for x in (a, b[read])]
+        tier = max(*tops, len(read) * tops[0] * tops[1])
         assert out.dtype == (object if tier >= 2**53 else np.int64)
         assert out.tolist() == python_matmul(a, b)
+
+    def test_unread_rows_do_not_widen_the_tier(self):
+        # a never reaches b's second row, so its 2**70 picks no tier.
+        out = exact_matmul(np.array([[1, 0]]), np.array([[1], [2**70]]))
+        assert out.dtype == np.int64 and out.tolist() == [[1]]
 
     def test_casts_a_block_at_a_time(self):
         # Cast whole, b alone is 64 MiB of float32.

@@ -266,8 +266,9 @@ class TestLightAssociativity:
         assert table.is_associative() == brute_force_associative(constants) is False
 
     def test_perturbation_in_the_last_row_block(self):
-        # d = 40: Light's test runs over one block of 32 rows x and a last
-        # block of 8, and the broken constant sits in row x = d - 1.
+        # d = 40: each product reads its inner indices in one block of 32
+        # and a last block of 8, and the broken constant sits in row
+        # x = d - 1.
         ring = make_ring((4, 5), {(0, 0): 1, (1, 2): 2, (3, 4): 1})
         table = build_table(ring)
         assert table.dim == 40 and table.constants.dtype == np.int8
@@ -294,7 +295,7 @@ class TestLightAssociativity:
         # (e_(d-1) e_(d-1)) e_2 = e_3 but e_(d-1) (e_(d-1) e_2) = 0, and no
         # other triple fails.  No S_(e_i) qualifies, so Light's test takes
         # all 36 pairs (a, x), and the one failing pair, a = x = d - 1, is
-        # the last, in a partial last block.
+        # the last it checks.
         group = AbelianGroup((3,))
         d = 2 * group.size
         constants = np.zeros((d, d, d), dtype=np.int8)
@@ -410,6 +411,22 @@ class TestLightAssociativity:
         constants[7, 8, 9] += 1
         broken = StructureTable(ring.group, constants)
         assert broken.is_associative() == brute_force_associative(constants) is False
+
+    def test_memory_with_seven_generators(self):
+        # Z2^6 (d = 128): six S_(e_i) and P_0, each checked against rows S_0
+        # and P_0 one pair per product, whose left side reads only the
+        # table rows that row x a reaches.
+        ring = make_ring((2,) * 6, {(0,) * 6: 1, (1, 0, 0, 0, 0, 0): 1, (0, 1, 1, 0, 0, 1): 2})
+        table = build_table(ring)
+        assert len(table._light_sets()[0]) == 7
+        tracemalloc.start()
+        try:
+            associative = table.is_associative()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert associative
+        assert peak < 1.5 * 2**20
 
     def test_object_constants_with_huge_multiplicity(self):
         ring = make_ring((4,), {(0,): 2**63, (2,): 1})
