@@ -6,9 +6,9 @@ derive the block decomposition C^(2r) x C[eps]^(s-r) with explicit
 idempotents and a nilradical basis, and cross-check everything against an
 independent structure-constants table.
 
-Only that cross-check needs numpy.  ``oracle``, ``linalg`` and the oracle's
-public names are imported on first access, so an analysis without it never
-loads numpy.
+Only that cross-check needs numpy.  ``oracle``, ``linalg`` and the names in
+``__all__`` not imported here, which come from ``oracle``, load on first
+access, so an analysis without the cross-check never loads numpy.
 """
 
 import importlib
@@ -56,18 +56,10 @@ __all__ = [
     "uq_sl2",
 ]
 
-_ORACLE_NAMES = frozenset({
-    "StructureTable",
-    "build_table",
-    "certify_radical",
-    "matches_pair_ring",
-    "radical_matches_spectral",
-})
-
 
 def __getattr__(name: str):
     if name in ("oracle", "linalg"):
         return importlib.import_module(f"{__name__}.{name}")
-    if name in _ORACLE_NAMES:
+    if name in __all__:
         return getattr(importlib.import_module(f"{__name__}.oracle"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

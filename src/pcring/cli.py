@@ -178,14 +178,12 @@ def run(request: AnalysisRequest) -> tuple[dict, int]:
         )
     )
 
-    failures = []
+    ok = True
     if inst.expected_support_size is not None:
         r = inst.expected_support_size
         expected = {"r": r, "decomposition": spectral.render_decomposition(r, inst.group.size)}
-        match = report_data.support_size == r
-        doc["golden"] = {"expected": expected, "match": match}
-        if not match:
-            failures.append("golden mismatch")
+        ok = report_data.support_size == r
+        doc["golden"] = {"expected": expected, "match": ok}
 
     if request.verify:
         # The oracle is the only part that needs numpy; unverified calls
@@ -196,11 +194,10 @@ def run(request: AnalysisRequest) -> tuple[dict, int]:
             raise ValueError(f"verification needs numpy ({exc}); "
                              "pass --no-verify to skip it") from exc
 
-        doc["oracle"], ok = oracle.verify(report_data)
-        if not ok:
-            failures.append("oracle verification failed")
+        doc["oracle"], verified = oracle.verify(report_data)
+        ok = ok and verified
 
-    return doc, (EXIT_VERIFICATION if failures else EXIT_OK)
+    return doc, (EXIT_OK if ok else EXIT_VERIFICATION)
 
 
 def _instance_json(inst: InstanceDescriptor) -> dict:

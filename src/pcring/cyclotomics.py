@@ -254,20 +254,17 @@ class CycloNum:
             num = other.numerator
             nums = [n * num for n in self._nums]
             return CycloNum._raw(self._order, nums, self._den * other.denominator)
-        if not isinstance(other, CycloNum):
+        rhs = self._coerce(other)
+        if rhs is None:
             return NotImplemented
-        if other._order != self._order:
-            raise ValueError(
-                f"cyclotomic order mismatch: {self._order} vs {other._order}"
-            )
-        a, b = self._nums, other._nums
+        a, b = self._nums, rhs._nums
         conv = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        return CycloNum._raw(self._order, _fold(self._order, conv), self._den * other._den)
+        return CycloNum._raw(self._order, _fold(self._order, conv), self._den * rhs._den)
 
     __rmul__ = __mul__
 

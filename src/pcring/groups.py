@@ -312,10 +312,7 @@ class GroupRingElement:
             return self.map_coefficients(lambda v: v * other)
         return NotImplemented
 
-    def __rmul__(self, other: object) -> "GroupRingElement":
-        if isinstance(other, (int, Fraction, CycloNum)):
-            return self.map_coefficients(lambda v: v * other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def map_coefficients(self, fn) -> "GroupRingElement":
         return GroupRingElement._adopt(

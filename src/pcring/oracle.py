@@ -11,7 +11,7 @@ with c_u the composition multiplicities of the canonical element.  The table
 is built by index arithmetic: element indices are mixed-radix numbers of the
 exponent tuples, computed here from ``elements()`` and ``orders`` and never
 read from the group ring's cached sum table, so a fault there cannot hide.
-Nothing here touches the pair-ring multiplication, and only the exact
+The table is built without the pair-ring multiplication, and only the exact
 fallback below does cyclotomic arithmetic, so agreement between the two is
 a genuine cross-check: each of the 4 s^2 basis products ``ring.mul(x, y)``
 is compared, by its nonzero coordinates, with the nonzero entries of table
@@ -34,9 +34,9 @@ nilpotents' span in it and the nilpotents' rank over Q(zeta_N)
 (``radical_matches_spectral``), which also serve as the reference the
 tests compare the certificate against.
 
-``verify`` runs the whole oracle step for one ``SpectralReport``: it
-returns the report's ``oracle`` block and whether that block confirms the
-report (every check passes and the radical has dimension s - r).
+``verify`` returns the ``oracle`` block of a ``SpectralReport`` and whether
+it confirms the report: every check passes, the radical has dimension
+s - r and the table's lambda equals ``fourier_c`` exactly.
 
 The table stores its constants in the smallest signed integer dtype that
 holds the largest multiplicity (int8 for every c_u below 128: 134 MB at the
@@ -70,7 +70,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .cyclotomics import CycloNum, cyclotomic_polynomial, euler_phi
+from .cyclotomics import CycloNum, common_numerators, cyclotomic_polynomial, euler_phi
 from .groups import AbelianGroup
 from .pair_ring import PairElement, ProjectiveClassRing
 
@@ -216,15 +216,16 @@ class StructureTable:
         return tuple(tuple(v) for v in linalg.kernel_basis(matrix))
 
 
-def _mixed_radix(group: AbelianGroup) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The cyclic factors of order above 1, with their orders and place
-    values as int64 arrays: the index of a in ``elements()`` is
+def _mixed_radix(group: AbelianGroup) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The cyclic factors of order above 1, and as int64 arrays their orders,
+    place values and the elements: the index of a in ``elements()`` is
     sum_k a[factors[k]] radix[k], the last factor varying fastest.  A factor
     of order 1 moves no index, so its column is left out."""
     factors = [i for i, n in enumerate(group.orders) if n > 1]
     orders = [group.orders[i] for i in factors]
     radix = [math.prod(orders[k + 1:]) for k in range(len(orders))]
-    return factors, np.array(orders, dtype=np.int64), np.array(radix, dtype=np.int64)
+    elements = np.array(group.elements(), dtype=np.int64)[:, factors]
+    return factors, np.array(orders, dtype=np.int64), np.array(radix, dtype=np.int64), elements
 
 
 def build_table(ring: ProjectiveClassRing) -> StructureTable:
@@ -235,8 +236,7 @@ def build_table(ring: ProjectiveClassRing) -> StructureTable:
     and object (Python integers) for a multiplicity of 2**63 or more.
     """
     group = ring.group
-    factors, orders, radix = _mixed_radix(group)
-    elements = np.array(group.elements(), dtype=np.int64)[:, factors]
+    factors, orders, radix, elements = _mixed_radix(group)
     s = len(elements)
     d = 2 * s
     # Index of a + b.
@@ -357,11 +357,11 @@ def _decomposition_holds(table: StructureTable, nilpotents: list[PairElement]) -
        S_(e_i) and S_0 and P_a = S_a P_0, so S_(e_i) and P_0 generate A.
        S_0 is then a right unit too: x S_0 = x holds for x = S_0, S_(e_i)
        and P_0 by these rows, and so for their products.
-    2. lambda(b) = sum_u c_u zeta^<u,b> for every b, from A's own row
-       P_0 P_0: each nonzero c_u is scattered into an s x N histogram of
-       Python integers at (b, <u,b>), and the histogram times the N x phi
-       table of x^k mod Phi_N gives lambda.  r counts the b with
-       lambda(b) != 0.
+    2. ``_transform``: lambda(b) = sum_u c_u zeta^<u,b> for every b, from
+       A's own row P_0 P_0: each nonzero c_u is scattered into an s x N
+       histogram of Python integers at (b, <u,b>), and the histogram times
+       the N x phi table of x^k mod Phi_N gives lambda.  r counts the b
+       with lambda(b) != 0.
     3. chi_b on simples and 0 on projectives, for every b, and chi_b on
        simples and lambda(b) chi_b on projectives, for every b with
        lambda(b) != 0, are s + r distinct linear maps A -> C.  By step 1
@@ -387,13 +387,11 @@ def _decomposition_holds(table: StructureTable, nilpotents: list[PairElement]) -
     step 4 compares row indices.  The rotations (``_rotations``) are in
     Python integers, so no bound is needed.
     """
-    group = table.group
-    s, order = group.size, group.conductor
+    s, order = table.group.size, table.group.conductor
     c = table.constants
-    factors, orders, radix = _mixed_radix(group)
-    elements = np.array(group.elements(), dtype=np.int64)[:, factors]
+    _, orders, radix, elements = _mixed_radix(table.group)
     eye = np.eye(table.dim, dtype=np.int8)
-    shifts = ((elements + unit) % orders @ radix for unit in np.eye(len(factors), dtype=np.int64))
+    shifts = ((elements + unit) % orders @ radix for unit in np.eye(len(orders), dtype=np.int64))
     if not (np.array_equal(c[0], eye)
             and all(np.array_equal(c[g], eye[np.concatenate([step, s + step])])
                     for g, step in zip(radix, shifts))
@@ -401,13 +399,7 @@ def _decomposition_holds(table: StructureTable, nilpotents: list[PairElement]) -
             and not c[s, s, :s].any()):
         return False
 
-    # <u, b> as in ``AbelianGroup.pairing_exponent``: symmetric in u and b.
-    pairing = (elements * (order // orders)) @ elements.T % order
-    hist = np.zeros((s, order), dtype=object)
-    terms = np.flatnonzero(c[s, s, s:])
-    np.add.at(hist, (np.arange(s), pairing[terms]), c[s, s, s + terms, None])
-    residues = np.array(_rotations([1] + [0] * (euler_phi(order) - 1), order), dtype=object)
-    values = linalg.exact_matmul(hist, residues)
+    pairing, values = _transform(table)
     vanishing = np.flatnonzero(~(values != 0).any(axis=1))
     m = len(nilpotents)
     if m != len(vanishing) or not all(n.s_part.is_zero() for n in nilpotents):
@@ -423,6 +415,22 @@ def _decomposition_holds(table: StructureTable, nilpotents: list[PairElement]) -
     # Without nilpotents there is nothing to compare (``index`` is then 0 x 0).
     return not m or (nums[heads].any(axis=1).all()
                      and np.array_equal(turned[head.reshape(-1, 1), powers], index))
+
+
+def _transform(table: StructureTable) -> tuple[np.ndarray, np.ndarray]:
+    """Step 2 of ``_decomposition_holds``: the s x s pairing <x, b>, and
+    lambda from the table's row P_0 P_0 as an s x phi array of integer
+    power-basis numerators."""
+    s, order = table.group.size, table.group.conductor
+    _, orders, _, elements = _mixed_radix(table.group)
+    # <u, b> as in ``AbelianGroup.pairing_exponent``: symmetric in u and b.
+    pairing = (elements * (order // orders)) @ elements.T % order
+    row = table.constants[s, s, s:]
+    hist = np.zeros((s, order), dtype=object)
+    terms = np.flatnonzero(row)
+    np.add.at(hist, (np.arange(s), pairing[terms]), row[terms, None])
+    residues = np.array(_rotations([1] + [0] * (euler_phi(order) - 1), order), dtype=object)
+    return pairing, linalg.exact_matmul(hist, residues)
 
 
 def _rotations(row: list[int], order: int) -> list[tuple[int, ...]]:
@@ -441,9 +449,10 @@ def _rotations(row: list[int], order: int) -> list[tuple[int, ...]]:
 
 def verify(report) -> tuple[dict, bool]:
     """The ``oracle`` block for a ``SpectralReport`` and whether it confirms
-    the report: every check passes and the radical dimension is s - r.  The
-    table is built from ``report.ring``.  A non-associative table gets
-    radical dimension -1."""
+    the report: every check passes, the radical dimension is s - r and the
+    table's lambda equals ``report.values`` exactly, which certifies
+    ``fourier_c``, the support and r.  The table is built from
+    ``report.ring``.  A non-associative table gets radical dimension -1."""
     ring = report.ring
     table = build_table(ring)
     associative = table.is_associative()
@@ -458,6 +467,8 @@ def verify(report) -> tuple[dict, bool]:
         "radical_dim": radical_dim,
         "radical_matches_spectral": spans_match,
     }
+    nums, den = common_numerators(report.values, report.group.conductor)
     ok = (associative and matches and spans_match
-          and radical_dim == report.group.size - report.support_size)
+          and radical_dim == report.group.size - report.support_size
+          and [[v * den for v in row] for row in _transform(table)[1].tolist()] == nums)
     return block, ok

@@ -502,20 +502,27 @@ class TestGeneratedRelations:
 
 @st.composite
 def _faulty(draw, report: spectral.SpectralReport) -> spectral.SpectralReport:
-    """``report`` with one fault: a nonzero transform value set to 0, a zero
-    one set to a root of unity, or one nilpotent dropped, replaced by a copy
-    of another, replaced by P_0 or with two entries swapped (``_swaps``).
-    The ring stays as it is."""
+    """``report`` with one fault: a nonzero transform value set to 0 or
+    scaled by 2, two unequal nonzero values swapped, a zero value set to a
+    root of unity, or one nilpotent dropped, replaced by a copy of another,
+    replaced by P_0 or with two entries swapped (``_swaps``).  The ring
+    stays as it is."""
     values = list(report.values)
     nonzero = [b for b, v in enumerate(values) if v]
     vanishing = [b for b, v in enumerate(values) if not v]
     nils = list(report.nilpotents)
     order = report.group.conductor
-    kind = draw(st.sampled_from(["zeroed", "root of unity", "dropped", "duplicated", "P_0",
-                                 "swapped"]))
-    assume(kind == "zeroed" or len(nils) >= 1 + (kind == "duplicated"))
-    if kind == "zeroed":
-        values[draw(st.sampled_from(nonzero))] = CycloNum.zero(order)
+    unequal = [(a, b) for a, b in itertools.combinations(nonzero, 2) if values[a] != values[b]]
+    # Only the kinds that this report admits are drawn.
+    kind = draw(st.sampled_from(["zeroed", "scaled"] + ["swapped values"] * bool(unequal)
+                                + ["root of unity", "dropped", "P_0", "swapped"] * bool(nils)
+                                + ["duplicated"] * (len(nils) > 1)))
+    if kind in ("zeroed", "scaled"):
+        b = draw(st.sampled_from(nonzero))
+        values[b] = CycloNum.zero(order) if kind == "zeroed" else 2 * values[b]
+    elif kind == "swapped values":
+        a, b = draw(st.sampled_from(unequal))
+        values[a], values[b] = values[b], values[a]
     elif kind == "root of unity":
         k = draw(st.integers(0, order - 1))
         values[draw(st.sampled_from(vanishing))] = root_of_unity(order, k)
@@ -558,8 +565,12 @@ def _swap(nilpotent: PairElement, x: int, y: int) -> PairElement:
 def _assert_exits_two(request: AnalysisRequest, faulty: spectral.SpectralReport) -> None:
     """Verifying ``faulty`` in place of the report of ``request`` exits 2,
     whether the certificate or the exact path decides, and changes only the
-    oracle block."""
+    oracle block.  A fault in the values alone, which leaves the support and
+    the nilpotents as they are, leaves the block as it is too: the verdict
+    comes from comparing the values with the table's transform."""
     honest, _ = run(request)
+    report = spectral_report(request.instance.ring)
+    values_only = faulty.support == report.support and faulty.nilpotents == report.nilpotents
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "spectral_report", lambda ring: faulty)
         unverified, code = run(replace(request, verify=False))
@@ -573,8 +584,11 @@ def _assert_exits_two(request: AnalysisRequest, faulty: spectral.SpectralReport)
             block = doc["oracle"]
             assert list(block) == list(honest["oracle"])
             assert block["associative"] is block["matches_pair_ring"] is True
-            assert (block["radical_matches_spectral"] is False
-                    or block["radical_dim"] != doc["s"] - doc["r"])
+            if values_only:
+                assert block == honest["oracle"]
+            else:
+                assert (block["radical_matches_spectral"] is False
+                        or block["radical_dim"] != doc["s"] - doc["r"])
             assert {k: v for k, v in doc.items() if k != "oracle"} == unverified
 
 
@@ -587,8 +601,9 @@ def _zero_first_value(ring: ProjectiveClassRing) -> spectral.SpectralReport:
 class TestGeneratedFaults:
     """A report with one fault exits 2, whichever path of the oracle decides."""
 
-    # 40 examples draw every kind of fault at least twice.  Few documents
-    # admit a swap, so fixed ones are tested below as well.
+    # 40 examples draw every kind of fault but a nilpotent's swapped entries
+    # at least three times.  Few documents admit that swap, so fixed ones are
+    # tested below, and so are two fixed scaled values.
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(_documents(), st.data())
     def test_report_fault_exits_two(self, documents, data):
@@ -608,6 +623,20 @@ class TestGeneratedFaults:
         faulty = spectral.SpectralReport(report.ring, report.values)
         vars(faulty)["nilpotents"] = tuple(nils)
         _assert_exits_two(request, faulty)
+
+    @pytest.mark.parametrize("document, b, scale", [
+        ({"group": [5], "c": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 2}]}, 1, 2),
+        ({"group": [6], "c": [{"exp": [0], "coeff": 1}, {"exp": [2], "coeff": 1},
+                              {"exp": [4], "coeff": 1}]}, 3, 3),
+    ], ids=["Z5 doubled", "Z6 tripled"])
+    def test_scaled_value_exits_two(self, document, b, scale):
+        # The support, the nilpotents and every check of the block stay as
+        # they are; only the transform of the table tells the value apart.
+        request = parse_input(json.dumps(document))
+        report = spectral_report(request.instance.ring)
+        values = list(report.values)
+        values[b] = scale * values[b]
+        _assert_exits_two(request, spectral.SpectralReport(report.ring, tuple(values)))
 
     @settings(derandomize=True, deadline=None, max_examples=8)
     @given(st.lists(_documents().map(lambda d: json.dumps(d[0])), min_size=1, max_size=3),

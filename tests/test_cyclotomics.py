@@ -102,6 +102,8 @@ class TestFieldOperations:
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError, match="order mismatch"):
             root_of_unity(3, 1) + root_of_unity(4, 1)
+        with pytest.raises(ValueError, match="order mismatch"):
+            root_of_unity(3, 1) * root_of_unity(4, 1)
 
     def test_rational_coercion(self):
         z = root_of_unity(8, 1)

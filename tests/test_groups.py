@@ -88,6 +88,14 @@ class TestGroupRing:
         assert x * one == x
         assert one * x == x
 
+    @pytest.mark.parametrize("k", [3, Fraction(-2, 5), root_of_unity(4, 1) + 2],
+                             ids=["int", "Fraction", "CycloNum"])
+    def test_scalar_multiple_on_either_side(self, k):
+        g = AbelianGroup((4,))
+        x = GroupRingElement(g, {(0,): 3, (2,): -1, (3,): root_of_unity(4, 3)})
+        assert k * x == x * k
+        assert (k * x).coefficient((3,)) == root_of_unity(4, 3) * k
+
     def test_square_in_order_two(self):
         g = AbelianGroup((2,))
         x = GroupRingElement(g, {(0,): 1, (1,): 1})

@@ -1,9 +1,10 @@
 """Checks on the source tree: the pcring names the benchmark reaches into,
-imports that no code in ``src/pcring`` uses, and the one module that picks
-a product's dtype."""
+imports that no code in ``src/pcring`` uses, the one module that picks a
+product's dtype, and the snippets of the seeded faults."""
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -119,3 +120,20 @@ class TestExactProducts:
     def test_only_linalg_bounds_an_integer_tier(self, path):
         # Bounds on integer magnitudes pick a tier; only linalg takes them.
         assert not references(path.read_text(encoding="utf-8"), "max_abs")
+
+
+SEEDED_FAULTS = json.loads((ROOT / ".github" / "scripts" / "seeded_faults.json")
+                           .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("fault", SEEDED_FAULTS, ids=[f["fault"] for f in SEEDED_FAULTS])
+def test_seeded_fault_applies_to_todays_source(fault):
+    # ``.github/scripts/seeded_faults.py`` replaces the snippet in a copy of
+    # src and tests and runs the named tests there; a change to the snippet
+    # updates its entry.
+    assert fault["file"].split("/")[0] in ("src", "tests")
+    assert (ROOT / fault["file"]).read_text(encoding="utf-8").count(fault["snippet"]) == 1
+    assert fault["replacement"] != fault["snippet"]
+    for test in fault["tests"]:
+        path, *names = test.split("::")
+        assert names and f"def {names[-1]}(" in (ROOT / path).read_text(encoding="utf-8"), test
