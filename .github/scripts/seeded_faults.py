@@ -9,7 +9,8 @@ pass every named test first.  Then, for each fault, ``src`` and ``tests``
 are copied to a new temporary directory, the one replacement is applied,
 and only the fault's tests run there: the fault is caught when at least
 one of them fails (pytest exit 1).  Any other outcome, a snippet that is
-not found once or a pytest error, fails the run as well.  Hypothesis runs
+not found once, a pytest error or a run past ``TIMEOUT`` seconds (a fault
+that loops forever), fails the run as well.  Hypothesis runs
 without its shrink and explain phases, which only simplify a failing
 example once it is found and can take minutes.
 
@@ -29,6 +30,8 @@ from pathlib import Path
 
 ROOT = Path.cwd()
 FAULTS = Path(__file__).resolve().with_name("seeded_faults.json")
+# Seconds for one pytest run; each fault takes a few seconds.
+TIMEOUT = 300
 
 # A pytest plugin, written into each copy, that stops Hypothesis at the
 # first failing example.
@@ -38,13 +41,17 @@ PLUGIN = ("from hypothesis import Phase, settings\n"
           "settings.load_profile('seeded_faults')\n")
 
 
-def run_tests(tree: Path, ids: list[str]) -> int:
-    """pytest's exit code for ``ids`` in the copy at ``tree``."""
+def run_tests(tree: Path, ids: list[str]) -> int | None:
+    """pytest's exit code for ``ids`` in the copy at ``tree``, or None when
+    it runs past ``TIMEOUT`` seconds and is killed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                "-p", "seeded_faults_plugin", *ids]
-    return subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def copy_tree(fault: dict | None = None):
@@ -74,7 +81,8 @@ def main() -> int:
     start = time.perf_counter()
     with copy_tree() as tree:
         code = run_tests(Path(tree), named)
-    print(f"unpatched: {len(named)} tests, pytest exit {code} "
+    print(f"unpatched: {len(named)} tests, "
+          f"{'timed out' if code is None else f'pytest exit {code}'} "
           f"({time.perf_counter() - start:.1f} s)")
     failed = code != 0
     for fault in faults:
@@ -86,7 +94,8 @@ def main() -> int:
             print(f"error: {exc}")
             failed = True
             continue
-        verdict = "caught" if code == 1 else f"NOT CAUGHT (pytest exit {code})"
+        verdict = ("caught" if code == 1 else "NOT CAUGHT (timed out)" if code is None
+                   else f"NOT CAUGHT (pytest exit {code})")
         print(f"{verdict}: {fault['fault']} ({time.perf_counter() - start:.1f} s)")
         failed |= code != 1
     return 1 if failed else 0

@@ -9,8 +9,9 @@ the 2s basis classes (s simples followed by s projective covers):
 
 with c_u the composition multiplicities of the canonical element.  The table
 is built by index arithmetic: element indices are mixed-radix numbers of the
-exponent tuples, computed here from ``elements()`` and ``orders`` and never
-read from the group ring's cached sum table, so a fault there cannot hide.
+exponent tuples, which ``StructureTable`` computes once from ``elements()``
+and ``orders`` and never reads from the group's cached sum table, so a fault
+there cannot hide.
 The table is built without the pair-ring multiplication, and only the exact
 fallback below does cyclotomic arithmetic, so agreement between the two is
 a genuine cross-check: each of the 4 s^2 basis products ``ring.mul(x, y)``
@@ -89,7 +90,18 @@ _TABLE_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
 class StructureTable:
-    """Dense integer structure constants c_ijk with e_i * e_j = sum_k c_ijk e_k."""
+    """Dense integer structure constants c_ijk with e_i * e_j = sum_k c_ijk e_k.
+
+    The group's index arithmetic is computed once, at construction, as int64
+    arrays: ``units``, the place value of each cyclic factor of order above
+    1 (the index of its unit e_i: the index of a in ``elements()`` is
+    sum_i a_i units[i], the last factor varying fastest, and a factor of
+    order 1 moves no index); ``plus``, the s x s index of a + b; and
+    ``pairing``, the s x s exponent <a, b> of zeta_N, as in
+    ``AbelianGroup.pairing_exponent``.  ``is_associative`` and
+    ``transform`` (lambda) are each computed once, on first use; constants
+    are treated as frozen once any check has run.
+    """
 
     def __init__(self, group: AbelianGroup, constants: np.ndarray):
         dim = 2 * group.size
@@ -99,6 +111,13 @@ class StructureTable:
         self.constants = constants
         self.dim = dim
         self._associative: bool | None = None
+        self._lambda: np.ndarray | None = None
+        factors = [i for i, n in enumerate(group.orders) if n > 1]
+        orders = np.array(group.orders, dtype=np.int64)[factors]
+        self.units = np.array([math.prod(orders[k + 1:]) for k in range(len(factors))], np.int64)
+        elements = np.array(group.elements(), dtype=np.int64)[:, factors]
+        self.plus = (elements[:, None, :] + elements[None, :, :]) % orders @ self.units
+        self.pairing = (elements * (group.conductor // orders)) @ elements.T % group.conductor
 
     def is_associative(self) -> bool:
         """Light's associativity test: (x a) y == x (a y) for every basis y,
@@ -111,8 +130,7 @@ class StructureTable:
         that is the check over all 8 s^3 basis triples.
 
         The products are exact (``linalg.exact_matmul``), one (a, x) pair
-        at a time.  The result is cached; constants are treated as frozen
-        once any check has run.
+        at a time.  The result is cached.
         """
         if self._associative is None:
             gens, rows = self._light_sets()
@@ -138,8 +156,7 @@ class StructureTable:
         and as g permutes the basis, f_a(x, .) vanishes iff f_a(g x, .)
         does.
         """
-        # The place value of each factor is the index of its unit.
-        perms = {g: perm.tolist() for g in _mixed_radix(self.group)[2].tolist()
+        perms = {g: perm.tolist() for g in self.units.tolist()
                  if (perm := self._nucleus_permutation(g)) is not None}
         gens = list(perms)
         seen = [False] * self.dim
@@ -158,6 +175,23 @@ class StructureTable:
             if perms.keys().isdisjoint(orbit):
                 gens.append(x)
         return sorted(gens), rows
+
+    def transform(self) -> np.ndarray:
+        """lambda(b) = sum_u c_u zeta^<u,b> for every b, from the table's row
+        P_0 P_0, as an s x phi array of integer power-basis numerators,
+        computed once.  Each nonzero c_u is scattered into an s x N
+        histogram of Python integers at (b, <u,b>), and the histogram times
+        the N x phi table of x^k mod Phi_N gives lambda."""
+        if self._lambda is None:
+            s, order = self.group.size, self.group.conductor
+            row = self.constants[s, s, s:]
+            hist = np.zeros((s, order), dtype=object)
+            terms = np.flatnonzero(row)
+            np.add.at(hist, (np.arange(s), self.pairing[terms]), row[terms, None])
+            residues = np.array(_rotations([1] + [0] * (euler_phi(order) - 1), order),
+                                dtype=object)
+            self._lambda = linalg.exact_matmul(hist, residues)
+        return self._lambda
 
     def _associates(self, a: int, x: int) -> bool:
         """(x a) y == x (a y) for every basis y.
@@ -216,47 +250,34 @@ class StructureTable:
         return tuple(tuple(v) for v in linalg.kernel_basis(matrix))
 
 
-def _mixed_radix(group: AbelianGroup) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """The cyclic factors of order above 1, and as int64 arrays their orders,
-    place values and the elements: the index of a in ``elements()`` is
-    sum_k a[factors[k]] radix[k], the last factor varying fastest.  A factor
-    of order 1 moves no index, so its column is left out."""
-    factors = [i for i, n in enumerate(group.orders) if n > 1]
-    orders = [group.orders[i] for i in factors]
-    radix = [math.prod(orders[k + 1:]) for k in range(len(orders))]
-    elements = np.array(group.elements(), dtype=np.int64)[:, factors]
-    return factors, np.array(orders, dtype=np.int64), np.array(radix, dtype=np.int64), elements
-
-
 def build_table(ring: ProjectiveClassRing) -> StructureTable:
     """Assemble the structure constants from the module product rules, one
-    vectorised assignment per rule and per canonical term u.  For fixed a
-    and b distinct u reach distinct a + b + u, so no target is written twice.
+    vectorised assignment per rule and per canonical term u, into a zero
+    table through its own ``plus``.  For fixed a and b distinct u reach
+    distinct a + b + u, so no target is written twice.
     The dtype is the first of int8, int16, int32, int64 that holds max c_u,
     and object (Python integers) for a multiplicity of 2**63 or more.
     """
     group = ring.group
-    factors, orders, radix, elements = _mixed_radix(group)
-    s = len(elements)
+    s = group.size
     d = 2 * s
-    # Index of a + b.
-    plus = (elements[:, None, :] + elements[None, :, :]) % orders @ radix
-    # The canonical terms, each by the index of its element u.
-    canonical = [(sum(u[i] * r for i, r in zip(factors, radix)), cu)
-                 for u, cu in ring.canonical.items()]
+    # c_u by the index of u.
+    canonical = [ring.canonical.coefficient(u) for u in group.elements()]
     # Each constant is 0, 1 or a single multiplicity: the smallest signed
     # dtype that holds the largest multiplicity holds them all exactly.
-    top = max((cu for _, cu in canonical), default=1)
+    top = max(canonical)
     dtype = next((t for t in _TABLE_DTYPES if top <= np.iinfo(t).max), object)
-    constants = np.zeros((d, d, d), dtype=dtype)
+    table = StructureTable(group, np.zeros((d, d, d), dtype=dtype))
+    constants, plus = table.constants, table.plus
     rows = np.arange(s)[:, None]
     cols = np.arange(s)[None, :]
     constants[rows, cols, plus] = 1                # simple * simple
     constants[rows, s + cols, s + plus] = 1        # simple * projective
     constants[s + rows, cols, s + plus] = 1        # projective * simple
-    for u, cu in canonical:
-        constants[s + rows, s + cols, s + plus[plus, u]] = cu
-    return StructureTable(group, constants)
+    for u, cu in enumerate(canonical):
+        if cu:
+            constants[s + rows, s + cols, s + plus[plus, u]] = cu
+    return table
 
 
 def matches_pair_ring(table: StructureTable, ring: ProjectiveClassRing) -> bool:
@@ -357,11 +378,9 @@ def _decomposition_holds(table: StructureTable, nilpotents: list[PairElement]) -
        S_(e_i) and S_0 and P_a = S_a P_0, so S_(e_i) and P_0 generate A.
        S_0 is then a right unit too: x S_0 = x holds for x = S_0, S_(e_i)
        and P_0 by these rows, and so for their products.
-    2. ``_transform``: lambda(b) = sum_u c_u zeta^<u,b> for every b, from
-       A's own row P_0 P_0: each nonzero c_u is scattered into an s x N
-       histogram of Python integers at (b, <u,b>), and the histogram times
-       the N x phi table of x^k mod Phi_N gives lambda.  r counts the b
-       with lambda(b) != 0.
+    2. ``StructureTable.transform``: lambda(b) = sum_u c_u zeta^<u,b> for
+       every b, from A's own row P_0 P_0.  r counts the b with
+       lambda(b) != 0.
     3. chi_b on simples and 0 on projectives, for every b, and chi_b on
        simples and lambda(b) chi_b on projectives, for every b with
        lambda(b) != 0, are s + r distinct linear maps A -> C.  By step 1
@@ -388,19 +407,16 @@ def _decomposition_holds(table: StructureTable, nilpotents: list[PairElement]) -
     Python integers, so no bound is needed.
     """
     s, order = table.group.size, table.group.conductor
-    c = table.constants
-    _, orders, radix, elements = _mixed_radix(table.group)
+    c, plus = table.constants, table.plus
     eye = np.eye(table.dim, dtype=np.int8)
-    shifts = ((elements + unit) % orders @ radix for unit in np.eye(len(orders), dtype=np.int64))
     if not (np.array_equal(c[0], eye)
-            and all(np.array_equal(c[g], eye[np.concatenate([step, s + step])])
-                    for g, step in zip(radix, shifts))
+            and all(np.array_equal(c[g], eye[np.concatenate([plus[g], s + plus[g]])])
+                    for g in table.units)
             and np.array_equal(c[:s, s], eye[s:]) and np.array_equal(c[s, :s], eye[s:])
             and not c[s, s, :s].any()):
         return False
 
-    pairing, values = _transform(table)
-    vanishing = np.flatnonzero(~(values != 0).any(axis=1))
+    vanishing = np.flatnonzero(~(table.transform() != 0).any(axis=1))
     m = len(nilpotents)
     if m != len(vanishing) or not all(n.s_part.is_zero() for n in nilpotents):
         return False
@@ -411,26 +427,10 @@ def _decomposition_holds(table: StructureTable, nilpotents: list[PairElement]) -
     heads, head = np.unique(index[:, :1], return_inverse=True)
     turned = np.array([[rows.get(v, -1) for v in _rotations(nums[h].tolist(), order)]
                        for h in heads], dtype=np.intp).reshape(len(heads), order)
-    powers = -pairing[vanishing] % order
+    powers = -table.pairing[vanishing] % order
     # Without nilpotents there is nothing to compare (``index`` is then 0 x 0).
     return not m or (nums[heads].any(axis=1).all()
                      and np.array_equal(turned[head.reshape(-1, 1), powers], index))
-
-
-def _transform(table: StructureTable) -> tuple[np.ndarray, np.ndarray]:
-    """Step 2 of ``_decomposition_holds``: the s x s pairing <x, b>, and
-    lambda from the table's row P_0 P_0 as an s x phi array of integer
-    power-basis numerators."""
-    s, order = table.group.size, table.group.conductor
-    _, orders, _, elements = _mixed_radix(table.group)
-    # <u, b> as in ``AbelianGroup.pairing_exponent``: symmetric in u and b.
-    pairing = (elements * (order // orders)) @ elements.T % order
-    row = table.constants[s, s, s:]
-    hist = np.zeros((s, order), dtype=object)
-    terms = np.flatnonzero(row)
-    np.add.at(hist, (np.arange(s), pairing[terms]), row[terms, None])
-    residues = np.array(_rotations([1] + [0] * (euler_phi(order) - 1), order), dtype=object)
-    return pairing, linalg.exact_matmul(hist, residues)
 
 
 def _rotations(row: list[int], order: int) -> list[tuple[int, ...]]:
@@ -470,5 +470,5 @@ def verify(report) -> tuple[dict, bool]:
     nums, den = common_numerators(report.values, report.group.conductor)
     ok = (associative and matches and spans_match
           and radical_dim == report.group.size - report.support_size
-          and [[v * den for v in row] for row in _transform(table)[1].tolist()] == nums)
+          and [[v * den for v in row] for row in table.transform().tolist()] == nums)
     return block, ok

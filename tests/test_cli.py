@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import pcring
@@ -638,7 +638,10 @@ class TestGeneratedFaults:
         values[b] = scale * values[b]
         _assert_exits_two(request, spectral.SpectralReport(report.ring, tuple(values)))
 
-    @settings(derandomize=True, deadline=None, max_examples=8)
+    # Without the shrink phase a failure is reported at once, not after
+    # minutes of shrinking; the same 8 derandomized examples are drawn.
+    @settings(derandomize=True, deadline=None, max_examples=8,
+              phases=(Phase.explicit, Phase.generate))
     @given(st.lists(_documents().map(lambda d: json.dumps(d[0])), min_size=1, max_size=3),
            st.lists(_malformed().map(lambda m: m[0]), min_size=1, max_size=2), st.data())
     def test_batch_of_faulty_and_malformed_documents_exits_one(self, valid, malformed, data):

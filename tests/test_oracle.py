@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import unit_generators
-from pcring import oracle
+from pcring import linalg, oracle
 from pcring import (
     AbelianGroup,
     CycloNum,
@@ -19,6 +19,7 @@ from pcring import (
     StructureTable,
     build_table,
     certify_radical,
+    euler_phi,
     matches_pair_ring,
     radical_matches_spectral,
     spectral_report,
@@ -676,6 +677,32 @@ class TestVerify:
             "radical_dim": ring.group.size - report.support_size,
             "radical_matches_spectral": True,
         }
+
+    def test_one_element_matrix_and_one_transform(self, monkeypatch):
+        # Z2 x Z3 has factors of different orders, so the pairing's N/n_i
+        # weights differ.  The element matrix is np.array of the group's
+        # cached elements(), and lambda is the one product by the N x phi
+        # table of x^k mod Phi_N.
+        ring = make_ring((2, 3), {(0, 0): 2, (1, 1): 3, (0, 2): 1})
+        report = spectral_report(ring)
+        elements, order = ring.group.elements(), ring.group.conductor
+        array, matmul = np.array, linalg.exact_matmul
+        matrices, transforms = [], []
+
+        def counted_array(obj, *args, **kwargs):
+            if obj is elements:
+                matrices.append(obj)
+            return array(obj, *args, **kwargs)
+
+        def counted_matmul(a, b):
+            if b.shape == (order, euler_phi(order)):
+                transforms.append(b)
+            return matmul(a, b)
+
+        monkeypatch.setattr(np, "array", counted_array)
+        monkeypatch.setattr(linalg, "exact_matmul", counted_matmul)
+        assert oracle.verify(report)[1]
+        assert (len(matrices), len(transforms)) == (1, 1)
 
     def test_non_associative_table(self, monkeypatch):
         monkeypatch.setattr(StructureTable, "is_associative", lambda self: False)
